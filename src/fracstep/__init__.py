@@ -29,7 +29,6 @@ from .numkit import (
     NotPositiveDefiniteError,
     SparseMatrix,
     cg_solve,
-    cholesky_solve,
     gen_sym_eig,
 )
 from .reference import (

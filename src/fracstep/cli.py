@@ -15,7 +15,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import baselines, harness, meshfem, reference, schemes
+from . import harness, meshfem, reference, schemes
 from .cq import cq_weights, get_rule
 from .harness import ConfigError
 from .mlf import MlfAccuracyError, MlfParams, mlf
@@ -69,17 +69,9 @@ def _cmd_mlf(args):
 def _cmd_solve(args):
     case = reference.get_case(args.case, args.alpha)
     sys_ = meshfem.fem_system(args.M)
-    grid = schemes.TimeGrid(args.t, args.N)
     scheme = args.scheme.lower()
-    if scheme in harness.PRIMARY_SCHEMES:
-        cfg = schemes.SchemeConfig(
-            stepper=scheme.upper(),
-            equation="subdiffusion" if case.is_subdiffusion else "diffusion_wave",
-            corrected=args.corrected,
-        )
-        hist = schemes.solve(sys_, case, cfg, grid)
-    else:
-        hist = baselines.solve_baseline(sys_, case, scheme, args.alpha, grid)
+    grid = schemes.TimeGrid(args.t, args.N)
+    hist = harness._run_scheme(sys_, case, scheme, grid, args.corrected)
 
     metrics = {
         "case": args.case,
@@ -98,10 +90,7 @@ def _cmd_solve(args):
         metrics["error_h1"] = meshfem.h1_seminorm(sys_, hist.final - ref)
     elif args.reference == "self_convergence":
         fine = schemes.TimeGrid(args.t, 4 * args.N)
-        if scheme in harness.PRIMARY_SCHEMES:
-            ref = schemes.solve(sys_, case, cfg, fine).final
-        else:
-            ref = baselines.solve_baseline(sys_, case, scheme, args.alpha, fine).final
+        ref = harness._run_scheme(sys_, case, scheme, fine, args.corrected).final
         metrics["error_l2"] = meshfem.l2_norm(sys_, hist.final - ref)
         metrics["error_h1"] = meshfem.h1_seminorm(sys_, hist.final - ref)
     else:

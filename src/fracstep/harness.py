@@ -229,17 +229,21 @@ def _temporal_block(cfg, case, sys, scheme):
 
 
 def _decay_block(cfg, case, sys, scheme):
-    def one(t):
+    ts = sorted(cfg.t_list, reverse=True)
+    refs = [None] * len(ts)
+    if cfg.reference == "discrete_modal":
+        # built before the pool, so its threads share one cached eigensolve
+        refs = [reference.discrete_reference(sys, case, t) for t in ts]
+
+    def one(item):
+        t, ref = item
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, cfg.N), cfg.corrected)
-        if cfg.reference == "discrete_modal":
-            ref = reference.discrete_reference(sys, case, t)
-        else:
+        if ref is None:
             grid = schemes.TimeGrid(t, 16 * cfg.N)
             ref = _run_scheme(sys, case, scheme, grid, cfg.corrected).final
         return meshfem.l2_norm(sys, hist.final - ref)
 
-    ts = sorted(cfg.t_list, reverse=True)
-    errs = _map_indexed(one, ts)
+    errs = _map_indexed(one, list(zip(ts, refs)))
     return ts, errs
 
 
@@ -369,7 +373,8 @@ def parse_csv(text):
     """Inverse of emit(..., 'csv'); returns rows of (label, l2, h1, rate)."""
     rows = []
     lines = text.strip().split("\n")
-    assert lines[0] == "label,error_l2,error_h1,rate"
+    if lines[0] != "label,error_l2,error_h1,rate":
+        raise ValueError(f"not a study CSV: header {lines[0]!r}")
     for line in lines[1:]:
         lab, e2, e1, r = line.split(",")
         conv = lambda s: None if s == "" else float(s)

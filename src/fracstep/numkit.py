@@ -1,10 +1,10 @@
 """Minimal dense/sparse linear algebra used by the whole solver stack.
 
 Matrices are plain numpy arrays; sparse matrices use compressed-row storage.
-Everything here is deliberately dependency-free (numpy only) and sized for
-desk-scale problems: CG for the per-step solves, dense Cholesky for small
-systems, and a Jacobi eigensolver for the generalized symmetric problem that
-backs the discrete modal reference.
+Everything here depends on numpy alone and is sized for desk-scale problems:
+Jacobi-preconditioned CG for the per-step solves, and a dense generalized
+symmetric eigensolve (built on ``numpy.linalg``) that backs the discrete
+modal reference.
 """
 
 from __future__ import annotations
@@ -110,13 +110,19 @@ class SparseMatrix:
         )
 
     def check(self):
-        assert len(self.row_offsets) == self.n_rows + 1
-        assert np.all(np.diff(self.row_offsets) >= 0)
-        assert self.row_offsets[0] == 0 and self.row_offsets[-1] == self.nnz
-        assert np.all(self.col_indices >= 0) and np.all(self.col_indices < self.n_cols)
+        """Raise ValueError unless the layout invariants of the class hold."""
+        if len(self.row_offsets) != self.n_rows + 1:
+            raise ValueError("row_offsets must have n_rows + 1 entries")
+        if np.any(np.diff(self.row_offsets) < 0):
+            raise ValueError("row_offsets decrease")
+        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
+            raise ValueError("row_offsets must run from 0 to nnz")
+        if np.any(self.col_indices < 0) or np.any(self.col_indices >= self.n_cols):
+            raise ValueError("column index out of range")
         for i in range(self.n_rows):
             cols = self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
-            assert np.all(np.diff(cols) > 0), f"row {i} columns not increasing"
+            if np.any(np.diff(cols) <= 0):
+                raise ValueError(f"row {i} columns not increasing")
 
 
 def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None):
@@ -183,129 +189,13 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None):
     )
 
 
-def cholesky_factor(A):
-    """Lower Cholesky factor of a dense symmetric positive definite matrix."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("matrix must be square")
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= 0.0 or not np.isfinite(d):
-            raise NotPositiveDefiniteError("not positive definite")
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def solve_lower(L, B):
-    """Forward substitution; B may be a vector or a matrix of columns."""
-    B = np.asarray(B, dtype=float)
-    X = np.array(B, dtype=float)
-    n = L.shape[0]
-    for i in range(n):
-        if i:
-            X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    return X
-
-
-def solve_upper(U, B):
-    """Backward substitution with an upper triangular matrix."""
-    B = np.asarray(B, dtype=float)
-    X = np.array(B, dtype=float)
-    n = U.shape[0]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            X[i] -= U[i, i + 1 :] @ X[i + 1 :]
-        X[i] /= U[i, i]
-    return X
-
-
-def cholesky_solve(A, b):
-    """Solve A x = b for dense SPD A by Cholesky factorization."""
-    L = cholesky_factor(A)
-    y = solve_lower(L, b)
-    return solve_upper(L.T, y)
-
-
-def _round_robin_rounds(n):
-    """Pair orderings of the circle method: n-1 rounds of disjoint pairs
-    covering every index pair exactly once per sweep."""
-    m = n + (n % 2)
-    arr = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = arr[i], arr[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(qs)))
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return rounds
-
-
-def _jacobi_eigh(C, off_tol=1e-12, max_sweeps=60):
-    """Cyclic Jacobi rotations on a dense symmetric matrix.
-
-    Uses the round-robin ordering so every round applies a set of disjoint
-    rotations in whole-array operations. Sweeps (n-1 rounds each, covering
-    all pairs) continue until the off-diagonal Frobenius norm drops below
-    ``off_tol`` times the full Frobenius norm.
-    """
-    A = np.array(C, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    norm = np.linalg.norm(A)
-    if norm == 0.0 or n == 1:
-        return np.diag(A).copy(), V
-    rounds = _round_robin_rounds(n)
-    # rotations with pivots below this cannot push the off-norm back above
-    # the convergence target, so they are safe to skip
-    skip = off_tol * norm / (10.0 * n)
-    for _ in range(max_sweeps):
-        off2 = np.linalg.norm(A) ** 2 - np.sum(np.diag(A) ** 2)
-        if np.sqrt(max(off2, 0.0)) <= off_tol * norm:
-            break
-        for ps, qs in rounds:
-            apq = A[ps, qs]
-            act = np.abs(apq) > skip
-            if not np.any(act):
-                continue
-            p = ps[act]
-            q = qs[act]
-            apq = apq[act]
-            theta = 0.5 * (A[q, q] - A[p, p]) / apq
-            t = np.sign(theta) / (np.abs(theta) + np.hypot(1.0, theta))
-            t[theta == 0.0] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # disjoint pairs: column then row updates are exact in bulk
-            Ap = A[:, p].copy()
-            Aq = A[:, q].copy()
-            A[:, p] = c * Ap - s * Aq
-            A[:, q] = s * Ap + c * Aq
-            Rp = A[p, :].copy()
-            Rq = A[q, :].copy()
-            A[p, :] = c[:, None] * Rp - s[:, None] * Rq
-            A[q, :] = s[:, None] * Rp + c[:, None] * Rq
-            Vp = V[:, p].copy()
-            Vq = V[:, q].copy()
-            V[:, p] = c * Vp - s * Vq
-            V[:, q] = s * Vp + c * Vq
-    return np.diag(A).copy(), V
-
-
 def gen_sym_eig(S, M):
     """Solve S phi = lambda M phi for symmetric S and SPD M.
 
-    Reduces to a standard symmetric problem through the Cholesky factor of M,
-    diagonalizes with cyclic Jacobi rotations, and returns eigenvalues in
-    ascending order together with M-orthonormal eigenvector columns.
+    Reduces to a standard symmetric problem through the Cholesky factor L of
+    M, C = L^-1 S L^-T, diagonalizes C with ``numpy.linalg.eigh``, and
+    returns eigenvalues in ascending order together with M-orthonormal
+    eigenvector columns.
     """
     S = np.asarray(S, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -314,13 +204,9 @@ def gen_sym_eig(S, M):
     if not np.allclose(S, S.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(S).max())):
         raise ValueError("S is not symmetric")
     try:
-        L = cholesky_factor(M)
-    except NotPositiveDefiniteError:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("mass matrix not PD") from None
-    Y = solve_lower(L, S)
-    C = solve_lower(L, Y.T)
-    C = 0.5 * (C + C.T)
-    w, Q = _jacobi_eigh(C)
-    Phi = solve_upper(L.T, Q)
-    order = np.argsort(w)
-    return w[order], Phi[:, order]
+    C = np.linalg.solve(L, np.linalg.solve(L, S).T)
+    w, Q = np.linalg.eigh(0.5 * (C + C.T))
+    return w, np.linalg.solve(L.T, Q)

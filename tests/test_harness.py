@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,28 @@ class TestRunStudy:
         b = emit(again, "csv")
         assert a == b
 
+    def test_threads_share_one_eigensolve(self, monkeypatch):
+        cfg = StudyConfig(
+            "b", (0.5,), ("be",), "decay", M=8, N=10, t_list=(1e-3, 1e-4, 1e-5, 1e-6)
+        )
+        serial = emit(run_study(cfg), "csv")
+        ref._eigensystem.cache_clear()
+        ref._discrete_expansion.cache_clear()
+        calls = []
+        real = ref.gen_sym_eig
+
+        def counted(S, M):
+            calls.append(1)
+            # a slow eigensolve gives a second thread time to miss the cache
+            time.sleep(0.2)
+            return real(S, M)
+
+        monkeypatch.setattr(ref, "gen_sym_eig", counted)
+        monkeypatch.setenv("FRACSTEP_THREADS", "2")
+        threaded = emit(run_study(cfg), "csv")
+        assert len(calls) == 1
+        assert threaded == serial
+
     def test_threads_env_consistency(self, small_temporal_report, monkeypatch):
         monkeypatch.setenv("FRACSTEP_THREADS", "4")
         cfg = StudyConfig(
@@ -134,6 +157,10 @@ class TestEmit:
                 assert g1 == e1
                 assert gr == r or (gr is None and r is None)
                 k += 1
+
+    def test_parse_csv_rejects_bad_header(self):
+        with pytest.raises(ValueError, match="not a study CSV"):
+            parse_csv("label,error,rate\nbe;alpha=0.5;N=10,0.1,\n")
 
     def test_markdown_contains_theory_brackets(self, small_temporal_report):
         text = emit(small_temporal_report, "markdown")
@@ -197,14 +224,23 @@ class TestCli:
         assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_solve_json_metrics(self):
-        out = self.run_cli(
-            "solve", "--case", "a", "--alpha", "0.5", "--scheme", "be",
-            "--M", "4", "--N", "16", "--t", "0.1",
-        )
-        assert out.returncode == 0
-        metrics = json.loads(out.stdout)
-        assert metrics["error_l2"] > 0.0
-        assert metrics["normalized"] is True
+        # a primary and a baseline scheme, each against both time references
+        for scheme, reference in [
+            ("be", "discrete_modal"),
+            ("l1", "discrete_modal"),
+            ("be", "self_convergence"),
+            ("l1", "self_convergence"),
+        ]:
+            out = self.run_cli(
+                "solve", "--case", "a", "--alpha", "0.5", "--scheme", scheme,
+                "--M", "4", "--N", "16", "--t", "0.1", "--reference", reference,
+            )
+            assert out.returncode == 0, out.stderr
+            metrics = json.loads(out.stdout)
+            assert metrics["scheme"] == scheme
+            assert metrics["reference"] == reference
+            assert metrics["error_l2"] > 0.0
+            assert metrics["normalized"] is True
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -7,9 +7,9 @@ from fracstep.numkit import (
     NotPositiveDefiniteError,
     SparseMatrix,
     cg_solve,
-    cholesky_solve,
     gen_sym_eig,
 )
+from fracstep.meshfem import fem_system
 
 
 def sparse_from_dense(A):
@@ -46,6 +46,11 @@ class TestSparseMatrix:
         ref = sp.csr_matrix(D) @ x
         assert np.allclose(A.matvec(x), ref, atol=1e-14)
 
+    def test_check_rejects_unsorted_row(self):
+        A = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([2, 1, 0]), np.ones(3))
+        with pytest.raises(ValueError, match="row 0 columns not increasing"):
+            A.check()
+
     def test_scaled_add(self):
         D1 = np.array([[2.0, 1.0], [1.0, 2.0]])
         D2 = np.array([[4.0, -1.0], [-1.0, 4.0]])
@@ -71,7 +76,7 @@ class TestCg:
         rng = np.random.default_rng(8)
         b = rng.standard_normal(50)
         x = cg_solve(sparse_from_dense(B), b)
-        ref = cholesky_solve(B, b)
+        ref = sla.solve(B, b, assume_a="pos")
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_residual_contract(self):
@@ -100,29 +105,8 @@ class TestCg:
         rng = np.random.default_rng(seed + 100)
         b = rng.standard_normal(n)
         x = cg_solve(sparse_from_dense(B), b)
-        ref = cholesky_solve(B, b)
+        ref = sla.solve(B, b, assume_a="pos")
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
-
-
-class TestCholesky:
-    def test_1x1(self):
-        assert cholesky_solve(np.array([[4.0]]), np.array([8.0]))[0] == pytest.approx(2.0)
-
-    def test_hilbert_3x3_row_sums(self):
-        H = np.array([[1 / (i + j + 1) for j in range(3)] for i in range(3)])
-        x = cholesky_solve(H, H.sum(axis=1))
-        assert np.allclose(x, np.ones(3), atol=1e-9)
-
-    def test_accuracy_well_conditioned(self):
-        A = random_spd(60, seed=5)
-        rng = np.random.default_rng(6)
-        b = rng.standard_normal(60)
-        x = cholesky_solve(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b) * np.linalg.cond(A)
-
-    def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            cholesky_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 class TestGenSymEig:
@@ -138,14 +122,22 @@ class TestGenSymEig:
         with pytest.raises(NotPositiveDefiniteError, match="mass matrix not PD"):
             gen_sym_eig(np.eye(2), np.diag([1.0, -1.0]))
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_against_scipy(self, seed):
-        n = 40
-        S = random_spd(n, seed=seed, shift=0.5)
-        M = random_spd(n, seed=seed + 50)
+    @pytest.mark.parametrize("pencil", [0, 1, "fem16"])
+    def test_against_scipy(self, pencil):
+        if pencil == "fem16":
+            # the pencil behind the discrete modal reference, 225 dofs
+            sys16 = fem_system(16)
+            S, M = sys16.stiffness.to_dense(), sys16.mass.to_dense()
+            tol = 1e-12
+        else:
+            S = random_spd(40, seed=pencil, shift=0.5)
+            M = random_spd(40, seed=pencil + 50)
+            tol = 1e-10
         w, Phi = gen_sym_eig(S, M)
         w_ref = sla.eigh(S, M, eigvals_only=True)
-        assert np.allclose(w, w_ref, rtol=1e-10, atol=1e-10)
+        assert np.allclose(w, w_ref, rtol=tol, atol=tol)
+        G = Phi.T @ M @ Phi
+        assert np.max(np.abs(G - np.eye(len(w)))) <= tol
 
     def test_m_orthonormal_and_residual(self):
         S = random_spd(35, seed=11, shift=0.1)
