@@ -52,7 +52,7 @@ def _solve_l1(sys, case, alpha, grid, rel_tol):
     N = grid.N
     b = l1_coefficients(alpha, N)
     c0 = tau ** (-alpha) / math.gamma(2.0 - alpha)
-    A = sys.mass.scaled_add(c0, sys.stiffness, 1.0)
+    A, precond = sys.step_system(c0, 1.0)
     chi, scal = _loads(case, sys, grid.times())
 
     U = np.zeros((N + 1, sys.n_dof))
@@ -68,7 +68,9 @@ def _solve_l1(sys, case, alpha, grid, rel_tol):
         if chi is not None:
             rhs += scal[n] * chi
         cg_stats = {}
-        U[n] = cg_solve(A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats)
+        U[n] = cg_solve(
+            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
+        )
         stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
     return SolutionHistory(U, grid, stats)
 
@@ -83,9 +85,9 @@ def _solve_zeng(sys, case, alpha, grid, variant, rel_tol):
 
     if variant == 1:
         half = 0.5 ** alpha
-        A = sys.mass.scaled_add(ta * w[0], sys.stiffness, half * w[0])
+        A, precond = sys.step_system(ta * w[0], half * w[0])
     else:
-        A = sys.mass.scaled_add(ta * w[0], sys.stiffness, 1.0 - 0.5 * alpha)
+        A, precond = sys.step_system(ta * w[0], 1.0 - 0.5 * alpha)
 
     U = np.zeros((N + 1, sys.n_dof))
     U[0] = initial_coefficients(sys, case)
@@ -110,7 +112,9 @@ def _solve_zeng(sys, case, alpha, grid, variant, rel_tol):
             if chi is not None:
                 rhs += ((1.0 - 0.5 * alpha) * scal[n] + 0.5 * alpha * scal[n - 1]) * chi
         cg_stats = {}
-        U[n] = cg_solve(A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats)
+        U[n] = cg_solve(
+            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
+        )
         SU[n] = sys.stiffness.matvec(U[n])
         stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
     return SolutionHistory(U, grid, stats)
@@ -132,7 +136,7 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
     N = grid.N
     a = cn_coefficients(alpha, N)
     c = tau ** (-alpha) / math.gamma(3.0 - alpha)
-    A = sys.mass.scaled_add(c * a[0], sys.stiffness, 0.5)
+    A, precond = sys.step_system(c * a[0], 0.5)
 
     b_vec = np.zeros(sys.n_dof)
     if case.b is not None:
@@ -157,7 +161,9 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
         if chi is not None:
             rhs += scal_mid[n] * chi
         cg_stats = {}
-        U[n] = cg_solve(A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats)
+        U[n] = cg_solve(
+            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
+        )
         stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
     return SolutionHistory(U, grid, stats)
 

@@ -72,6 +72,7 @@ def _cmd_solve(args):
     scheme = args.scheme.lower()
     grid = schemes.TimeGrid(args.t, args.N)
     hist = harness._run_scheme(sys_, case, scheme, grid, args.corrected)
+    iterations = [its for _, its, _ in hist.solve_stats]
 
     metrics = {
         "case": args.case,
@@ -82,6 +83,8 @@ def _cmd_solve(args):
         "t": args.t,
         "reference": args.reference,
         "normalized": case.v_l2_norm > 0.0,
+        "cg_iterations_mean": float(np.mean(iterations)),
+        "cg_iterations_max": max(iterations),
     }
     if args.reference == "discrete_modal":
         ref = reference.discrete_reference(sys_, case, args.t)

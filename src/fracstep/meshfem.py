@@ -6,6 +6,15 @@ reproduces the classical 5-point stencil exactly. Homogeneous Dirichlet
 conditions are imposed by eliminating boundary rows and columns, so all
 systems act on the (M-1)^2 interior degrees of freedom.
 
+Every linear system here has the form a M + b S with the interior mass M and
+stiffness S. CG on it is preconditioned with P = a M~ + b S, where M~ is the
+mass stencil with its diagonal coupling spread evenly over both diagonals.
+M~ and S are both diagonal in the 2-D sine basis of the interior grid, so P
+is inverted by four dense products with the DST-I matrix (fast
+diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
+The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every
+a, b >= 0, so the iteration count does not grow as the mesh is refined.
+
 Element mass/stiffness matrices are exact closed forms. Data integration
 (load vectors) uses a 6-point degree-4 triangle rule; error norms use a
 denser collapsed-Gauss rule because modal reference solutions carry high
@@ -122,6 +131,11 @@ class FemSystem:
     def n_dof(self):
         return self.mesh.n_interior
 
+    def step_system(self, a, b):
+        """The matrix a*mass + b*stiffness and its preconditioner for cg_solve."""
+        A = self.mass.scaled_add(a, self.stiffness, b)
+        return A, sine_preconditioner(self.mesh.M, a, b)
+
     def quad_points(self, order=None):
         """Physical quadrature points and per-point weights on every element.
 
@@ -134,6 +148,40 @@ class FemSystem:
         pts = np.einsum("qk,ekd->eqd", bary, tri_nodes)
         area = 0.5 * self.mesh.h ** 2
         return pts, wts * area, bary
+
+
+def sine_basis(n):
+    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi j k/(n+1)), j, k = 1..n.
+
+    It is symmetric and its own inverse.
+    """
+    k = np.arange(1, n + 1)
+    # reduce j*k modulo the period first, so sin sees arguments below 2 pi
+    jk = np.outer(k, k) % (2 * (n + 1))
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+
+
+def sine_preconditioner(M, a, b):
+    """r -> P^-1 r for P = a M~ + b S on the interior grid of build_mesh(M).
+
+    S is the 5-point stiffness; M~ has the mass stencil's centre h^2/2 and
+    E/W/N/S entries h^2/12, and h^2/24 on all four diagonals in place of
+    h^2/12 on NE/SW. With c_k = cos(pi k/M), P has the eigenvalue
+    a h^2 (1/2 + (c_k + c_l + c_k c_l)/6) + b (4 - 2 c_k - 2 c_l) on the
+    sine mode (k, l). The interior dof order (i-1)(M-1) + (j-1) is the
+    row-major (M-1, M-1) grid the basis acts on.
+    """
+    n = M - 1
+    phi = sine_basis(n)
+    c = np.cos(np.pi * np.arange(1, n + 1) / M)
+    ck, cl = c[:, None], c[None, :]
+    lam = a * (0.5 + (ck + cl + ck * cl) / 6.0) / M ** 2 + b * (4.0 - 2.0 * ck - 2.0 * cl)
+
+    def apply(r):
+        coef = phi @ r.reshape(n, n) @ phi
+        return (phi @ (coef / lam) @ phi).ravel()
+
+    return apply
 
 
 def element_matrices(coords):
@@ -206,7 +254,8 @@ def load_vector(sys, g, order=None):
 def l2_project(sys, g, rel_tol=1e-12):
     """Coefficients of the L2-orthogonal projection of g."""
     rhs = load_vector(sys, g)
-    return cg_solve(sys.mass, rhs, rel_tol=rel_tol)
+    A, precond = sys.step_system(1.0, 0.0)
+    return cg_solve(A, rhs, rel_tol=rel_tol, precond=precond)
 
 
 def ritz_project(sys, g_grad, rel_tol=1e-12):
@@ -224,7 +273,8 @@ def ritz_project(sys, g_grad, rel_tol=1e-12):
     dofs = sys.mesh.interior_map[sys.mesh.triangles]
     ok = dofs >= 0
     np.add.at(out, dofs[ok], contrib[ok])
-    return cg_solve(sys.stiffness, out, rel_tol=rel_tol)
+    A, precond = sys.step_system(0.0, 1.0)
+    return cg_solve(A, out, rel_tol=rel_tol, precond=precond)
 
 
 def l2_norm(sys, c):

@@ -2,9 +2,10 @@
 
 Matrices are plain numpy arrays; sparse matrices use compressed-row storage.
 Everything here depends on numpy alone and is sized for desk-scale problems:
-Jacobi-preconditioned CG for the per-step solves, and a dense generalized
-symmetric eigensolve (built on ``numpy.linalg``) that backs the discrete
-modal reference.
+preconditioned CG for the per-step solves (Jacobi by default, or any
+caller-supplied SPD preconditioner such as the sine-transform one of
+``meshfem``), and a dense generalized symmetric eigensolve (built on
+``numpy.linalg``) that backs the discrete modal reference.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class SparseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        # before np.repeat, which would fail with numpy's own message
+        self._check_offsets()
         # per-entry row index, cached so matvec stays allocation-light
         rows = np.repeat(
             np.arange(self.n_rows), np.diff(self.row_offsets)
@@ -109,12 +112,15 @@ class SparseMatrix:
             coeff * self.values + other_coeff * other.values,
         )
 
-    def check(self):
-        """Raise ValueError unless the layout invariants of the class hold."""
+    def _check_offsets(self):
         if len(self.row_offsets) != self.n_rows + 1:
             raise ValueError("row_offsets must have n_rows + 1 entries")
         if np.any(np.diff(self.row_offsets) < 0):
             raise ValueError("row_offsets decrease")
+
+    def check(self):
+        """Raise ValueError unless the layout invariants of the class hold."""
+        self._check_offsets()
         if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
             raise ValueError("row_offsets must run from 0 to nnz")
         if np.any(self.col_indices < 0) or np.any(self.col_indices >= self.n_cols):
@@ -125,13 +131,15 @@ class SparseMatrix:
                 raise ValueError(f"row {i} columns not increasing")
 
 
-def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=None):
+    """Preconditioned conjugate gradients for SPD systems.
 
-    Terminates when the true residual satisfies ||Ax - b|| <= rel_tol*||b||;
-    raises :class:`CgError` (with the final residual attached) otherwise.
-    Pass a dict as ``stats`` to receive the iteration count and final
-    residual of the solve.
+    ``precond`` maps a residual r to z = P^-1 r for an SPD approximation P
+    of A; by default P is the diagonal of A (Jacobi). Terminates when the
+    true residual satisfies ||Ax - b|| <= rel_tol*||b||; raises
+    :class:`CgError` (with the final residual attached) otherwise. Pass a
+    dict as ``stats`` to receive the iteration count and final residual of
+    the solve.
     """
     b = np.asarray(b, dtype=float)
     n = A.n_rows
@@ -145,10 +153,15 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None):
         return np.zeros(n)
     target = rel_tol * bnorm
 
-    inv_diag = 1.0 / A.diagonal()
+    if precond is None:
+        inv_diag = 1.0 / A.diagonal()
+
+        def precond(r):
+            return inv_diag * r
+
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A.matvec(x)
-    z = inv_diag * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     res = np.linalg.norm(r)
@@ -169,7 +182,7 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -122,7 +122,7 @@ def solve(sys, case, cfg, grid, rel_tol=1e-12):
     sbd = rule.kind == "SBD"
 
     w = cq_weights(rule, alpha, tau, N).weights
-    step_matrix = sys.mass.scaled_add(w[0], sys.stiffness, 1.0)
+    step_matrix, precond = sys.step_system(w[0], 1.0)
 
     v = initial_coefficients(sys, case, cfg.initial_projection)
     wave = cfg.equation == "diffusion_wave"
@@ -162,7 +162,9 @@ def solve(sys, case, cfg, grid, rel_tol=1e-12):
             if src is not None:
                 rhs += 0.5 * src[0] * chi_load
         cg_stats = {}
-        x = cg_solve(step_matrix, rhs, rel_tol=rel_tol, x0=x_prev, stats=cg_stats)
+        x = cg_solve(
+            step_matrix, rhs, rel_tol=rel_tol, x0=x_prev, stats=cg_stats, precond=precond
+        )
         U[n] = x
         dU[n - 1] = x - v
         x_prev = x

@@ -241,6 +241,15 @@ class TestCli:
             assert metrics["reference"] == reference
             assert metrics["error_l2"] > 0.0
             assert metrics["normalized"] is True
+            assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"]
+        # the sine-transform preconditioner keeps every step solve short
+        out = self.run_cli(
+            "solve", "--case", "b", "--alpha", "0.5", "--scheme", "sbd",
+            "--M", "16", "--N", "40", "--t", "0.1", "--reference", "self_convergence",
+        )
+        assert out.returncode == 0, out.stderr
+        metrics = json.loads(out.stdout)
+        assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"] <= 20
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -51,6 +51,10 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="row 0 columns not increasing"):
             A.check()
 
+    def test_decreasing_offsets_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="row_offsets decrease"):
+            SparseMatrix(2, 2, [0, 2, 1], np.array([0, 1]), np.ones(2))
+
     def test_scaled_add(self):
         D1 = np.array([[2.0, 1.0], [1.0, 2.0]])
         D2 = np.array([[4.0, -1.0], [-1.0, 4.0]])

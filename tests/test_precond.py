@@ -1,0 +1,153 @@
+"""The sine-transform preconditioner of the step systems a M + b S.
+
+scipy serves as the oracle: its orthonormal DST-I, its dense SPD solve and
+its generalized symmetric eigensolve. The stencil matrices below are built
+from Kronecker products, apart from the program's assembly.
+"""
+
+import numpy as np
+import pytest
+import scipy.fft
+import scipy.linalg as sla
+
+from fracstep import baselines, meshfem as mf, reference, schemes
+from fracstep.numkit import CgError, cg_solve
+
+PAIRS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1e6, 1.0)]
+
+
+def stencil_matrices(M):
+    """(mass, M~, S) as dense matrices on the row-major (M-1, M-1) grid."""
+    n = M - 1
+    h2 = 1.0 / M ** 2
+    eye = np.eye(n)
+    up = np.eye(n, k=1)            # neighbour at i + 1 (or j + 1)
+    side = up + up.T               # both neighbours along one axis
+    axes = np.kron(side, eye) + np.kron(eye, side)
+    stiffness = 4.0 * np.kron(eye, eye) - axes
+    base = 0.5 * np.kron(eye, eye) + axes / 12.0
+    # the criss-cross mesh couples NE and SW only
+    mass = h2 * (base + (np.kron(up, up) + np.kron(up.T, up.T)) / 12.0)
+    mass_tilde = h2 * (base + np.kron(side, side) / 24.0)
+    return mass, mass_tilde, stiffness
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("n", [1, 3, 7, 15, 31, 63, 127])
+    def test_orthogonal_and_matches_scipy_dst(self, n):
+        phi = mf.sine_basis(n)
+        # round-off level: without the argument reduction n=63 gives 4.6e-15
+        assert np.max(np.abs(phi @ phi.T - np.eye(n))) <= 1e-15
+        assert np.array_equal(phi, phi.T)
+        ref = scipy.fft.dst(np.eye(n), type=1, norm="ortho", axis=0)
+        assert np.max(np.abs(phi - ref)) <= 1e-15
+
+
+class TestStencil:
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    def test_assembled_matrices_are_the_stencils(self, M):
+        sys_ = mf.fem_system(M)
+        mass, _, stiffness = stencil_matrices(M)
+        assert np.max(np.abs(sys_.mass.to_dense() - mass)) <= 1e-16
+        assert np.max(np.abs(sys_.stiffness.to_dense() - stiffness)) <= 1e-13
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 16])
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_inverts_its_twin(self, M, a, b):
+        _, mass_tilde, stiffness = stencil_matrices(M)
+        P = a * mass_tilde + b * stiffness
+        apply = mf.sine_preconditioner(M, a, b)
+        X = np.random.default_rng(M).standard_normal(((M - 1) ** 2, 3))
+        for x in X.T:
+            assert np.linalg.norm(apply(P @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("M", [4, 8, 16, 32])
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_preconditioned_eigenvalues_bounded(self, M, a, b):
+        mass, mass_tilde, stiffness = stencil_matrices(M)
+        w = sla.eigh(a * mass + b * stiffness, a * mass_tilde + b * stiffness,
+                     eigvals_only=True)
+        assert 0.6 <= w.min() and w.max() <= 1.4
+
+
+class TestPreconditionedCg:
+    @pytest.mark.parametrize("M", [8, 16, 32, 64])
+    @pytest.mark.parametrize("w0", [1.0, 1e2, 1e6])
+    def test_iterations_mesh_independent(self, M, w0):
+        sys_ = mf.fem_system(M)
+        A, precond = sys_.step_system(w0, 1.0)
+        b = np.random.default_rng(M).standard_normal(sys_.n_dof)
+        stats = {}
+        x = cg_solve(A, b, rel_tol=1e-12, stats=stats, precond=precond)
+        assert stats["iterations"] <= 20
+        assert np.linalg.norm(b - A.matvec(x)) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_agrees_with_dense_solve(self, a, b):
+        sys_ = mf.fem_system(16)
+        A, precond = sys_.step_system(a, b)
+        rhs = np.random.default_rng(5).standard_normal(sys_.n_dof)
+        x = cg_solve(A, rhs, rel_tol=1e-12, precond=precond)
+        ref = sla.solve(A.to_dense(), rhs, assume_a="pos")
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_default_is_jacobi(self):
+        sys_ = mf.fem_system(8)
+        A, _ = sys_.step_system(1e2, 1.0)
+        rhs = np.random.default_rng(6).standard_normal(sys_.n_dof)
+        inv_diag = 1.0 / A.diagonal()
+        x = cg_solve(A, rhs, precond=lambda r: inv_diag * r)
+        assert np.array_equal(cg_solve(A, rhs), x)
+
+    def test_cg_error_still_raised(self):
+        sys_ = mf.fem_system(16)
+        A, precond = sys_.step_system(1e6, 1.0)
+        rhs = np.random.default_rng(7).standard_normal(sys_.n_dof)
+        with pytest.raises(CgError) as exc:
+            cg_solve(A, rhs, rel_tol=1e-14, max_iter=1, precond=precond)
+        assert exc.value.residual > 0.0
+        assert exc.value.iterations == 1
+
+
+class TestCallSites:
+    @pytest.fixture
+    def iterations(self, monkeypatch):
+        """CG iteration counts of the projections, in call order."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            stats = {}
+            out = cg_solve(*args, **kwargs, stats=stats)
+            seen.append(stats["iterations"])
+            return out
+
+        monkeypatch.setattr(mf, "cg_solve", spy)
+        return seen
+
+    def test_ritz_project_is_exact(self, iterations):
+        sys_ = mf.fem_system(32)
+        case = reference.get_case("a", 0.5)
+        c = mf.ritz_project(sys_, case.v_grad)
+        assert iterations and max(iterations) <= 2
+        assert np.all(np.isfinite(c))
+
+    def test_l2_project(self, iterations):
+        sys_ = mf.fem_system(32)
+        mf.l2_project(sys_, reference.get_case("b", 0.5).v)
+        assert iterations and max(iterations) <= 20
+
+    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
+    def test_steppers(self, scheme):
+        sys_ = mf.fem_system(32)
+        alpha = 1.5 if scheme == "cn" else 0.5
+        case = reference.get_case("d" if scheme == "cn" else "b", alpha)
+        # tau = 0.1: stiffness-dominated steps, where Jacobi needs far more
+        grid = schemes.TimeGrid(1.0, 10)
+        if scheme in ("be", "sbd"):
+            hist = schemes.solve(sys_, case, schemes.SchemeConfig(stepper=scheme.upper()), grid)
+        else:
+            hist = baselines.solve_baseline(sys_, case, scheme, alpha, grid)
+        assert len(hist.solve_stats) == 10
+        assert max(its for _, its, _ in hist.solve_stats) <= 20
