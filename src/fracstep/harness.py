@@ -247,10 +247,7 @@ def _decay_block(cfg, case, sys, scheme):
     return ts, errs
 
 
-def _spatial_block(cfg, case, scheme):
-    exp = reference.modal_coefficients(case, cfg.K_max)
-    sol = reference.exact_solution(case, exp, cfg.t)
-
+def _spatial_block(cfg, case, sol, scheme):
     def one(M):
         sys = meshfem.fem_system(M)
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(cfg.t, cfg.N), cfg.corrected)
@@ -273,6 +270,10 @@ def run_study(cfg):
         case = reference.get_case(cfg.case, alpha)
         norm = case.v_l2_norm if case.v is not None else 0.0
         normalized = norm > 0.0
+        if cfg.kind == "spatial":
+            # one continuous reference serves every scheme of this alpha
+            exp = reference.modal_coefficients(case, cfg.K_max)
+            sol = reference.exact_solution(case, exp, cfg.t)
         for scheme in cfg.schemes:
             if cfg.kind == "temporal":
                 xs, errs = _temporal_block(cfg, case, sys, scheme)
@@ -283,7 +284,7 @@ def run_study(cfg):
                 labels = [f"t={t:g}" for t in xs]
                 h1 = [None] * len(errs)
             else:
-                xs, errs, h1 = _spatial_block(cfg, case, scheme)
+                xs, errs, h1 = _spatial_block(cfg, case, sol, scheme)
                 labels = [f"M={m}" for m in xs]
             if normalized:
                 errs = [e / norm for e in errs]

@@ -337,12 +337,6 @@ def mlf(p, x):
     return mlf_neg(p.alpha, p.beta, -x, p.target_accuracy)
 
 
-def mlf_neg_array(alpha, beta, ys, tol=DEFAULT_TOL):
-    ys = np.asarray(ys, dtype=float)
-    flat = [mlf_neg(alpha, beta, float(v), tol) for v in ys.ravel()]
-    return np.array(flat).reshape(ys.shape)
-
-
 def mlf_scaled_t(p, lam, t):
     """t**(beta-1) * E_{alpha,beta}(-lam * t**alpha) with a stable t=0 limit."""
     if lam < 0.0 or t < 0.0:

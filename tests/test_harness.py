@@ -132,6 +132,26 @@ class TestRunStudy:
         assert len(calls) == 1
         assert threaded == serial
 
+    def test_spatial_reference_built_once_per_alpha(self, monkeypatch):
+        def cfg(schemes):
+            return StudyConfig(
+                "e", (1.5,), schemes, "spatial", M_list=(4, 8), N=10, t=0.1, K_max=31
+            )
+
+        rows = [emit(run_study(cfg((s,))), "csv").split("\n", 1) for s in ("be", "sbd")]
+        separate = rows[0][0] + "\n" + rows[0][1] + rows[1][1]
+        calls = []
+        real = ref.exact_solution
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ref, "exact_solution", counted)
+        shared = emit(run_study(cfg(("be", "sbd"))), "csv")
+        assert len(calls) == 1
+        assert shared == separate
+
     def test_threads_env_consistency(self, small_temporal_report, monkeypatch):
         monkeypatch.setenv("FRACSTEP_THREADS", "4")
         cfg = StudyConfig(

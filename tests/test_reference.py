@@ -35,6 +35,14 @@ class TestCases:
         fd = (c.source_time_integral(t + h) - c.source_time_integral(t - h)) / (2 * h)
         assert fd == pytest.approx(c.source_time(t), rel=1e-8)
 
+    def test_chi_left_broadcasts(self):
+        x = np.array([0.2, 0.5, 0.7])
+        y = np.array([0.1, 0.9])
+        got = ref._chi_left(x[:, None], y[None, :])
+        assert got.shape == (3, 2)
+        assert np.array_equal(got, np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+        assert ref._chi_left(0.3, y).shape == (2,)
+
     def test_data_l2_norms_against_quadrature(self):
         va, _ = dblquad(
             lambda y, x: (x * y * (1 - x) * (1 - y)) ** 2, 0, 1, 0, 1, epsabs=1e-14
@@ -145,6 +153,99 @@ class TestExactSolution:
             sol = ref.exact_solution(c, ref.modal_coefficients(c, K), 0.1)
             tails.append(sol.tail_bound())
         assert all(t1 >= t2 for t1, t2 in zip(tails, tails[1:]))
+
+
+def _brute_force_series(sol, x, y):
+    """Value and gradient of the series, one term per mode, at broadcast x, y."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    u = np.zeros(x.shape)
+    gx = np.zeros(x.shape)
+    gy = np.zeros(x.shape)
+    ks, ls = sol.expansion.ks, sol.expansion.ls
+    for i, k in enumerate(ks):
+        for j, l in enumerate(ls):
+            a = 2.0 * sol.amplitudes[i, j]
+            sx, sy = np.sin(k * math.pi * x), np.sin(l * math.pi * y)
+            u += a * sx * sy
+            gx += a * k * math.pi * np.cos(k * math.pi * x) * sy
+            gy += a * l * math.pi * sx * np.cos(l * math.pi * y)
+    return u, gx, gy
+
+
+class TestSeriesEvaluation:
+    @pytest.fixture(scope="class")
+    def sol(self):
+        c = ref.get_case("e", 1.5)
+        return ref.exact_solution(c, ref.modal_coefficients(c, 31), 0.1)
+
+    def _inputs(self, sys8):
+        pts, _, _ = sys8.quad_points(10)
+        rng = np.random.default_rng(7)
+        grid_x = np.linspace(0.05, 0.95, 6)
+        grid_y = np.array([0.1, 0.5, 0.5, 0.8])
+        return {
+            "quadrature_M8": (pts[..., 0], pts[..., 1]),
+            "random_2d": (rng.random((7, 5)), rng.random((7, 5))),
+            "scalar": (0.3, 0.7),
+            "broadcast_grid": (grid_x[:, None], grid_y[None, :]),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["quadrature_M8", "random_2d", "scalar", "broadcast_grid"]
+    )
+    def test_against_brute_force(self, sol, sys8, kind):
+        x, y = self._inputs(sys8)[kind]
+        u, gx, gy = _brute_force_series(sol, x, y)
+        got = sol(x, y)
+        got_gx, got_gy = sol.grad(x, y)
+        assert got.shape == u.shape == np.broadcast(x, y).shape
+        assert got_gx.shape == got_gy.shape == u.shape
+        assert np.max(np.abs(got - u)) <= 1e-13 * np.max(np.abs(u))
+        gscale = max(np.max(np.abs(gx)), np.max(np.abs(gy)))
+        assert np.max(np.abs(got_gx - gx)) <= 1e-13 * gscale
+        assert np.max(np.abs(got_gy - gy)) <= 1e-13 * gscale
+
+
+class TestModeFactors:
+    @pytest.fixture(scope="class", params=["continuous_e_K63", "discrete_M8"])
+    def spectrum(self, request, sys8):
+        if request.param == "continuous_e_K63":
+            lam = ref.modal_coefficients(ref.get_case("e", 1.5), 63).lam.ravel()
+            return 1.5, lam
+        return 0.5, ref._eigensystem(sys8)[0]
+
+    def test_factors_bitwise_equal_per_mode(self, spectrum):
+        alpha, lam = spectrum
+        t, tol = 0.1, 1e-12
+        ta = t ** alpha
+        for beta in (1.0, 2.0):
+            per_mode = np.array([mlf_neg(alpha, beta, lv * ta, tol) for lv in lam])
+            assert np.array_equal(ref._homogeneous_factor(alpha, beta, lam, t, tol), per_mode)
+        powers = ((1.0, 0.0), (1.0, 0.2))
+        per_mode = np.zeros(len(lam))
+        for c, g in powers:
+            pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
+            per_mode += pref * np.array(
+                [mlf_neg(alpha, alpha + g + 1.0, lv * ta, tol) for lv in lam]
+            )
+        assert np.array_equal(ref.duhamel_factor(alpha, powers, lam, t, tol), per_mode)
+
+    @pytest.mark.parametrize("cid,alpha,factors", [("e", 1.5, 1), ("c", 0.5, 2)])
+    def test_one_mlf_call_per_distinct_eigenvalue(self, monkeypatch, cid, alpha, factors):
+        c = ref.get_case(cid, alpha)
+        e = ref.modal_coefficients(c, 63)
+        calls = []
+        real = ref.mlf_neg
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ref, "mlf_neg", counted)
+        ref.exact_solution(c, e, 0.1)
+        distinct = len(np.unique(e.lam))
+        assert distinct < e.lam.size
+        assert len(calls) == factors * distinct
 
 
 class TestDiscreteReference:
