@@ -4,7 +4,11 @@ and Crank-Nicolson for the second-order-in-time equation.
 These reproduce published methods as displayed, with no startup correction
 beyond what each method prescribes; their loss of order on rough data is the
 point of the comparison. The spatial weak form (interior mass/stiffness, L2
-projections) is shared with the primary schemes.
+projections) and the stepping core ``schemes._march`` are shared with the
+primary schemes: each scheme here supplies only its step coefficients,
+kernel, history map, right-hand side and starting vector (see
+:mod:`schemes`). The Gruenwald-Letnikov I right-hand side also convolves
+S U^m with the weights of (1 + z)^alpha, in a buffer of its own.
 
 The Crank-Nicolson scheme is that of Sun & Wu (Appl. Numer. Math. 56, 2006),
 of design order 3 - alpha. Its error also carries a tau^2 term from the
@@ -19,10 +23,9 @@ import math
 
 import numpy as np
 
-from . import meshfem
+from . import meshfem, schemes
 from .cq import BE, cq_weights
-from .numkit import cg_solve
-from .schemes import SolutionHistory, initial_coefficients
+from .schemes import initial_coefficients
 
 KINDS = ("l1", "zeng1", "zeng2", "cn")
 
@@ -48,76 +51,58 @@ def cn_coefficients(alpha, n_terms):
 
 
 def _solve_l1(sys, case, alpha, grid, rel_tol):
-    tau = grid.tau
     N = grid.N
     b = l1_coefficients(alpha, N)
-    c0 = tau ** (-alpha) / math.gamma(2.0 - alpha)
-    A, precond = sys.step_system(c0, 1.0)
+    c0 = grid.tau ** (-alpha) / math.gamma(2.0 - alpha)
+    # c0 [b0 U^n + sum_{j=1..n-1}(b_j - b_{j-1}) U^{n-j} - b_{n-1} U^0]
+    kernel = np.concatenate(([b[0]], b[:-1] - b[1:]))   # b_{j-1} - b_j for j >= 1
     chi, scal = _loads(case, sys, grid.times())
 
-    U = np.zeros((N + 1, sys.n_dof))
-    U[0] = initial_coefficients(sys, case)
-    stats = []
-    for n in range(1, N + 1):
-        # c0 [b0 U^n + sum_{j=1..n-1}(b_j - b_{j-1}) U^{n-j} - b_{n-1} U^0]
+    def rhs(n, conv, U):
         acc = b[n - 1] * U[0]
-        if n > 1:
-            diffs = b[: n - 1] - b[1:n]          # b_{j-1} - b_j for j=1..n-1
-            acc += np.tensordot(diffs, U[n - 1 : 0 : -1], axes=(0, 0))
-        rhs = c0 * sys.mass.matvec(acc)
+        if conv is not None:
+            acc += conv
+        out = c0 * sys.mass.matvec(acc)
         if chi is not None:
-            rhs += scal[n] * chi
-        cg_stats = {}
-        U[n] = cg_solve(
-            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
-        )
-        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
-    return SolutionHistory(U, grid, stats)
+            out += scal[n] * chi
+        return out
+
+    start = initial_coefficients(sys, case)
+    return schemes._march(sys, grid, (c0, 1.0), kernel, None, rhs, start, rel_tol)
 
 
 def _solve_zeng(sys, case, alpha, grid, variant, rel_tol):
-    tau = grid.tau
     N = grid.N
     # weights of (1 - z)^alpha: the backward Euler table at unit step
     w = cq_weights(BE, alpha, 1.0, N).weights
-    ta = tau ** (-alpha)
+    ta = grid.tau ** (-alpha)
     chi, scal = _loads(case, sys, grid.times())
-
-    if variant == 1:
-        half = 0.5 ** alpha
-        A, precond = sys.step_system(ta * w[0], half * w[0])
-    else:
-        A, precond = sys.step_system(ta * w[0], 1.0 - 0.5 * alpha)
-
-    U = np.zeros((N + 1, sys.n_dof))
-    U[0] = initial_coefficients(sys, case)
-    SU = np.zeros((N + 1, sys.n_dof))
-    SU[0] = sys.stiffness.matvec(U[0])
     cumw = np.cumsum(w)
-    stats = []
-    for n in range(1, N + 1):
+    half = 0.5 ** alpha
+    if variant == 1:
+        signed = w * (-1.0) ** np.arange(N + 1)     # weights of (1 + z)^alpha
+        SU = np.zeros((N, sys.n_dof))               # SU[m] = S U^m, filled as needed
+
+    def rhs(n, conv, U):
         # sum_{j=0..n} w_j (U^{n-j} - U^0): the j=n term cancels into cumw
         acc = cumw[n - 1] * U[0]
-        if n > 1:
-            acc -= np.tensordot(w[1:n], U[n - 1 : 0 : -1], axes=(0, 0))
-        rhs = ta * sys.mass.matvec(acc)
+        if conv is not None:
+            acc -= conv
+        out = ta * sys.mass.matvec(acc)
         if variant == 1:
-            sgn = (-1.0) ** np.arange(1, n + 1)
-            rhs -= half * np.tensordot(w[1 : n + 1] * sgn, SU[n - 1 :: -1], axes=(0, 0))
+            SU[n - 1] = sys.stiffness.matvec(U[n - 1])
+            out -= half * np.tensordot(signed[1 : n + 1], SU[n - 1 :: -1], axes=(0, 0))
             if chi is not None:
-                signs = (-1.0) ** np.arange(n + 1)
-                rhs += half * float(np.dot(w[: n + 1] * signs, scal[n::-1])) * chi
+                out += half * float(np.dot(signed[: n + 1], scal[n::-1])) * chi
         else:
-            rhs -= 0.5 * alpha * SU[n - 1]
+            out -= 0.5 * alpha * sys.stiffness.matvec(U[n - 1])
             if chi is not None:
-                rhs += ((1.0 - 0.5 * alpha) * scal[n] + 0.5 * alpha * scal[n - 1]) * chi
-        cg_stats = {}
-        U[n] = cg_solve(
-            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
-        )
-        SU[n] = sys.stiffness.matvec(U[n])
-        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
-    return SolutionHistory(U, grid, stats)
+                out += ((1.0 - 0.5 * alpha) * scal[n] + 0.5 * alpha * scal[n - 1]) * chi
+        return out
+
+    step = (ta * w[0], half * w[0]) if variant == 1 else (ta * w[0], 1.0 - 0.5 * alpha)
+    start = initial_coefficients(sys, case)
+    return schemes._march(sys, grid, step, w, None, rhs, start, rel_tol)
 
 
 def _solve_cn(sys, case, alpha, grid, rel_tol):
@@ -136,7 +121,8 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
     N = grid.N
     a = cn_coefficients(alpha, N)
     c = tau ** (-alpha) / math.gamma(3.0 - alpha)
-    A, precond = sys.step_system(c * a[0], 0.5)
+    # + sum_{j=1..n-1} (a_{j-1} - a_j) (U^{n-j} - U^{n-j-1})
+    kernel = np.concatenate(([a[0]], a[:-1] - a[1:]))
 
     b_vec = np.zeros(sys.n_dof)
     if case.b is not None:
@@ -144,28 +130,22 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
     chi = scal_mid = None
     if case.source_space is not None:
         chi = meshfem.load_vector(sys, case.source_space)
-        scal_mid = np.array(
-            [case.source_time((n - 0.5) * tau) for n in range(N + 1)]
-        )
+        # f(t_(n-1/2)) for n = 1..N, stored at n - 1
+        scal_mid = np.array([case.source_time((n - 0.5) * tau) for n in range(1, N + 1)])
 
-    U = np.zeros((N + 1, sys.n_dof))
-    U[0] = initial_coefficients(sys, case)
-    stats = []
-    for n in range(1, N + 1):
+    def rhs(n, conv, U):
         acc = a[0] * U[n - 1] + a[n - 1] * tau * b_vec
-        if n > 1:
-            # + sum_{j=1..n-1} (a_{n-j-1} - a_{n-j}) (U^j - U^{j-1})
-            diffs = a[n - 2 :: -1] - a[n - 1 : 0 : -1]
-            acc += np.tensordot(diffs, U[1:n] - U[0 : n - 1], axes=(0, 0))
-        rhs = c * sys.mass.matvec(acc) - 0.5 * sys.stiffness.matvec(U[n - 1])
+        if conv is not None:
+            acc += conv
+        out = c * sys.mass.matvec(acc) - 0.5 * sys.stiffness.matvec(U[n - 1])
         if chi is not None:
-            rhs += scal_mid[n] * chi
-        cg_stats = {}
-        U[n] = cg_solve(
-            A, rhs, rel_tol=rel_tol, x0=U[n - 1], stats=cg_stats, precond=precond
-        )
-        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
-    return SolutionHistory(U, grid, stats)
+            out += scal_mid[n - 1] * chi
+        return out
+
+    start = initial_coefficients(sys, case)
+    return schemes._march(
+        sys, grid, (c * a[0], 0.5), kernel, lambda U, m: U[m] - U[m - 1], rhs, start, rel_tol
+    )
 
 
 def solve_baseline(sys, case, kind, alpha, grid, rel_tol=1e-12):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import baselines, meshfem, reference, schemes
@@ -196,27 +194,10 @@ def _run_scheme(sys, case, scheme, grid, corrected):
     return baselines.solve_baseline(sys, case, scheme, case.alpha, grid)
 
 
-def _threads():
-    try:
-        return max(1, int(os.environ.get("FRACSTEP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, items):
-    """Run fn over items, optionally in parallel, preserving order."""
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def _temporal_block(cfg, case, sys, scheme):
+def _temporal_block(cfg, case, sys, scheme, ref):
+    """Errors at cfg.t over N_list; a ``ref`` of None means self-convergence."""
     t = cfg.t
-    if cfg.reference == "discrete_modal":
-        ref = reference.discrete_reference(sys, case, t)
-    else:
+    if ref is None:
         grid = schemes.TimeGrid(t, 4 * max(cfg.N_list))
         ref = _run_scheme(sys, case, scheme, grid, cfg.corrected).final
 
@@ -224,27 +205,21 @@ def _temporal_block(cfg, case, sys, scheme):
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, N), cfg.corrected)
         return meshfem.l2_norm(sys, hist.final - ref)
 
-    errs = _map_indexed(one, list(cfg.N_list))
-    return list(cfg.N_list), errs
+    return list(cfg.N_list), [one(N) for N in cfg.N_list]
 
 
-def _decay_block(cfg, case, sys, scheme):
-    ts = sorted(cfg.t_list, reverse=True)
-    refs = [None] * len(ts)
-    if cfg.reference == "discrete_modal":
-        # built before the pool, so its threads share one cached eigensolve
-        refs = [reference.discrete_reference(sys, case, t) for t in ts]
+def _decay_block(cfg, case, sys, scheme, ts, refs):
+    """Errors at fixed N over the times ts; a ``refs`` entry of None means
+    self-convergence."""
 
-    def one(item):
-        t, ref = item
+    def one(t, ref):
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, cfg.N), cfg.corrected)
         if ref is None:
             grid = schemes.TimeGrid(t, 16 * cfg.N)
             ref = _run_scheme(sys, case, scheme, grid, cfg.corrected).final
         return meshfem.l2_norm(sys, hist.final - ref)
 
-    errs = _map_indexed(one, list(zip(ts, refs)))
-    return ts, errs
+    return ts, [one(t, ref) for t, ref in zip(ts, refs)]
 
 
 def _spatial_block(cfg, case, sol, scheme):
@@ -253,7 +228,7 @@ def _spatial_block(cfg, case, sol, scheme):
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(cfg.t, cfg.N), cfg.corrected)
         return meshfem.error_norms(sys, hist.final, sol, sol.grad)
 
-    pairs = _map_indexed(one, list(cfg.M_list))
+    pairs = [one(M) for M in cfg.M_list]
     l2 = [p[0] for p in pairs]
     h1 = [p[1] for p in pairs]
     return list(cfg.M_list), l2, h1
@@ -270,17 +245,22 @@ def run_study(cfg):
         case = reference.get_case(cfg.case, alpha)
         norm = case.v_l2_norm if case.v is not None else 0.0
         normalized = norm > 0.0
+        # one reference per alpha (and t) serves every scheme
         if cfg.kind == "spatial":
-            # one continuous reference serves every scheme of this alpha
             exp = reference.modal_coefficients(case, cfg.K_max)
             sol = reference.exact_solution(case, exp, cfg.t)
+        else:
+            # None: each scheme converges against its own finer run
+            discrete = cfg.reference == "discrete_modal"
+            ts = [cfg.t] if cfg.kind == "temporal" else sorted(cfg.t_list, reverse=True)
+            refs = [reference.discrete_reference(sys, case, t) if discrete else None for t in ts]
         for scheme in cfg.schemes:
             if cfg.kind == "temporal":
-                xs, errs = _temporal_block(cfg, case, sys, scheme)
+                xs, errs = _temporal_block(cfg, case, sys, scheme, refs[0])
                 labels = [f"N={n}" for n in xs]
                 h1 = [None] * len(errs)
             elif cfg.kind == "decay":
-                xs, errs = _decay_block(cfg, case, sys, scheme)
+                xs, errs = _decay_block(cfg, case, sys, scheme, ts, refs)
                 labels = [f"t={t:g}" for t in xs]
                 h1 = [None] * len(errs)
             else:

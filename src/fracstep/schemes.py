@@ -17,6 +17,21 @@ order for nonzero initial values. The ``corrected`` flag selects how the
 source enters: through the plain samples F^n, or through the backward
 difference of the exact time antiderivative, which restores the design rate
 when the source has limited temporal smoothness.
+
+These two steppers and the four of :mod:`baselines` run through one core,
+``_march``. It owns the step matrix a M + b S with its preconditioner, the
+(N+1) x n_dof trajectory U, one history buffer H, the history sum
+sum_{j=1..n-1} k_j H^(n-1-j) and each step's CG solve with its statistics.
+A scheme supplies
+
+* the step coefficients (a, b);
+* its kernel k;
+* its history map: U^m - v here, U^m - U^(m-1) for Crank-Nicolson, and U^m
+  itself (a view of U, no extra buffer) for L1 and both Gruenwald-Letnikov
+  variants;
+* a closure rhs(n, conv, U) that builds the right-hand side of step n from
+  the history sum, the loads and any first-step correction;
+* the starting vector U^0.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshfem
-from .cq import BE, SBD, cq_weights, get_rule
+from .cq import cq_weights, get_rule
 from .numkit import cg_solve
 
 
@@ -111,23 +126,48 @@ def _source_scalars(case, cfg, rule, grid):
     return out
 
 
+def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
+    """The one stepper behind every scheme: solve (a M + b S) U^n = rhs.
+
+    ``step`` is (a, b). The history rows are H[m-1] = history(U, m), or the
+    states U^m themselves when ``history`` is None. At step n > 1 the core
+    forms conv = sum_{j=1..n-1} kernel[j] H[n-1-j] and hands it to
+    ``rhs(n, conv, U)`` (conv is None at n = 1), which sees U^0..U^(n-1).
+    Each solve starts from U^(n-1).
+    """
+    step_matrix, precond = sys.step_system(*step)
+    N = grid.N
+    U = np.zeros((N + 1, sys.n_dof))
+    U[0] = start
+    H = U[1:] if history is None else np.zeros((N, sys.n_dof))
+    stats = []
+    for n in range(1, N + 1):
+        conv = None
+        if n > 1:
+            conv = np.tensordot(kernel[1:n], H[n - 2 :: -1], axes=(0, 0))
+        cg_stats = {}
+        U[n] = cg_solve(
+            step_matrix, rhs(n, conv, U), rel_tol=rel_tol, x0=U[n - 1],
+            stats=cg_stats, precond=precond,
+        )
+        if history is not None:
+            H[n - 1] = history(U, n)
+        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
+    return SolutionHistory(U, grid, stats)
+
+
 def solve(sys, case, cfg, grid, rel_tol=1e-12):
     """Run the configured stepper over the grid; returns the full history."""
     _check_compat(case, cfg)
     rule = get_rule(cfg.stepper)
     tau = grid.tau
     N = grid.N
-    n_dof = sys.n_dof
-    alpha = case.alpha
     sbd = rule.kind == "SBD"
 
-    w = cq_weights(rule, alpha, tau, N).weights
-    step_matrix, precond = sys.step_system(w[0], 1.0)
-
+    w = cq_weights(rule, case.alpha, tau, N).weights
     v = initial_coefficients(sys, case, cfg.initial_projection)
-    wave = cfg.equation == "diffusion_wave"
-    b = np.zeros(n_dof)
-    if wave and case.b is not None:
+    b = np.zeros(sys.n_dof)
+    if cfg.equation == "diffusion_wave" and case.b is not None:
         b = meshfem.l2_project(sys, case.b)
     have_b = np.any(b)
     if have_b:
@@ -140,33 +180,21 @@ def solve(sys, case, cfg, grid, rel_tol=1e-12):
         chi_load = meshfem.load_vector(sys, case.source_space)
         src = _source_scalars(case, cfg, rule, grid)
 
-    U = np.zeros((N + 1, n_dof))
-    U[0] = v
-    dU = np.zeros((N, n_dof))  # dU[m] = U^{m+1} - v, filled as steps complete
-    stats = []
-    x_prev = v.copy()
-    for n in range(1, N + 1):
+    def rhs(n, conv, U):
         mass_part = w[0] * v
-        if n > 1:
+        if conv is not None:
             # sum_{j=1..n} w_j (U^{n-j} - v); the j = n term vanishes (U^0 = v)
-            hist = np.tensordot(w[1:n], dU[n - 2 :: -1][: n - 1], axes=(0, 0))
-            mass_part -= hist
+            mass_part -= conv
         if have_b:
             mass_part += sigma[n] * b
-        rhs = sys.mass.matvec(mass_part)
+        out = sys.mass.matvec(mass_part)
         if src is not None:
-            rhs += src[n] * chi_load
+            out += src[n] * chi_load
         if sbd and n == 1:
             # first-step modification of the second-order scheme
-            rhs -= 0.5 * sys.stiffness.matvec(U[0])
+            out -= 0.5 * sys.stiffness.matvec(U[0])
             if src is not None:
-                rhs += 0.5 * src[0] * chi_load
-        cg_stats = {}
-        x = cg_solve(
-            step_matrix, rhs, rel_tol=rel_tol, x0=x_prev, stats=cg_stats, precond=precond
-        )
-        U[n] = x
-        dU[n - 1] = x - v
-        x_prev = x
-        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
-    return SolutionHistory(U, grid, stats)
+                out += 0.5 * src[0] * chi_load
+        return out
+
+    return _march(sys, grid, (w[0], 1.0), w, lambda U, m: U[m] - v, rhs, v, rel_tol)

@@ -20,8 +20,9 @@ def sys2():
     return mf.assemble(mf.build_mesh(2))
 
 
-def cn_recursion(alpha, tau, N, m, s, u0=0.0, b=0.0):
-    """The Crank-Nicolson display for one dof with mass m and stiffness s."""
+def cn_recursion(alpha, tau, N, m, s, u0=0.0, b=0.0, chi=0.0, f=None):
+    """The Crank-Nicolson display for one dof with mass m and stiffness s;
+    the source chi * f enters at the midpoints t_(n-1/2)."""
     a = [(j + 1) ** (2 - alpha) - j ** (2 - alpha) for j in range(N)]
     c = tau ** -alpha / math.gamma(3 - alpha)
     u = np.empty(N + 1)
@@ -30,8 +31,36 @@ def cn_recursion(alpha, tau, N, m, s, u0=0.0, b=0.0):
         acc = a[0] * u[n - 1] + a[n - 1] * tau * b
         for j in range(1, n):
             acc += (a[n - j - 1] - a[n - j]) * (u[j] - u[j - 1])
-        u[n] = (c * m * acc - 0.5 * s * u[n - 1]) / (c * a[0] * m + 0.5 * s)
+        load = chi * f((n - 0.5) * tau) if f else 0.0
+        u[n] = (c * m * acc - 0.5 * s * u[n - 1] + load) / (c * a[0] * m + 0.5 * s)
     return u
+
+
+def gl_weights(alpha, N):
+    """Coefficients of (1 - z)^alpha by their two-term recurrence."""
+    w = np.empty(N + 1)
+    w[0] = 1.0
+    for j in range(1, N + 1):
+        w[j] = w[j - 1] * (j - 1 - alpha) / j
+    return w
+
+
+def one_dof(sys2, case):
+    """Mass, stiffness, initial value, load and source time factor of the
+    single interior dof of the M=2 mesh (f is None without a source)."""
+    v = float(mf.l2_project(sys2, case.v)[0]) if case.v else 0.0
+    chi = float(mf.load_vector(sys2, case.source_space)[0]) if case.source_space else 0.0
+
+    def f(t):
+        return sum(c * t ** g for c, g in case.source_powers)
+
+    return 0.125, 4.0, v, chi, (f if case.source_space else None)
+
+
+def assert_matches(hist, u, label):
+    scale = max(np.max(np.abs(u)), 1e-30)
+    err = np.max(np.abs(hist.U[:, 0] - u))
+    assert err <= 1e-12 * scale, f"{label}: {err:.3e} against {scale:.3e}"
 
 
 class TestCoefficients:
@@ -61,58 +90,86 @@ class TestCoefficients:
 
 
 class TestScalarOracles:
+    """Each baseline on the single-dof mesh against its display, coded as a
+    plain loop, over every case the scheme accepts. A loop rather than
+    pytest parameters keeps the test ids."""
+
     def test_l1_single_dof(self, sys2):
-        # independently coded L1 recursion on the single-dof mesh
-        case = ref.get_case("b", 0.5)
         alpha, N = 0.5, 20
         grid = TimeGrid(0.1, N)
-        hist = baselines.solve_baseline(sys2, case, "l1", alpha, grid)
-
-        m, s = 0.125, 4.0
         tau = grid.tau
         b = [(j + 1) ** (1 - alpha) - j ** (1 - alpha) for j in range(N)]
         c0 = tau ** -alpha / math.gamma(2 - alpha)
-        u = np.empty(N + 1)
-        u[0] = 1.0
-        for n in range(1, N + 1):
-            acc = b[n - 1] * u[0]
-            for j in range(1, n):
-                acc += (b[j - 1] - b[j]) * u[n - j]
-            u[n] = c0 * m * acc / (c0 * m + s)
-        assert np.max(np.abs(hist.U[:, 0] - u)) <= 1e-12
+        for cid in "abc":
+            case = ref.get_case(cid, alpha)
+            hist = baselines.solve_baseline(sys2, case, "l1", alpha, grid)
+            m, s, v, chi, f = one_dof(sys2, case)
+            u = np.empty(N + 1)
+            u[0] = v
+            for n in range(1, N + 1):
+                acc = b[n - 1] * u[0]
+                for j in range(1, n):
+                    acc += (b[j - 1] - b[j]) * u[n - j]
+                load = chi * f(n * tau) if f else 0.0
+                u[n] = (c0 * m * acc + load) / (c0 * m + s)
+            assert_matches(hist, u, cid)
 
-    def test_zeng2_single_dof(self, sys2):
-        case = ref.get_case("b", 0.5)
+    def test_zeng1_single_dof(self, sys2):
+        # tau^-alpha (1 - z)^alpha (u - u0) m = ((1 + z)/2)^alpha (chi f - s u)
         alpha, N = 0.5, 20
         grid = TimeGrid(0.1, N)
-        hist = baselines.solve_baseline(sys2, case, "zeng2", alpha, grid)
-
-        m, s = 0.125, 4.0
         tau = grid.tau
-        w = np.empty(N + 1)
-        w[0] = 1.0
-        for j in range(1, N + 1):
-            w[j] = w[j - 1] * (j - 1 - alpha) / j
+        w = gl_weights(alpha, N)
+        ta, half = tau ** -alpha, 0.5 ** alpha
+        for cid in "abc":
+            case = ref.get_case(cid, alpha)
+            hist = baselines.solve_baseline(sys2, case, "zeng1", alpha, grid)
+            m, s, v, chi, f = one_dof(sys2, case)
+            u = np.empty(N + 1)
+            u[0] = v
+            for n in range(1, N + 1):
+                rhs = ta * m * w[0] * u[0]
+                for j in range(1, n + 1):
+                    rhs -= ta * m * w[j] * (u[n - j] - u[0])
+                    rhs -= half * (-1) ** j * w[j] * s * u[n - j]
+                if f:
+                    rhs += half * chi * sum((-1) ** j * w[j] * f((n - j) * tau) for j in range(n + 1))
+                u[n] = rhs / (ta * w[0] * m + half * w[0] * s)
+            assert_matches(hist, u, cid)
+
+    def test_zeng2_single_dof(self, sys2):
+        alpha, N = 0.5, 20
+        grid = TimeGrid(0.1, N)
+        tau = grid.tau
+        w = gl_weights(alpha, N)
         ta = tau ** -alpha
-        u = np.empty(N + 1)
-        u[0] = 1.0
-        for n in range(1, N + 1):
-            hist_sum = sum(w[j] * (u[n - j] - u[0]) for j in range(1, n + 1))
-            # ta*(w0 u_n - w0 u0 + hist) m = -(1-a/2) s u_n - (a/2) s u_{n-1}
-            lhs = ta * w[0] * m + (1 - alpha / 2) * s
-            rhs = ta * m * (w[0] * u[0] - hist_sum) - (alpha / 2) * s * u[n - 1]
-            u[n] = rhs / lhs
-        assert np.max(np.abs(hist.U[:, 0] - u)) <= 1e-12
+        for cid in "abc":
+            case = ref.get_case(cid, alpha)
+            hist = baselines.solve_baseline(sys2, case, "zeng2", alpha, grid)
+            m, s, v, chi, f = one_dof(sys2, case)
+            u = np.empty(N + 1)
+            u[0] = v
+            for n in range(1, N + 1):
+                hist_sum = sum(w[j] * (u[n - j] - u[0]) for j in range(1, n + 1))
+                # ta*(w0 u_n - w0 u0 + hist) m
+                #   = -(1-a/2) s u_n - (a/2) s u_{n-1} + chi f at t_(n - a/2)
+                lhs = ta * w[0] * m + (1 - alpha / 2) * s
+                rhs = ta * m * (w[0] * u[0] - hist_sum) - (alpha / 2) * s * u[n - 1]
+                if f:
+                    rhs += chi * ((1 - alpha / 2) * f(n * tau) + alpha / 2 * f((n - 1) * tau))
+                u[n] = rhs / lhs
+            assert_matches(hist, u, cid)
 
     def test_cn_single_dof(self, sys2):
-        case = ref.get_case("f", 1.5)
         alpha, N = 1.5, 20
         grid = TimeGrid(0.1, N)
-        hist = baselines.solve_baseline(sys2, case, "cn", alpha, grid)
-
-        bval = float(mf.l2_project(sys2, case.b)[0])
-        u = cn_recursion(alpha, grid.tau, N, 0.125, 4.0, b=bval)
-        assert np.max(np.abs(hist.U[:, 0] - u)) <= 1e-12
+        for cid in "defg":
+            case = ref.get_case(cid, alpha)
+            hist = baselines.solve_baseline(sys2, case, "cn", alpha, grid)
+            m, s, v, chi, f = one_dof(sys2, case)
+            bval = float(mf.l2_project(sys2, case.b)[0]) if case.b else 0.0
+            u = cn_recursion(alpha, grid.tau, N, m, s, u0=v, b=bval, chi=chi, f=f)
+            assert_matches(hist, u, cid)
 
 
 class TestLimits:

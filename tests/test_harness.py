@@ -2,7 +2,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -110,55 +109,40 @@ class TestRunStudy:
         b = emit(again, "csv")
         assert a == b
 
-    def test_threads_share_one_eigensolve(self, monkeypatch):
-        cfg = StudyConfig(
-            "b", (0.5,), ("be",), "decay", M=8, N=10, t_list=(1e-3, 1e-4, 1e-5, 1e-6)
-        )
-        serial = emit(run_study(cfg), "csv")
-        ref._eigensystem.cache_clear()
-        ref._discrete_expansion.cache_clear()
-        calls = []
-        real = ref.gen_sym_eig
-
-        def counted(S, M):
-            calls.append(1)
-            # a slow eigensolve gives a second thread time to miss the cache
-            time.sleep(0.2)
-            return real(S, M)
-
-        monkeypatch.setattr(ref, "gen_sym_eig", counted)
-        monkeypatch.setenv("FRACSTEP_THREADS", "2")
-        threaded = emit(run_study(cfg), "csv")
-        assert len(calls) == 1
-        assert threaded == serial
-
     def test_spatial_reference_built_once_per_alpha(self, monkeypatch):
         def cfg(schemes):
             return StudyConfig(
                 "e", (1.5,), schemes, "spatial", M_list=(4, 8), N=10, t=0.1, K_max=31
             )
 
-        rows = [emit(run_study(cfg((s,))), "csv").split("\n", 1) for s in ("be", "sbd")]
-        separate = rows[0][0] + "\n" + rows[0][1] + rows[1][1]
-        calls = []
-        real = ref.exact_solution
+        assert _reference_builds(monkeypatch, "exact_solution", cfg) == 1
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+    @pytest.mark.parametrize("kind", ["temporal", "decay"])
+    def test_discrete_reference_built_once_per_t(self, kind, monkeypatch):
+        def cfg(schemes):
+            if kind == "temporal":
+                return StudyConfig("b", (0.5,), schemes, kind, M=8, N_list=(10, 20), t=0.1)
+            return StudyConfig("b", (0.5,), schemes, kind, M=8, N=10, t_list=(1e-3, 1e-4, 1e-5))
 
-        monkeypatch.setattr(ref, "exact_solution", counted)
-        shared = emit(run_study(cfg(("be", "sbd"))), "csv")
-        assert len(calls) == 1
-        assert shared == separate
+        expected = 1 if kind == "temporal" else 3
+        assert _reference_builds(monkeypatch, "discrete_reference", cfg) == expected
 
-    def test_threads_env_consistency(self, small_temporal_report, monkeypatch):
-        monkeypatch.setenv("FRACSTEP_THREADS", "4")
-        cfg = StudyConfig(
-            "a", (0.5,), ("be", "sbd"), "temporal", M=8, N_list=(10, 20, 40, 80), t=0.1
-        )
-        parallel = run_study(cfg)
-        assert emit(parallel, "csv") == emit(small_temporal_report, "csv")
+
+def _reference_builds(monkeypatch, builder, cfg):
+    """Calls of ``reference.<builder>`` in a be+sbd study built by cfg(schemes),
+    after checking its CSV equals the two single-scheme CSVs joined."""
+    rows = [emit(run_study(cfg((s,))), "csv").split("\n", 1) for s in ("be", "sbd")]
+    separate = rows[0][0] + "\n" + rows[0][1] + rows[1][1]
+    calls = []
+    real = getattr(ref, builder)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ref, builder, counted)
+    assert emit(run_study(cfg(("be", "sbd"))), "csv") == separate
+    return len(calls)
 
 
 class TestEmit:
