@@ -11,6 +11,12 @@ Study kinds:
 * ``decay``: fix the step count and walk the evaluation time down by decades
   to expose the data-regularity exponent of the error constant.
 
+Temporal and decay studies against the discrete-modal reference hold the
+eigensystem of the mesh's pencil anyway. Up to ``MODAL_MAX_DOF`` unknowns
+their schemes step on a twin of the system that carries it, so every step is
+solved exactly in the eigenbasis instead of by CG (see :mod:`meshfem`). All
+other runs, and the cached ``fem_system(M)`` itself, stay on CG.
+
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
 """
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import baselines, meshfem, reference, schemes
 
@@ -28,6 +34,15 @@ BASELINE_SCHEMES = baselines.KINDS
 ALL_SCHEMES = PRIMARY_SCHEMES + BASELINE_SCHEMES
 
 REFERENCES = ("discrete_modal", "continuous_modal", "self_convergence")
+
+# Largest n_dof on which discrete-modal studies step in the eigenbasis.
+# Median time per step of BE and SBD marches on 2 vCPUs with one BLAS
+# thread, two runs: the modal solve (four dense and two sparse products)
+# against preconditioned CG (7.5-8.5 iterations; lower quartile in brackets):
+# 82-91 us vs 474-522 (250-277) at n_dof = 225, 125-170 vs 327-502 (151-259)
+# at 361, 229-345 vs 356-541 (188-273) at 441, 379-562 vs 405-602 (221-302)
+# at 529.
+MODAL_MAX_DOF = 361
 
 STUDY_CONFIG_SCHEMA = {
     "type": "object",
@@ -234,13 +249,22 @@ def _spatial_block(cfg, case, sol, scheme):
     return list(cfg.M_list), l2, h1
 
 
+def _stepping_system(cfg, sys):
+    """The system a temporal or decay study steps on: a twin of ``sys`` that
+    carries the eigensystem of the discrete-modal reference, or ``sys``."""
+    if cfg.reference != "discrete_modal" or sys.n_dof > MODAL_MAX_DOF:
+        return sys
+    return replace(sys, eigensystem=reference._eigensystem(sys))
+
+
 def run_study(cfg):
     """Execute the configured study; one report with a block per combo."""
     blocks = []
     normalized = None
-    sys = None
+    sys = step_sys = None
     if cfg.kind in ("temporal", "decay"):
         sys = meshfem.fem_system(cfg.M)
+        step_sys = _stepping_system(cfg, sys)
     for alpha in cfg.alphas:
         case = reference.get_case(cfg.case, alpha)
         norm = case.v_l2_norm if case.v is not None else 0.0
@@ -256,11 +280,11 @@ def run_study(cfg):
             refs = [reference.discrete_reference(sys, case, t) if discrete else None for t in ts]
         for scheme in cfg.schemes:
             if cfg.kind == "temporal":
-                xs, errs = _temporal_block(cfg, case, sys, scheme, refs[0])
+                xs, errs = _temporal_block(cfg, case, step_sys, scheme, refs[0])
                 labels = [f"N={n}" for n in xs]
                 h1 = [None] * len(errs)
             elif cfg.kind == "decay":
-                xs, errs = _decay_block(cfg, case, sys, scheme, ts, refs)
+                xs, errs = _decay_block(cfg, case, step_sys, scheme, ts, refs)
                 labels = [f"t={t:g}" for t in xs]
                 h1 = [None] * len(errs)
             else:

@@ -7,13 +7,27 @@ conditions are imposed by eliminating boundary rows and columns, so all
 systems act on the (M-1)^2 interior degrees of freedom.
 
 Every linear system here has the form a M + b S with the interior mass M and
-stiffness S. CG on it is preconditioned with P = a M~ + b S, where M~ is the
-mass stencil with its diagonal coupling spread evenly over both diagonals.
-M~ and S are both diagonal in the 2-D sine basis of the interior grid, so P
-is inverted by four dense products with the DST-I matrix (fast
-diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
-The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every
-a, b >= 0, so the iteration count does not grow as the mesh is refined.
+stiffness S, and ``FemSystem.step_system(a, b)`` returns the one solver object
+for it, with ``solve(rhs, x0, stats)``. It has two backends:
+
+* ``cg`` (the default): CG preconditioned with P = a M~ + b S, where M~ is the
+  mass stencil with its diagonal coupling spread evenly over both diagonals.
+  M~ and S are both diagonal in the 2-D sine basis of the interior grid, so P
+  is inverted by four dense products with the DST-I matrix (fast
+  diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
+  The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every
+  a, b >= 0, so the iteration count does not grow as the mesh is refined.
+* ``modal``: when the system carries the M-orthonormal eigensystem
+  (lam, Phi) of the pencil (S, M), the exact inverse
+  x = Phi ((Phi^T rhs) / (a + b lam)), applied once more to the residual
+  (one step of iterative refinement); no iteration count, no tolerance.
+
+A system carries an eigensystem only if the code that made it put one there
+with ``dataclasses.replace(sys, eigensystem=(lam, Phi))``; the cached
+``fem_system(M)`` never does, so it always solves by CG. The study harness
+makes such a twin for temporal and decay studies against the discrete modal
+reference, which computes the eigensystem anyway, on meshes small enough
+that the dense products beat CG (``harness.MODAL_MAX_DOF``).
 
 Element mass/stiffness matrices are exact closed forms. Data integration
 (load vectors) uses a 6-point degree-4 triangle rule; error norms use a
@@ -126,15 +140,34 @@ class FemSystem:
     # geometry caches for vectorized quadrature, filled by assemble()
     _areas: np.ndarray = field(default=None, repr=False)
     _grads: np.ndarray = field(default=None, repr=False)
+    # (lam, Phi) with Phi^T mass Phi = I and Phi^T stiffness Phi = diag(lam);
+    # when set, step systems are solved in this basis instead of by CG
+    eigensystem: tuple = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.eigensystem is not None:
+            lam, basis = self.eigensystem
+            n = self.n_dof
+            if np.shape(lam) != (n,) or np.shape(basis) != (n, n):
+                raise ValueError(f"eigensystem must be (lam ({n},), Phi ({n}, {n}))")
 
     @property
     def n_dof(self):
         return self.mesh.n_interior
 
-    def step_system(self, a, b):
-        """The matrix a*mass + b*stiffness and its preconditioner for cg_solve."""
-        A = self.mass.scaled_add(a, self.stiffness, b)
-        return A, sine_preconditioner(self.mesh.M, a, b)
+    def step_system(self, a, b, rel_tol=1e-12):
+        """The solver of (a*mass + b*stiffness) x = rhs; a, b >= 0, not both 0.
+
+        It solves in the carried eigensystem if there is one, else by CG to
+        ``rel_tol`` (see the module docstring).
+        """
+        if not (a >= 0.0 and b >= 0.0 and a + b > 0.0):
+            raise ValueError(f"step system needs a, b >= 0, not both zero (got {a}, {b})")
+        matrix = self.mass.scaled_add(a, self.stiffness, b)
+        if self.eigensystem is not None:
+            lam, basis = self.eigensystem
+            return ModalSolver(matrix, basis, a + b * lam)
+        return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b), rel_tol)
 
     def quad_points(self, order=None):
         """Physical quadrature points and per-point weights on every element.
@@ -148,6 +181,56 @@ class FemSystem:
         pts = np.einsum("qk,ekd->eqd", bary, tri_nodes)
         area = 0.5 * self.mesh.h ** 2
         return pts, wts * area, bary
+
+
+class CgSolver:
+    """Backend ``cg``: sine-preconditioned CG to ``rel_tol``, from ``x0``."""
+
+    backend = "cg"
+
+    def __init__(self, matrix, precond, rel_tol=1e-12):
+        self.matrix = matrix
+        self.precond = precond
+        self.rel_tol = rel_tol
+
+    def solve(self, rhs, x0=None, stats=None):
+        """x with ||matrix x - rhs|| <= rel_tol ||rhs||, or CgError.
+
+        A ``stats`` dict receives the iteration count and final residual.
+        """
+        return cg_solve(
+            self.matrix, rhs, rel_tol=self.rel_tol, x0=x0, stats=stats, precond=self.precond
+        )
+
+
+class ModalSolver:
+    """Backend ``modal``: x = Phi ((Phi^T rhs) / denom) with denom = a + b lam."""
+
+    backend = "modal"
+
+    def __init__(self, matrix, basis, denom):
+        self.matrix = matrix
+        self.basis = basis
+        self.denom = denom
+
+    def _apply(self, v):
+        return self.basis @ ((self.basis.T @ v) / self.denom)
+
+    def solve(self, rhs, x0=None, stats=None):
+        """The exact solution up to round-off; ``x0`` is not needed.
+
+        The two dense products alone leave a residual of 2e-15 to 3e-14
+        ||rhs||, large enough to show in decay-study errors near 1e-12 ||v||;
+        one step of iterative refinement against the sparse matrix brings it
+        to 2e-16 to 8e-16 ||rhs|| (M = 8..24). A ``stats`` dict receives
+        0 iterations and the true residual ||matrix x - rhs||, as from CG.
+        """
+        x = self._apply(rhs)
+        x += self._apply(rhs - self.matrix.matvec(x))
+        if stats is not None:
+            stats["iterations"] = 0
+            stats["residual"] = float(np.linalg.norm(rhs - self.matrix.matvec(x)))
+        return x
 
 
 def sine_basis(n):
@@ -253,9 +336,7 @@ def load_vector(sys, g, order=None):
 
 def l2_project(sys, g, rel_tol=1e-12):
     """Coefficients of the L2-orthogonal projection of g."""
-    rhs = load_vector(sys, g)
-    A, precond = sys.step_system(1.0, 0.0)
-    return cg_solve(A, rhs, rel_tol=rel_tol, precond=precond)
+    return sys.step_system(1.0, 0.0, rel_tol).solve(load_vector(sys, g))
 
 
 def ritz_project(sys, g_grad, rel_tol=1e-12):
@@ -273,8 +354,7 @@ def ritz_project(sys, g_grad, rel_tol=1e-12):
     dofs = sys.mesh.interior_map[sys.mesh.triangles]
     ok = dofs >= 0
     np.add.at(out, dofs[ok], contrib[ok])
-    A, precond = sys.step_system(0.0, 1.0)
-    return cg_solve(A, out, rel_tol=rel_tol, precond=precond)
+    return sys.step_system(0.0, 1.0, rel_tol).solve(out)
 
 
 def l2_norm(sys, c):
@@ -300,24 +380,36 @@ def error_norms(sys, c, u_exact, grad_exact=None, order=10):
 
     ``u_exact(x, y)`` is evaluated at quadrature points of the given order;
     the H1 part is skipped (returned as None) unless ``grad_exact`` is given,
-    in which case it must map point arrays to the pair (du/dx, du/dy).
+    in which case it must map point arrays to the pair (du/dx, du/dy). When
+    ``grad_exact`` is ``u_exact.grad`` and ``u_exact`` has ``value_and_grad``
+    (as ``reference.ExactSolution`` does), one call of that evaluates both,
+    so the points are sorted and tabulated once.
     """
     pts, w, shape = sys.quad_points(order)
+    x, y = pts[..., 0], pts[..., 1]
     full = nodal_values(sys, c)
     local = full[sys.mesh.triangles]  # (nel, 3)
     uh = local @ shape.T              # (nel, nq)
-    ue = np.asarray(u_exact(pts[..., 0], pts[..., 1]), dtype=float)
-    ue = np.broadcast_to(ue, uh.shape)
-    l2 = float(np.sqrt(np.sum(((uh - ue) ** 2) @ w)))
+    both = getattr(u_exact, "value_and_grad", None)
+    if grad_exact is not None and both is not None and grad_exact == getattr(u_exact, "grad", None):
+        ue, (gex, gey) = both(x, y)
+    else:
+        ue = u_exact(x, y)
+        if grad_exact is not None:
+            gex, gey = grad_exact(x, y)
+    # squares formed in place: the exact fields may all be held at once
+    err = uh - np.broadcast_to(np.asarray(ue, dtype=float), uh.shape)
+    err *= err
+    l2 = float(np.sqrt(np.sum(err @ w)))
     if grad_exact is None:
         return l2, None
     # FE gradient is constant per element
     ghx = np.einsum("ea,ea->e", sys._grads[:, 0, :], local)
     ghy = np.einsum("ea,ea->e", sys._grads[:, 1, :], local)
-    gex, gey = grad_exact(pts[..., 0], pts[..., 1])
-    gex = np.broadcast_to(np.asarray(gex, dtype=float), uh.shape)
-    gey = np.broadcast_to(np.asarray(gey, dtype=float), uh.shape)
-    dx2 = (ghx[:, None] - gex) ** 2
-    dy2 = (ghy[:, None] - gey) ** 2
-    h1 = float(np.sqrt(np.sum((dx2 + dy2) @ w)))
+    dx2 = ghx[:, None] - np.broadcast_to(np.asarray(gex, dtype=float), uh.shape)
+    dx2 *= dx2
+    dy2 = ghy[:, None] - np.broadcast_to(np.asarray(gey, dtype=float), uh.shape)
+    dy2 *= dy2
+    dx2 += dy2
+    h1 = float(np.sqrt(np.sum(dx2 @ w)))
     return l2, h1

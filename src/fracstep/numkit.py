@@ -2,10 +2,14 @@
 
 Matrices are plain numpy arrays; sparse matrices use compressed-row storage.
 Everything here depends on numpy alone and is sized for desk-scale problems:
-preconditioned CG for the per-step solves (Jacobi by default, or any
-caller-supplied SPD preconditioner such as the sine-transform one of
-``meshfem``), and a dense generalized symmetric eigensolve (built on
-``numpy.linalg``) that backs the discrete modal reference.
+preconditioned CG (Jacobi by default, or any caller-supplied SPD
+preconditioner such as the sine-transform one of ``meshfem``), and a dense
+generalized symmetric eigensolve (built on ``numpy.linalg``). CG is the
+``cg`` backend of ``meshfem``'s step solver and answers every step solve
+except those of discrete-modal studies on small meshes. The eigensolve backs
+the discrete modal reference, and its eigenpairs are the ``modal`` backend
+that answers those steps exactly (selection rule: ``meshfem`` and
+``harness.MODAL_MAX_DOF``).
 """
 
 from __future__ import annotations

@@ -19,10 +19,14 @@ difference of the exact time antiderivative, which restores the design rate
 when the source has limited temporal smoothness.
 
 These two steppers and the four of :mod:`baselines` run through one core,
-``_march``. It owns the step matrix a M + b S with its preconditioner, the
+``_march``. It owns the solver of the step system a M + b S, the
 (N+1) x n_dof trajectory U, one history buffer H, the history sum
-sum_{j=1..n-1} k_j H^(n-1-j) and each step's CG solve with its statistics.
-A scheme supplies
+sum_{j=1..n-1} k_j H^(n-1-j) and each step's solve with its statistics.
+The system passed in chooses the solver's backend (see :mod:`meshfem`):
+sine-preconditioned CG on the plain ``fem_system(M)``, or the exact inverse
+in the pencil's eigenbasis on a twin that carries it, as the study harness
+builds for temporal and decay studies against the discrete modal reference
+on small meshes. A scheme supplies
 
 * the step coefficients (a, b);
 * its kernel k;
@@ -42,7 +46,6 @@ import numpy as np
 
 from . import meshfem
 from .cq import cq_weights, get_rule
-from .numkit import cg_solve
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,10 @@ class SchemeConfig:
 class SolutionHistory:
     U: np.ndarray                 # (N+1, n_dof)
     grid: TimeGrid
-    # one (step index, CG iterations, final residual) triple per time step
+    # one (step index, CG iterations, final residual ||A x - rhs||) triple per
+    # time step; steps of the modal backend report 0 iterations
     solve_stats: list = field(default_factory=list)
+    backend: str = "cg"           # the step solver that answered: "cg" or "modal"
 
     @property
     def final(self):
@@ -133,9 +138,9 @@ def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
     states U^m themselves when ``history`` is None. At step n > 1 the core
     forms conv = sum_{j=1..n-1} kernel[j] H[n-1-j] and hands it to
     ``rhs(n, conv, U)`` (conv is None at n = 1), which sees U^0..U^(n-1).
-    Each solve starts from U^(n-1).
+    A CG solve starts from U^(n-1).
     """
-    step_matrix, precond = sys.step_system(*step)
+    solver = sys.step_system(*step, rel_tol=rel_tol)
     N = grid.N
     U = np.zeros((N + 1, sys.n_dof))
     U[0] = start
@@ -145,15 +150,12 @@ def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
         conv = None
         if n > 1:
             conv = np.tensordot(kernel[1:n], H[n - 2 :: -1], axes=(0, 0))
-        cg_stats = {}
-        U[n] = cg_solve(
-            step_matrix, rhs(n, conv, U), rel_tol=rel_tol, x0=U[n - 1],
-            stats=cg_stats, precond=precond,
-        )
+        info = {}
+        U[n] = solver.solve(rhs(n, conv, U), x0=U[n - 1], stats=info)
         if history is not None:
             H[n - 1] = history(U, n)
-        stats.append((n, cg_stats["iterations"], cg_stats["residual"]))
-    return SolutionHistory(U, grid, stats)
+        stats.append((n, info["iterations"], info["residual"]))
+    return SolutionHistory(U, grid, stats, solver.backend)
 
 
 def solve(sys, case, cfg, grid, rel_tol=1e-12):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fracstep import harness, meshfem as mf, reference as ref
+from fracstep import harness, meshfem as mf, reference as ref, schemes
 from fracstep.harness import ConfigError, StudyConfig, emit, parse_csv, run_study
 
 
@@ -126,6 +126,66 @@ class TestRunStudy:
 
         expected = 1 if kind == "temporal" else 3
         assert _reference_builds(monkeypatch, "discrete_reference", cfg) == expected
+
+
+class TestModalStepping:
+    def test_decay_rates_below_the_cg_floor(self):
+        # with CG at rel_tol=1e-12 SBD read 0.92 and 0.52 here, BE 1.50 and 1.46
+        cfg = StudyConfig("d", (1.5,), ("sbd", "be"), "decay", M=16, N=10)
+        for blk in run_study(cfg).blocks:
+            rates = dict(zip(blk.labels, blk.rates))
+            for label in ("t=1e-06", "t=1e-07"):
+                assert rates[label] == pytest.approx(1.5, abs=0.05), (blk.scheme, label)
+
+    def test_stepping_system(self, monkeypatch):
+        base = mf.fem_system(8)
+        cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=8)
+        twin = harness._stepping_system(cfg, base)
+        assert twin is not base and base.eigensystem is None
+        assert twin.eigensystem[0] is ref._eigensystem(base)[0]
+        self_conv = StudyConfig("b", (0.5,), ("be",), "decay", M=8, reference="self_convergence")
+        assert harness._stepping_system(self_conv, base) is base
+        monkeypatch.setattr(harness, "MODAL_MAX_DOF", base.n_dof - 1)
+        assert harness._stepping_system(cfg, base) is base
+
+    @pytest.mark.parametrize(
+        "reference,backend", [("discrete_modal", "modal"), ("self_convergence", "cg")]
+    )
+    def test_study_backend(self, reference, backend, monkeypatch):
+        seen = []
+        real = harness._run_scheme
+
+        def spy(*args, **kwargs):
+            hist = real(*args, **kwargs)
+            seen.append(hist.backend)
+            return hist
+
+        monkeypatch.setattr(harness, "_run_scheme", spy)
+        cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=8, N_list=(10, 20),
+                          reference=reference)
+        run_study(cfg)
+        assert seen and set(seen) == {backend}
+
+    def test_call_order_does_not_matter(self, monkeypatch):
+        run_study(StudyConfig("b", (0.5,), ("be",), "temporal", M=8, N_list=(10, 20)))
+        base = mf.fem_system(8)
+        assert base.eigensystem is None
+        seen = []
+        real = mf.cg_solve
+
+        def spy(*args, stats=None, **kwargs):
+            stats = {} if stats is None else stats
+            out = real(*args, stats=stats, **kwargs)
+            seen.append(stats["iterations"])
+            return out
+
+        monkeypatch.setattr(mf, "cg_solve", spy)
+        case = ref.get_case("b", 0.5)
+        mf.l2_project(base, case.v)
+        assert len(seen) == 1 and seen[0] > 0
+        hist = schemes.solve(base, case, schemes.SchemeConfig("BE"), schemes.TimeGrid(0.1, 10))
+        assert hist.backend == "cg"
+        assert all(its > 0 for _, its, _ in hist.solve_stats)
 
 
 def _reference_builds(monkeypatch, builder, cfg):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from fracstep import meshfem as mf
+from fracstep import baselines, meshfem as mf, reference as ref, schemes
 from fracstep.numkit import gen_sym_eig
 
 
@@ -266,6 +267,25 @@ class TestNorms:
         l2, _ = mf.error_norms(sys8, c, u)
         assert l2 <= 1e-13 * mf.l2_norm(sys8, c)
 
+    def test_exact_solution_tabulated_once(self, sys8, monkeypatch):
+        case = ref.get_case("e", 1.5)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 31), 0.1)
+        c = mf.l2_project(sys8, case.v)
+        calls = []
+        real = ref.ExactSolution._phases
+
+        def counted(self, x, y):
+            calls.append(1)
+            return real(self, x, y)
+
+        monkeypatch.setattr(ref.ExactSolution, "_phases", counted)
+        # a gradient that is not sol.grad itself is evaluated on its own
+        apart = mf.error_norms(sys8, c, sol, lambda x, y: sol.grad(x, y))
+        assert len(calls) == 2
+        together = mf.error_norms(sys8, c, sol, sol.grad)
+        assert len(calls) == 3
+        assert together == apart
+
     def test_discrete_poincare(self, sys8):
         rng = np.random.default_rng(9)
         bound = 1.0 / (math.pi * math.sqrt(2.0)) + 1e-3
@@ -302,3 +322,75 @@ class TestQuadratureRules:
                 vals = pts[..., 0] ** a * pts[..., 1] ** b
                 got = float(np.sum(vals @ w))
                 assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
+
+
+def modal_twin(M):
+    """fem_system(M) and a twin that carries the eigensystem of its pencil."""
+    base = mf.fem_system(M)
+    lam, basis = gen_sym_eig(base.stiffness.to_dense(), base.mass.to_dense())
+    return base, dataclasses.replace(base, eigensystem=(lam, basis))
+
+
+# the backward Euler step weight tau^-alpha at tau = 1e-7, alpha = 1.5
+W0 = 1e-7 ** -1.5
+
+
+class TestStepSolvers:
+    def test_backend_follows_the_system(self):
+        base, twin = modal_twin(8)
+        assert base.eigensystem is None
+        assert base.step_system(1.0, 1.0).backend == "cg"
+        assert twin.step_system(1.0, 1.0).backend == "modal"
+        assert twin.mass is base.mass and twin.stiffness is base.stiffness
+
+    @pytest.mark.parametrize("M", [8, 16])
+    @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.0, 1.0), (W0, 1.0)])
+    def test_modal_residual(self, M, a, b):
+        _, twin = modal_twin(M)
+        solver = twin.step_system(a, b)
+        A = a * twin.mass.to_dense() + b * twin.stiffness.to_dense()
+        rng = np.random.default_rng(M)
+        for _ in range(3):
+            rhs = rng.standard_normal(twin.n_dof)
+            stats = {}
+            x = solver.solve(rhs, stats=stats)
+            res = np.linalg.norm(A @ x - rhs)
+            # the refinement step: the dense products alone reach 1.4e-14
+            # at (0, 1) on M=16
+            assert res <= 2e-15 * np.linalg.norm(rhs)
+            assert stats["iterations"] == 0
+            assert stats["residual"] == pytest.approx(res, rel=1e-3, abs=1e-15 * np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
+    def test_schemes_match_cg(self, scheme):
+        base, twin = modal_twin(8)
+        alpha = 1.5 if scheme == "cn" else 0.5
+        case = ref.get_case("e" if scheme == "cn" else "b", alpha)
+        grid = schemes.TimeGrid(0.1, 20)
+
+        def run(sys_):
+            if scheme in ("be", "sbd"):
+                return schemes.solve(sys_, case, schemes.SchemeConfig(scheme.upper()), grid)
+            return baselines.solve_baseline(sys_, case, scheme, alpha, grid)
+
+        cg, modal = run(base), run(twin)
+        assert (cg.backend, modal.backend) == ("cg", "modal")
+        assert np.linalg.norm(modal.U - cg.U) <= 1e-9 * np.linalg.norm(cg.U)
+        assert [n for n, _, _ in modal.solve_stats] == list(range(1, 21))
+        assert all(its == 0 for _, its, _ in modal.solve_stats)
+        assert all(its > 0 for _, its, _ in cg.solve_stats)
+
+    @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (float("nan"), 1.0)])
+    def test_rejects_coefficients(self, a, b):
+        base, twin = modal_twin(4)
+        for sys_ in (base, twin):
+            with pytest.raises(ValueError, match="a, b >= 0"):
+                sys_.step_system(a, b)
+
+    def test_rejects_mismatched_eigensystem(self):
+        base = mf.fem_system(4)
+        lam, basis = gen_sym_eig(base.stiffness.to_dense(), base.mass.to_dense())
+        with pytest.raises(ValueError, match="eigensystem"):
+            dataclasses.replace(base, eigensystem=(lam[:-1], basis))
+        with pytest.raises(ValueError, match="eigensystem"):
+            dataclasses.replace(base, eigensystem=(lam, basis[:, :-1]))

@@ -77,25 +77,26 @@ class TestPreconditionedCg:
     @pytest.mark.parametrize("w0", [1.0, 1e2, 1e6])
     def test_iterations_mesh_independent(self, M, w0):
         sys_ = mf.fem_system(M)
-        A, precond = sys_.step_system(w0, 1.0)
+        solver = sys_.step_system(w0, 1.0)
+        assert solver.backend == "cg"
         b = np.random.default_rng(M).standard_normal(sys_.n_dof)
         stats = {}
-        x = cg_solve(A, b, rel_tol=1e-12, stats=stats, precond=precond)
+        x = solver.solve(b, stats=stats)
         assert stats["iterations"] <= 20
-        assert np.linalg.norm(b - A.matvec(x)) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(b - solver.matrix.matvec(x)) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_agrees_with_dense_solve(self, a, b):
         sys_ = mf.fem_system(16)
-        A, precond = sys_.step_system(a, b)
+        solver = sys_.step_system(a, b)
         rhs = np.random.default_rng(5).standard_normal(sys_.n_dof)
-        x = cg_solve(A, rhs, rel_tol=1e-12, precond=precond)
-        ref = sla.solve(A.to_dense(), rhs, assume_a="pos")
+        x = solver.solve(rhs)
+        ref = sla.solve(solver.matrix.to_dense(), rhs, assume_a="pos")
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_default_is_jacobi(self):
         sys_ = mf.fem_system(8)
-        A, _ = sys_.step_system(1e2, 1.0)
+        A = sys_.step_system(1e2, 1.0).matrix
         rhs = np.random.default_rng(6).standard_normal(sys_.n_dof)
         inv_diag = 1.0 / A.diagonal()
         x = cg_solve(A, rhs, precond=lambda r: inv_diag * r)
@@ -103,10 +104,10 @@ class TestPreconditionedCg:
 
     def test_cg_error_still_raised(self):
         sys_ = mf.fem_system(16)
-        A, precond = sys_.step_system(1e6, 1.0)
+        solver = sys_.step_system(1e6, 1.0)
         rhs = np.random.default_rng(7).standard_normal(sys_.n_dof)
         with pytest.raises(CgError) as exc:
-            cg_solve(A, rhs, rel_tol=1e-14, max_iter=1, precond=precond)
+            cg_solve(solver.matrix, rhs, rel_tol=1e-14, max_iter=1, precond=solver.precond)
         assert exc.value.residual > 0.0
         assert exc.value.iterations == 1
 
@@ -117,8 +118,8 @@ class TestCallSites:
         """CG iteration counts of the projections, in call order."""
         seen = []
 
-        def spy(*args, **kwargs):
-            stats = {}
+        def spy(*args, stats=None, **kwargs):
+            stats = {} if stats is None else stats
             out = cg_solve(*args, **kwargs, stats=stats)
             seen.append(stats["iterations"])
             return out
