@@ -12,24 +12,24 @@ import numpy as np
 from fracstep.cq import BE, SBD, cq_apply, cq_weights, cq_weights_fft
 
 print("backward Euler weights, alpha = 0.5, tau = 1 (binomial series):")
-print(" ", cq_weights(BE, 0.5, 1.0, 6).weights)
+print(" ", cq_weights(BE, 0.5, 1.0, 6))
 
 print("\nsecond-order weights, alpha = 0.5, tau = 1:")
-print(" ", cq_weights(SBD, 0.5, 1.0, 6).weights)
+print(" ", cq_weights(SBD, 0.5, 1.0, 6))
 
 print("\nrecurrence vs transform path (max deviation / max weight):")
 for rule in (BE, SBD):
     for alpha in (0.1, 0.5, 0.9, 1.1, 1.5, 1.9):
-        wr = cq_weights(rule, alpha, 1.0, 512).weights
-        wf = cq_weights_fft(rule, alpha, 1.0, 512).weights
+        wr = cq_weights(rule, alpha, 1.0, 512)
+        wf = cq_weights_fft(rule, alpha, 1.0, 512)
         dev = np.max(np.abs(wr - wf)) / np.max(np.abs(wr))
         print(f"  {rule.kind:3s} alpha={alpha}: {dev:.2e}")
 
 print("\ncomposition: weights(a) * weights(b) = weights(a+b)")
 for a, b in ((0.3, 0.4), (0.9, 0.9)):
-    wa = cq_weights(BE, a, 1.0, 64).weights
-    wb = cq_weights(BE, b, 1.0, 64).weights
-    wab = cq_weights(BE, a + b, 1.0, 64).weights
+    wa = cq_weights(BE, a, 1.0, 64)
+    wb = cq_weights(BE, b, 1.0, 64)
+    wab = cq_weights(BE, a + b, 1.0, 64)
     dev = np.max(np.abs(np.convolve(wa, wb)[:65] - wab)) / np.max(np.abs(wab))
     print(f"  {a} + {b}: {dev:.2e}")
 

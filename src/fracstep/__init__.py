@@ -9,7 +9,7 @@ from Mittag-Leffler eigenfunction expansions, either continuous or built on
 the discrete eigenpairs of the FEM matrices.
 """
 
-from .cq import BE, SBD, CqRule, CqWeights, cq_apply, cq_weights, cq_weights_fft
+from .cq import BE, SBD, CqRule, cq_apply, cq_weights, cq_weights_fft
 from .meshfem import (
     FemSystem,
     Mesh,
@@ -23,7 +23,7 @@ from .meshfem import (
     load_vector,
     ritz_project,
 )
-from .mlf import MlfAccuracyError, MlfParams, mlf, mlf_neg, mlf_scaled_t
+from .mlf import MlfAccuracyError, mlf_neg
 from .numkit import (
     CgError,
     NotPositiveDefiniteError,

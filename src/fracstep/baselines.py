@@ -50,7 +50,8 @@ def cn_coefficients(alpha, n_terms):
     return (j + 1.0) ** (2.0 - alpha) - j ** (2.0 - alpha)
 
 
-def _solve_l1(sys, case, alpha, grid, rel_tol):
+def _solve_l1(sys, case, grid):
+    alpha = case.alpha
     N = grid.N
     b = l1_coefficients(alpha, N)
     c0 = grid.tau ** (-alpha) / math.gamma(2.0 - alpha)
@@ -68,13 +69,14 @@ def _solve_l1(sys, case, alpha, grid, rel_tol):
         return out
 
     start = initial_coefficients(sys, case)
-    return schemes._march(sys, grid, (c0, 1.0), kernel, None, rhs, start, rel_tol)
+    return schemes._march(sys, grid, (c0, 1.0), kernel, None, rhs, start)
 
 
-def _solve_zeng(sys, case, alpha, grid, variant, rel_tol):
+def _solve_zeng(sys, case, grid, variant):
+    alpha = case.alpha
     N = grid.N
     # weights of (1 - z)^alpha: the backward Euler table at unit step
-    w = cq_weights(BE, alpha, 1.0, N).weights
+    w = cq_weights(BE, alpha, 1.0, N)
     ta = grid.tau ** (-alpha)
     chi, scal = _loads(case, sys, grid.times())
     cumw = np.cumsum(w)
@@ -102,10 +104,10 @@ def _solve_zeng(sys, case, alpha, grid, variant, rel_tol):
 
     step = (ta * w[0], half * w[0]) if variant == 1 else (ta * w[0], 1.0 - 0.5 * alpha)
     start = initial_coefficients(sys, case)
-    return schemes._march(sys, grid, step, w, None, rhs, start, rel_tol)
+    return schemes._march(sys, grid, step, w, None, rhs, start)
 
 
-def _solve_cn(sys, case, alpha, grid, rel_tol):
+def _solve_cn(sys, case, grid):
     """Sun-Wu Crank-Nicolson scheme for 1 < alpha < 2, order 3 - alpha.
 
     The Caputo derivative is approximated at the half steps t_(n-1/2) by the
@@ -117,6 +119,7 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
     above 3 - alpha and then collapses. On a doubling ladder, e_N - 4 e_2N
     removes the tau^2 term and exposes the design rate.
     """
+    alpha = case.alpha
     tau = grid.tau
     N = grid.N
     a = cn_coefficients(alpha, N)
@@ -144,21 +147,24 @@ def _solve_cn(sys, case, alpha, grid, rel_tol):
 
     start = initial_coefficients(sys, case)
     return schemes._march(
-        sys, grid, (c * a[0], 0.5), kernel, lambda U, m: U[m] - U[m - 1], rhs, start, rel_tol
+        sys, grid, (c * a[0], 0.5), kernel, lambda U, m: U[m] - U[m - 1], rhs, start
     )
 
 
-def solve_baseline(sys, case, kind, alpha, grid, rel_tol=1e-12):
-    """Run one of the comparison schemes; kind in {'l1','zeng1','zeng2','cn'}."""
+def solve_baseline(sys, case, kind, grid):
+    """Run one of the comparison schemes; kind in {'l1','zeng1','zeng2','cn'}.
+
+    The scheme runs at the order ``case.alpha``, as the case's reference does.
+    """
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "cn":
-        if not (1.0 < alpha < 2.0):
+        if not (1.0 < case.alpha < 2.0):
             raise ValueError("Crank-Nicolson variant requires 1 < alpha < 2")
-        return _solve_cn(sys, case, alpha, grid, rel_tol)
-    if not (0.0 < alpha < 1.0):
+        return _solve_cn(sys, case, grid)
+    if not (0.0 < case.alpha < 1.0):
         raise ValueError(f"{kind} requires 0 < alpha < 1")
     if kind == "l1":
-        return _solve_l1(sys, case, alpha, grid, rel_tol)
-    return _solve_zeng(sys, case, alpha, grid, 1 if kind == "zeng1" else 2, rel_tol)
+        return _solve_l1(sys, case, grid)
+    return _solve_zeng(sys, case, grid, 1 if kind == "zeng1" else 2)

@@ -18,7 +18,7 @@ import numpy as np
 from . import harness, meshfem, reference, schemes
 from .cq import cq_weights, get_rule
 from .harness import ConfigError
-from .mlf import MlfAccuracyError, MlfParams, mlf
+from .mlf import MlfAccuracyError, mlf_neg
 from .numkit import CgError
 
 
@@ -49,19 +49,18 @@ def _cmd_weights(args):
     rule = get_rule(args.rule)
     w = cq_weights(rule, args.alpha, args.tau, args.N)
     lines = ["j,weight"]
-    lines += [f"{j},{format(v, '.17g')}" for j, v in enumerate(w.weights)]
+    lines += [f"{j},{format(v, '.17g')}" for j, v in enumerate(w)]
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_mlf(args):
-    p = MlfParams(args.alpha, args.beta)
     xs = np.geomspace(args.x_min, args.x_max, args.points) if args.x_min > 0 else (
         np.linspace(args.x_min, args.x_max, args.points)
     )
     lines = ["x,E"]
     for x in xs:
-        lines.append(f"{format(x, '.17g')},{format(mlf(p, -x), '.17g')}")
+        lines.append(f"{format(x, '.17g')},{format(mlf_neg(args.alpha, args.beta, x), '.17g')}")
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -132,21 +131,7 @@ def _cmd_study(args):
     if args.t_list:
         overrides["t_list"] = [float(x) for x in args.t_list.split(",")]
 
-    if args.config:
-        cfg = harness.StudyConfig.from_json(args.config, overrides)
-    else:
-        required = ("case", "kind")
-        missing = [k for k in required if overrides.get(k) is None]
-        if missing:
-            raise ConfigError(f"missing required flags: {missing}")
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        overrides.setdefault("alphas", [0.5])
-        overrides.setdefault("schemes", ["be", "sbd"])
-        for key in ("alphas", "schemes", "M_list", "N_list", "t_list"):
-            if key in overrides:
-                overrides[key] = tuple(overrides[key])
-        cfg = harness.StudyConfig(**overrides)
-
+    cfg = harness.StudyConfig.from_json(args.config, overrides)
     report = harness.run_study(cfg)
     _emit_text(harness.emit(report, cfg.format), cfg.out)
     return 0

@@ -43,18 +43,6 @@ def get_rule(kind):
         raise ValueError(f"unknown quadrature rule {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class CqWeights:
-    rule: CqRule
-    alpha: float
-    tau: float
-    weights: np.ndarray
-
-    @property
-    def N(self):
-        return len(self.weights) - 1
-
-
 def _series_power(coeffs, alpha, n_terms):
     """Taylor coefficients of p(xi)**alpha via the power recurrence.
 
@@ -86,13 +74,15 @@ def _cached_weights(delta_coeffs, alpha, tau, N):
 
 
 def cq_weights(rule, alpha, tau, N):
-    """Quadrature weights of (delta(xi)/tau)**alpha, indices 0..N."""
+    """Quadrature weights of (delta(xi)/tau)**alpha, indices 0..N.
+
+    The array is cached and shared between callers, so it is read-only.
+    """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    w = _cached_weights(tuple(rule.delta_coeffs), float(alpha), float(tau), int(N))
-    return CqWeights(rule, float(alpha), float(tau), w)
+    return _cached_weights(tuple(rule.delta_coeffs), float(alpha), float(tau), int(N))
 
 
 def cq_weights_fft(rule, alpha, tau, N):
@@ -117,19 +107,19 @@ def cq_weights_fft(rule, alpha, tau, N):
     coeffs = np.fft.fft(vals)[: N + 1] / L
     w = coeffs.real / rho ** np.arange(N + 1)
     w.flags.writeable = False
-    return CqWeights(rule, float(alpha), float(tau), w)
+    return w
 
 
 def cq_apply(w, g, n):
-    """Discrete convolution sum_{j=0}^{n} w_j g_{n-j}.
+    """Discrete convolution sum_{j=0}^{n} w_j g_{n-j} of a weight array.
 
     ``g`` holds the samples g_0..g_n (at least); entries may be scalars or
     coefficient vectors stacked along axis 0.
     """
-    if n > w.N:
-        raise ValueError(f"index {n} exceeds weight table length {w.N}")
+    if n >= len(w):
+        raise ValueError(f"index {n} exceeds weight table length {len(w) - 1}")
     g = np.asarray(g, dtype=float)
     if g.shape[0] < n + 1:
         raise ValueError("sample sequence shorter than n+1")
     rev = g[n::-1]
-    return np.tensordot(w.weights[: n + 1], rev, axes=(0, 0))
+    return np.tensordot(w[: n + 1], rev, axes=(0, 0))

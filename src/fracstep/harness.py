@@ -110,16 +110,22 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path, overrides=None):
-        with open(path) as fh:
-            raw = json.load(fh)
-        bad = set(raw) - set(STUDY_CONFIG_SCHEMA["properties"])
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        for key in STUDY_CONFIG_SCHEMA["required"]:
-            if key not in raw and (overrides is None or key not in overrides):
-                raise ConfigError(f"missing config key {key!r}")
+        """Config from the JSON file ``path``, or from the flag defaults
+        alphas [0.5] and schemes ["be", "sbd"] when ``path`` is None.
+        ``overrides`` entries that are not None replace those keys."""
+        if path is None:
+            raw = {"alphas": [0.5], "schemes": ["be", "sbd"]}
+        else:
+            with open(path) as fh:
+                raw = json.load(fh)
+            bad = set(raw) - set(STUDY_CONFIG_SCHEMA["properties"])
+            if bad:
+                raise ConfigError(f"unknown config keys: {sorted(bad)}")
         if overrides:
             raw.update({k: v for k, v in overrides.items() if v is not None})
+        missing = [key for key in STUDY_CONFIG_SCHEMA["required"] if key not in raw]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         for key in ("alphas", "schemes", "M_list", "N_list", "t_list"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -206,7 +212,7 @@ def _run_scheme(sys, case, scheme, grid, corrected):
             corrected=corrected,
         )
         return schemes.solve(sys, case, cfg, grid)
-    return baselines.solve_baseline(sys, case, scheme, case.alpha, grid)
+    return baselines.solve_baseline(sys, case, scheme, grid)
 
 
 def _temporal_block(cfg, case, sys, scheme, ref):

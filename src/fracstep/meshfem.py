@@ -10,11 +10,12 @@ Every linear system here has the form a M + b S with the interior mass M and
 stiffness S, and ``FemSystem.step_system(a, b)`` returns the one solver object
 for it, with ``solve(rhs, x0, stats)``. It has two backends:
 
-* ``cg`` (the default): CG preconditioned with P = a M~ + b S, where M~ is the
-  mass stencil with its diagonal coupling spread evenly over both diagonals.
-  M~ and S are both diagonal in the 2-D sine basis of the interior grid, so P
-  is inverted by four dense products with the DST-I matrix (fast
-  diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
+* ``cg`` (the default): CG to the relative residual ``STEP_RTOL``,
+  preconditioned with P = a M~ + b S, where M~ is the mass stencil with its
+  diagonal coupling spread evenly over both diagonals. M~ and S are both
+  diagonal in the 2-D sine basis of the interior grid, so P is inverted by
+  four dense products with the DST-I matrix (fast diagonalization: Lynch,
+  Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
   The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every
   a, b >= 0, so the iteration count does not grow as the mesh is refined.
 * ``modal``: when the system carries the M-orthonormal eigensystem
@@ -43,6 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import SparseMatrix, cg_solve
+
+# relative residual of every CG step solve and projection; the step errors
+# it leaves set the error floor of decay studies solved by CG
+STEP_RTOL = 1e-12
 
 # classic 6-point degree-4 rule, barycentric (weights sum to 1)
 _Q4_A1 = 0.445948490915965
@@ -135,10 +140,8 @@ class FemSystem:
     mesh: Mesh
     mass: SparseMatrix
     stiffness: SparseMatrix
-    quadrature_order: int = 4
 
-    # geometry caches for vectorized quadrature, filled by assemble()
-    _areas: np.ndarray = field(default=None, repr=False)
+    # element gradients for vectorized quadrature, filled by assemble()
     _grads: np.ndarray = field(default=None, repr=False)
     # (lam, Phi) with Phi^T mass Phi = I and Phi^T stiffness Phi = diag(lam);
     # when set, step systems are solved in this basis instead of by CG
@@ -155,11 +158,11 @@ class FemSystem:
     def n_dof(self):
         return self.mesh.n_interior
 
-    def step_system(self, a, b, rel_tol=1e-12):
+    def step_system(self, a, b):
         """The solver of (a*mass + b*stiffness) x = rhs; a, b >= 0, not both 0.
 
         It solves in the carried eigensystem if there is one, else by CG to
-        ``rel_tol`` (see the module docstring).
+        ``STEP_RTOL`` (see the module docstring).
         """
         if not (a >= 0.0 and b >= 0.0 and a + b > 0.0):
             raise ValueError(f"step system needs a, b >= 0, not both zero (got {a}, {b})")
@@ -167,15 +170,14 @@ class FemSystem:
         if self.eigensystem is not None:
             lam, basis = self.eigensystem
             return ModalSolver(matrix, basis, a + b * lam)
-        return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b), rel_tol)
+        return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b))
 
-    def quad_points(self, order=None):
+    def quad_points(self, order=4):
         """Physical quadrature points and per-point weights on every element.
 
         Returns (points (nel, nq, 2), weights (nq,) scaled by element area,
         shape values (nq, 3)).
         """
-        order = self.quadrature_order if order is None else order
         bary, wts = _RULES[order]
         tri_nodes = self.mesh.nodes[self.mesh.triangles]  # (nel, 3, 2)
         pts = np.einsum("qk,ekd->eqd", bary, tri_nodes)
@@ -184,22 +186,21 @@ class FemSystem:
 
 
 class CgSolver:
-    """Backend ``cg``: sine-preconditioned CG to ``rel_tol``, from ``x0``."""
+    """Backend ``cg``: sine-preconditioned CG to ``STEP_RTOL``, from ``x0``."""
 
     backend = "cg"
 
-    def __init__(self, matrix, precond, rel_tol=1e-12):
+    def __init__(self, matrix, precond):
         self.matrix = matrix
         self.precond = precond
-        self.rel_tol = rel_tol
 
     def solve(self, rhs, x0=None, stats=None):
-        """x with ||matrix x - rhs|| <= rel_tol ||rhs||, or CgError.
+        """x with ||matrix x - rhs|| <= STEP_RTOL ||rhs||, or CgError.
 
         A ``stats`` dict receives the iteration count and final residual.
         """
         return cg_solve(
-            self.matrix, rhs, rel_tol=self.rel_tol, x0=x0, stats=stats, precond=self.precond
+            self.matrix, rhs, rel_tol=STEP_RTOL, x0=x0, stats=stats, precond=self.precond
         )
 
 
@@ -291,11 +292,9 @@ def assemble(mesh):
     tris = mesh.triangles
     imap = mesh.interior_map
     rows_m, cols_m, vals_m, vals_k = [], [], [], []
-    areas = np.empty(len(tris))
     grads = np.empty((len(tris), 2, 3))
     for e, tri in enumerate(tris):
-        Mloc, Kloc, area, g = element_matrices(mesh.nodes[tri])
-        areas[e] = area
+        Mloc, Kloc, _, g = element_matrices(mesh.nodes[tri])
         grads[e] = g
         dofs = imap[tri]
         for a in range(3):
@@ -310,7 +309,7 @@ def assemble(mesh):
                 vals_k.append(Kloc[a, b])
     mass = SparseMatrix.from_coo(n, n, rows_m, cols_m, vals_m)
     stiffness = SparseMatrix.from_coo(n, n, rows_m, cols_m, vals_k)
-    return FemSystem(mesh, mass, stiffness, 4, areas, grads)
+    return FemSystem(mesh, mass, stiffness, grads)
 
 
 @functools.lru_cache(maxsize=16)
@@ -320,9 +319,9 @@ def fem_system(M):
     return assemble(build_mesh(M))
 
 
-def load_vector(sys, g, order=None):
+def load_vector(sys, g):
     """Interior load vector (g, phi_i) by elementwise quadrature."""
-    pts, w, shape = sys.quad_points(order)
+    pts, w, shape = sys.quad_points()
     vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     if vals.shape != pts.shape[:2]:
         vals = np.broadcast_to(vals, pts.shape[:2])
@@ -334,12 +333,12 @@ def load_vector(sys, g, order=None):
     return out
 
 
-def l2_project(sys, g, rel_tol=1e-12):
+def l2_project(sys, g):
     """Coefficients of the L2-orthogonal projection of g."""
-    return sys.step_system(1.0, 0.0, rel_tol).solve(load_vector(sys, g))
+    return sys.step_system(1.0, 0.0).solve(load_vector(sys, g))
 
 
-def ritz_project(sys, g_grad, rel_tol=1e-12):
+def ritz_project(sys, g_grad):
     """Coefficients of the energy projection; ``g_grad(x, y) -> (gx, gy)``."""
     pts, w, _ = sys.quad_points()
     gx, gy = g_grad(pts[..., 0], pts[..., 1])
@@ -354,7 +353,7 @@ def ritz_project(sys, g_grad, rel_tol=1e-12):
     dofs = sys.mesh.interior_map[sys.mesh.triangles]
     ok = dofs >= 0
     np.add.at(out, dofs[ok], contrib[ok])
-    return sys.step_system(0.0, 1.0, rel_tol).solve(out)
+    return sys.step_system(0.0, 1.0).solve(out)
 
 
 def l2_norm(sys, c):

@@ -11,7 +11,8 @@ double precision. Three routes cover the axis:
   Gauss-Legendre panels.
 
 Each route reports an error estimate, and the dispatcher falls through to the
-next route when the certificate misses the target. The recurrence
+next route when the certificate misses the target: ``DEFAULT_TOL`` relative,
+the one accuracy ``mlf_neg`` works to. The recurrence
 E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x) ties the routes together and is what
 the test suite uses to cross-validate them.
 """
@@ -19,7 +20,6 @@ the test suite uses to cross-validate them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,21 +35,6 @@ class MlfAccuracyError(ArithmeticError):
     def __init__(self, message, achieved):
         super().__init__(message)
         self.achieved = achieved
-
-
-@dataclass(frozen=True)
-class MlfParams:
-    alpha: float
-    beta: float
-    target_accuracy: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (0, 2]")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.target_accuracy <= 0.0:
-            raise ValueError("target accuracy must be positive")
 
 
 def _sinpi(s):
@@ -81,7 +66,7 @@ def _gamma_ratio(a, b):
     return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
-def _try_series(alpha, beta, y, tol):
+def _try_series(alpha, beta, y):
     """Kahan-compensated power series; returns (value, error estimate) or None.
 
     The estimate tracks the accumulated magnitude of the terms so catastrophic
@@ -141,7 +126,7 @@ def _term_envelope_log(alpha, beta, y_log, k):
     return math.lgamma(1.0 - s) - math.log(math.pi) - k * y_log
 
 
-def _try_asymptotic(alpha, beta, y, tol):
+def _try_asymptotic(alpha, beta, y):
     """Algebraic expansion truncated at its smallest term (plus residues)."""
     if y < 1.5:
         return None
@@ -169,11 +154,12 @@ def _try_asymptotic(alpha, beta, y, tol):
     return val, err + 2e-16 * (abs(s) + abs(res))
 
 
-def _adaptive_gl(f, edges, rel_tol, scale_hint=0.0):
+def _adaptive_gl(f, edges, scale_hint):
     """Adaptive Gauss-Legendre panels over the given initial edges.
 
     Returns (integral, error estimate); panels are bisected worst-first until
-    the summed estimate meets rel_tol relative to max(|integral|, scale_hint).
+    the summed estimate meets DEFAULT_TOL relative to max(|integral|,
+    scale_hint).
     """
 
     def panel(lo, hi):
@@ -190,7 +176,7 @@ def _adaptive_gl(f, edges, rel_tol, scale_hint=0.0):
         total = sum(p[3] for p in panels)
         err = sum(p[0] for p in panels)
         scale = max(abs(total), scale_hint, 1e-300)
-        if err <= rel_tol * scale:
+        if err <= DEFAULT_TOL * scale:
             return total, err
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, lo, hi, _ = panels[worst]
@@ -200,7 +186,7 @@ def _adaptive_gl(f, edges, rel_tol, scale_hint=0.0):
     return sum(p[3] for p in panels), sum(p[0] for p in panels)
 
 
-def _branch_cut_integral(alpha, beta, y, tol, scale_hint):
+def _branch_cut_integral(alpha, beta, y, scale_hint):
     """Real branch-cut integral of the inversion contour; needs beta < alpha+1."""
     c = math.cos(math.pi * alpha)
     s_ab = _sinpi(beta)
@@ -242,18 +228,18 @@ def _branch_cut_integral(alpha, beta, y, tol, scale_hint):
         u = np.asarray(u, dtype=float)
         return kernel(u ** p) * p * u ** (p - 1.0)
 
-    head, err_head = _adaptive_gl(kernel_sub, [0.0, u_hi], tol, scale_hint)
-    tail, err_tail = _adaptive_gl(kernel, edges, tol, scale_hint)
+    head, err_head = _adaptive_gl(kernel_sub, [0.0, u_hi], scale_hint)
+    tail, err_tail = _adaptive_gl(kernel, edges, scale_hint)
     return head + tail, err_head + err_tail
 
 
-def _mid(alpha, beta, y, tol):
+def _mid(alpha, beta, y):
     """Middle-zone evaluation: recurrence reduction + contour machinery."""
     if beta >= alpha + 0.75:
-        inner, err = _mid(alpha, beta - alpha, y, tol)
+        inner, err = _mid(alpha, beta - alpha, y)
         return (_recip_gamma(beta - alpha) - inner) / y, err / y + 4e-16
     res = _residue_pair(alpha, beta, y) if alpha > 1.0 else 0.0
-    integral, err = _branch_cut_integral(alpha, beta, y, tol, abs(res))
+    integral, err = _branch_cut_integral(alpha, beta, y, abs(res))
     return res + integral, err + 2e-16 * abs(res)
 
 
@@ -282,8 +268,8 @@ def _alpha_one(beta, y):
     return sign * math.exp(log_val)
 
 
-def mlf_neg(alpha, beta, y, tol=DEFAULT_TOL):
-    """E_{alpha,beta}(-y) for y >= 0."""
+def mlf_neg(alpha, beta, y):
+    """E_{alpha,beta}(-y) for y >= 0, certified to DEFAULT_TOL relative."""
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     if beta <= 0.0:
@@ -297,31 +283,31 @@ def mlf_neg(alpha, beta, y, tol=DEFAULT_TOL):
         # the parameter perturbation costs far less than the lost quadrature
         alpha = 1.0
 
-    got = _try_series(alpha, beta, y, tol)
+    got = _try_series(alpha, beta, y)
     if got is not None:
         val, err = got
-        if err <= tol * abs(val):
+        if err <= DEFAULT_TOL * abs(val):
             return val
 
     if alpha == 1.0:
-        asy = _try_asymptotic(alpha, beta, y, tol)
+        asy = _try_asymptotic(alpha, beta, y)
         if asy is not None:
             val, err = asy
-            if err <= tol * abs(val):
+            if err <= DEFAULT_TOL * abs(val):
                 return val
         return _alpha_one(beta, y)
 
-    asy = _try_asymptotic(alpha, beta, y, tol)
+    asy = _try_asymptotic(alpha, beta, y)
     if asy is not None:
         val, err = asy
-        if err <= tol * abs(val):
+        if err <= DEFAULT_TOL * abs(val):
             return val
 
-    val, err = _mid(alpha, beta, y, tol)
+    val, err = _mid(alpha, beta, y)
     # near a real zero of E the relative error is condition-limited; judge
     # the certificate against the generic magnitude on the axis instead
     scale = max(abs(val), abs(_recip_gamma(beta)) / (1.0 + y), 1e-300)
-    if err > 100.0 * tol * scale and err > 1e-300:
+    if err > 100.0 * DEFAULT_TOL * scale and err > 1e-300:
         raise MlfAccuracyError(
             f"achieved error estimate {err:.2e} for "
             f"E_({alpha},{beta})(-{y})",
@@ -329,24 +315,3 @@ def mlf_neg(alpha, beta, y, tol=DEFAULT_TOL):
         )
     return val
 
-
-def mlf(p, x):
-    """E_{alpha,beta}(x) for x <= 0 under the parameter contract of ``p``."""
-    if x > 0.0:
-        raise ValueError("argument must be nonpositive")
-    return mlf_neg(p.alpha, p.beta, -x, p.target_accuracy)
-
-
-def mlf_scaled_t(p, lam, t):
-    """t**(beta-1) * E_{alpha,beta}(-lam * t**alpha) with a stable t=0 limit."""
-    if lam < 0.0 or t < 0.0:
-        raise ValueError("lam and t must be nonnegative")
-    if t == 0.0:
-        if p.beta > 1.0:
-            return 0.0
-        if p.beta == 1.0:
-            return 1.0
-        raise ValueError("singular at t=0 for beta < 1")
-    return t ** (p.beta - 1.0) * mlf_neg(
-        p.alpha, p.beta, lam * t ** p.alpha, p.target_accuracy
-    )

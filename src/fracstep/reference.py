@@ -13,6 +13,11 @@ Sources of the form (c1 t^g1 + c2 t^g2 + ...) * chi(x, y) admit a closed-form
 Duhamel term: convolving t^(a-1) E_{a,a}(-lam t^a) with t^g gives
 Gamma(g+1) t^(a+g) E_{a,a+g+1}(-lam t^a), term by term from the series
 definition. The quadrature oracle in the tests checks this identity.
+
+Every Mittag-Leffler value here comes from ``mlf.mlf_neg`` at its one
+accuracy, ``mlf.DEFAULT_TOL`` (1e-12 relative); the discrete reference's
+modal data need no solve and so carry no step-solver tolerance
+(``meshfem.STEP_RTOL``).
 """
 
 from __future__ import annotations
@@ -90,16 +95,6 @@ class CaseSpec:
     def source_time_integral(self, t):
         """Exact antiderivative of the time factor, vanishing at t=0."""
         return sum(c * t ** (g + 1.0) / (g + 1.0) for c, g in self.source_powers)
-
-    def f(self, x, y, t):
-        if self.source_space is None:
-            return np.zeros(np.broadcast(x, y).shape)
-        return self.source_time(t) * self.source_space(x, y)
-
-    def antiderivative_f(self, x, y, t):
-        if self.source_space is None:
-            return np.zeros(np.broadcast(x, y).shape)
-        return self.source_time_integral(t) * self.source_space(x, y)
 
     def vhat(self, k, l):
         if self.v_factors is None:
@@ -190,10 +185,6 @@ class ModalExpansion:
     ls: np.ndarray = None
     basis: np.ndarray = None  # discrete: M-orthonormal eigenvector columns
 
-    @property
-    def data_l2(self):
-        return math.sqrt(float(np.sum(self.vcoef ** 2)))
-
 
 def modal_coefficients(case, K_max=255):
     """Continuous expansion of the case data up to mode K_max per direction."""
@@ -226,7 +217,7 @@ def modal_coefficients(case, K_max=255):
     )
 
 
-def _homogeneous_factor(alpha, beta, lam_flat, t, tol=1e-12):
+def _homogeneous_factor(alpha, beta, lam_flat, t):
     """E_{alpha,beta}(-lam t^alpha) per mode, one mlf_neg call per distinct lam.
 
     The continuous spectrum pi^2 (k^2 + l^2) repeats each value for (k, l)
@@ -234,33 +225,31 @@ def _homogeneous_factor(alpha, beta, lam_flat, t, tol=1e-12):
     """
     ta = t ** alpha
     lam_u, inv = np.unique(np.asarray(lam_flat, dtype=float), return_inverse=True)
-    vals = np.array([mlf_neg(alpha, beta, lv * ta, tol) for lv in lam_u])
+    vals = np.array([mlf_neg(alpha, beta, lv * ta) for lv in lam_u])
     return vals[inv]
 
 
-def duhamel_factor(alpha, source_powers, lam_flat, t, tol=1e-12):
+def duhamel_factor(alpha, source_powers, lam_flat, t):
     """Closed-form Duhamel amplitude per mode for a power-sum time factor."""
     out = np.zeros(len(lam_flat))
     for c, g in source_powers:
         pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
-        out += pref * _homogeneous_factor(alpha, alpha + g + 1.0, lam_flat, t, tol)
+        out += pref * _homogeneous_factor(alpha, alpha + g + 1.0, lam_flat, t)
     return out
 
 
-def modal_amplitudes(case, lam, vcoef, bcoef, fcoef, t, tol=1e-12):
+def modal_amplitudes(case, lam, vcoef, bcoef, fcoef, t):
     """Per-mode solution amplitude at time t for arbitrary eigenvalues."""
     flat = lam.ravel()
     if t == 0.0:
         return vcoef.copy()
     amp = np.zeros(flat.shape)
     if np.any(vcoef):
-        amp += vcoef.ravel() * _homogeneous_factor(case.alpha, 1.0, flat, t, tol)
+        amp += vcoef.ravel() * _homogeneous_factor(case.alpha, 1.0, flat, t)
     if np.any(bcoef):
-        amp += bcoef.ravel() * t * _homogeneous_factor(case.alpha, 2.0, flat, t, tol)
+        amp += bcoef.ravel() * t * _homogeneous_factor(case.alpha, 2.0, flat, t)
     if np.any(fcoef) and case.source_powers:
-        amp += fcoef.ravel() * duhamel_factor(
-            case.alpha, case.source_powers, flat, t, tol
-        )
+        amp += fcoef.ravel() * duhamel_factor(case.alpha, case.source_powers, flat, t)
     return amp.reshape(lam.shape)
 
 
@@ -292,7 +281,7 @@ class ExactSolution:
     # rows of 128 ran the row dots 5x slower than blocks of 512
     _BLOCK_ENTRIES = 1 << 16
 
-    def __init__(self, case, expansion, t, tol=1e-12):
+    def __init__(self, case, expansion, t):
         if expansion.kind != "continuous":
             raise ValueError("pointwise evaluation needs a continuous expansion")
         self.case = case
@@ -300,7 +289,7 @@ class ExactSolution:
         self.t = float(t)
         self.amplitudes = modal_amplitudes(
             case, expansion.lam, expansion.vcoef, expansion.bcoef,
-            expansion.fcoef, self.t, tol,
+            expansion.fcoef, self.t,
         )
 
     def _phases(self, x, y):
@@ -368,8 +357,8 @@ class ExactSolution:
         return math.sqrt(k_last * float(np.sum(A2[-1, :])) + l_last * float(np.sum(A2[:, -1])))
 
 
-def exact_solution(case, expansion, t, tol=1e-12):
-    return ExactSolution(case, expansion, t, tol)
+def exact_solution(case, expansion, t):
+    return ExactSolution(case, expansion, t)
 
 
 @functools.lru_cache(maxsize=8)
@@ -412,8 +401,8 @@ def _discrete_expansion(sys, case):
     )
 
 
-def discrete_reference(sys, case, t, tol=1e-12):
+def discrete_reference(sys, case, t):
     """Interior coefficients of the semidiscrete solution, exact in time."""
     exp = _discrete_expansion(sys, case)
-    amp = modal_amplitudes(case, exp.lam, exp.vcoef, exp.bcoef, exp.fcoef, t, tol)
+    amp = modal_amplitudes(case, exp.lam, exp.vcoef, exp.bcoef, exp.fcoef, t)
     return exp.basis @ amp

@@ -123,7 +123,7 @@ def _source_scalars(case, cfg, rule, grid):
     times = grid.times()
     if not cfg.corrected:
         return np.array([case.source_time(t) for t in times])
-    w1 = cq_weights(rule, 1.0, grid.tau, grid.N).weights
+    w1 = cq_weights(rule, 1.0, grid.tau, grid.N)
     anti = np.array([case.source_time_integral(t) for t in times])
     out = np.empty(grid.N + 1)
     for n in range(grid.N + 1):
@@ -131,7 +131,7 @@ def _source_scalars(case, cfg, rule, grid):
     return out
 
 
-def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
+def _march(sys, grid, step, kernel, history, rhs, start):
     """The one stepper behind every scheme: solve (a M + b S) U^n = rhs.
 
     ``step`` is (a, b). The history rows are H[m-1] = history(U, m), or the
@@ -140,7 +140,7 @@ def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
     ``rhs(n, conv, U)`` (conv is None at n = 1), which sees U^0..U^(n-1).
     A CG solve starts from U^(n-1).
     """
-    solver = sys.step_system(*step, rel_tol=rel_tol)
+    solver = sys.step_system(*step)
     N = grid.N
     U = np.zeros((N + 1, sys.n_dof))
     U[0] = start
@@ -158,7 +158,7 @@ def _march(sys, grid, step, kernel, history, rhs, start, rel_tol):
     return SolutionHistory(U, grid, stats, solver.backend)
 
 
-def solve(sys, case, cfg, grid, rel_tol=1e-12):
+def solve(sys, case, cfg, grid):
     """Run the configured stepper over the grid; returns the full history."""
     _check_compat(case, cfg)
     rule = get_rule(cfg.stepper)
@@ -166,7 +166,7 @@ def solve(sys, case, cfg, grid, rel_tol=1e-12):
     N = grid.N
     sbd = rule.kind == "SBD"
 
-    w = cq_weights(rule, case.alpha, tau, N).weights
+    w = cq_weights(rule, case.alpha, tau, N)
     v = initial_coefficients(sys, case, cfg.initial_projection)
     b = np.zeros(sys.n_dof)
     if cfg.equation == "diffusion_wave" and case.b is not None:
@@ -199,4 +199,4 @@ def solve(sys, case, cfg, grid, rel_tol=1e-12):
                 out += 0.5 * src[0] * chi_load
         return out
 
-    return _march(sys, grid, (w[0], 1.0), w, lambda U, m: U[m] - v, rhs, v, rel_tol)
+    return _march(sys, grid, (w[0], 1.0), w, lambda U, m: U[m] - v, rhs, v)

@@ -121,7 +121,7 @@ def test_criterion_02_cn_rate(alpha):
     case = ref.get_case("d", alpha)
     r = ref.discrete_reference(sys, case, 0.1)
     errs = [
-        baselines.solve_baseline(sys, case, "cn", alpha, TimeGrid(0.1, N)).final - r
+        baselines.solve_baseline(sys, case, "cn", TimeGrid(0.1, N)).final - r
         for N in N_LADDER
     ]
     plain, _ = summary_rate([mf.l2_norm(sys, e) for e in errs], N_LADDER)
@@ -269,16 +269,16 @@ def test_criterion_08_cq_oracles():
     fft_dev = 0.0
     for rule in (BE, SBD):
         for alpha in (0.1, 0.5, 0.9, 1.1, 1.5, 1.9):
-            wr = cq_weights(rule, alpha, 1.0, 512).weights
-            wf = cq_weights_fft(rule, alpha, 1.0, 512).weights
+            wr = cq_weights(rule, alpha, 1.0, 512)
+            wf = cq_weights_fft(rule, alpha, 1.0, 512)
             fft_dev = max(fft_dev, float(np.max(np.abs(wr - wf)) / np.max(np.abs(wr))))
 
     comp_dev = 0.0
     for rule in (BE, SBD):
         for a, b in ((0.3, 0.4), (0.5, 0.5), (1.1, 0.6)):
-            wa = cq_weights(rule, a, 1.0, 256).weights
-            wb = cq_weights(rule, b, 1.0, 256).weights
-            wab = cq_weights(rule, a + b, 1.0, 256).weights
+            wa = cq_weights(rule, a, 1.0, 256)
+            wb = cq_weights(rule, b, 1.0, 256)
+            wab = cq_weights(rule, a + b, 1.0, 256)
             conv = np.convolve(wa, wb)[:257]
             comp_dev = max(comp_dev, float(np.max(np.abs(conv - wab)) / np.max(np.abs(wab))))
 

@@ -81,7 +81,7 @@ class TestCoefficients:
 
     def test_zeng_weights_shared_with_quadrature(self):
         # the (1-z)^alpha weights are exactly the unit-step BE table
-        w = cq_weights(BE, 0.7, 1.0, 32).weights
+        w = cq_weights(BE, 0.7, 1.0, 32)
         g = np.empty(33)
         g[0] = 1.0
         for j in range(1, 33):
@@ -102,7 +102,7 @@ class TestScalarOracles:
         c0 = tau ** -alpha / math.gamma(2 - alpha)
         for cid in "abc":
             case = ref.get_case(cid, alpha)
-            hist = baselines.solve_baseline(sys2, case, "l1", alpha, grid)
+            hist = baselines.solve_baseline(sys2, case, "l1", grid)
             m, s, v, chi, f = one_dof(sys2, case)
             u = np.empty(N + 1)
             u[0] = v
@@ -123,7 +123,7 @@ class TestScalarOracles:
         ta, half = tau ** -alpha, 0.5 ** alpha
         for cid in "abc":
             case = ref.get_case(cid, alpha)
-            hist = baselines.solve_baseline(sys2, case, "zeng1", alpha, grid)
+            hist = baselines.solve_baseline(sys2, case, "zeng1", grid)
             m, s, v, chi, f = one_dof(sys2, case)
             u = np.empty(N + 1)
             u[0] = v
@@ -145,7 +145,7 @@ class TestScalarOracles:
         ta = tau ** -alpha
         for cid in "abc":
             case = ref.get_case(cid, alpha)
-            hist = baselines.solve_baseline(sys2, case, "zeng2", alpha, grid)
+            hist = baselines.solve_baseline(sys2, case, "zeng2", grid)
             m, s, v, chi, f = one_dof(sys2, case)
             u = np.empty(N + 1)
             u[0] = v
@@ -165,7 +165,7 @@ class TestScalarOracles:
         grid = TimeGrid(0.1, N)
         for cid in "defg":
             case = ref.get_case(cid, alpha)
-            hist = baselines.solve_baseline(sys2, case, "cn", alpha, grid)
+            hist = baselines.solve_baseline(sys2, case, "cn", grid)
             m, s, v, chi, f = one_dof(sys2, case)
             bval = float(mf.l2_project(sys2, case.b)[0]) if case.b else 0.0
             u = cn_recursion(alpha, grid.tau, N, m, s, u0=v, b=bval, chi=chi, f=f)
@@ -176,7 +176,7 @@ class TestLimits:
     def test_l1_alpha_to_one_is_backward_euler(self, sys8):
         case = ref.get_case("a", 1.0 - 1e-12)
         grid = TimeGrid(0.1, 20)
-        h_l1 = baselines.solve_baseline(sys8, case, "l1", case.alpha, grid)
+        h_l1 = baselines.solve_baseline(sys8, case, "l1", grid)
         h_be = schemes.solve(sys8, case, SchemeConfig("BE", "subdiffusion"), grid)
         scale = mf.l2_norm(sys8, h_be.final)
         assert mf.l2_norm(sys8, h_l1.final - h_be.final) <= 1e-9 * scale
@@ -189,7 +189,7 @@ class TestRates:
         r = ref.discrete_reference(sys8, case, 0.1)
         errs = []
         for N in (20, 40, 80, 160):
-            h = baselines.solve_baseline(sys8, case, "l1", 0.5, TimeGrid(0.1, N))
+            h = baselines.solve_baseline(sys8, case, "l1", TimeGrid(0.1, N))
             errs.append(mf.l2_norm(sys8, h.final - r))
         rate = 0.5 * (math.log2(errs[-3] / errs[-2]) + math.log2(errs[-2] / errs[-1]))
         assert rate == pytest.approx(1.0, abs=0.1)
@@ -199,7 +199,7 @@ class TestRates:
         r = ref.discrete_reference(sys8, case, 0.1)
         errs = []
         for N in (20, 40, 80, 160):
-            h = baselines.solve_baseline(sys8, case, "cn", 1.5, TimeGrid(0.1, N))
+            h = baselines.solve_baseline(sys8, case, "cn", TimeGrid(0.1, N))
             errs.append(mf.l2_norm(sys8, h.final - r))
         rate = 0.5 * (math.log2(errs[-3] / errs[-2]) + math.log2(errs[-2] / errs[-1]))
         assert rate == pytest.approx(1.45, abs=0.15)
@@ -228,8 +228,8 @@ class TestValidation:
     def test_kind_guards(self, sys8):
         case = ref.get_case("a", 0.5)
         with pytest.raises(ValueError):
-            baselines.solve_baseline(sys8, case, "dpg", 0.5, TimeGrid(0.1, 4))
+            baselines.solve_baseline(sys8, case, "dpg", TimeGrid(0.1, 4))
         with pytest.raises(ValueError):
-            baselines.solve_baseline(sys8, case, "cn", 0.5, TimeGrid(0.1, 4))
+            baselines.solve_baseline(sys8, case, "cn", TimeGrid(0.1, 4))
         with pytest.raises(ValueError):
-            baselines.solve_baseline(sys8, ref.get_case("d", 1.5), "l1", 1.5, TimeGrid(0.1, 4))
+            baselines.solve_baseline(sys8, ref.get_case("d", 1.5), "l1", TimeGrid(0.1, 4))

@@ -35,24 +35,24 @@ def mp_taylor_weights(rule, alpha, tau, N):
 class TestWeights:
     def test_be_alpha_one(self):
         w = cq_weights(BE, 1.0, 0.1, 3)
-        assert np.allclose(w.weights, [10.0, -10.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(w, [10.0, -10.0, 0.0, 0.0], atol=1e-12)
 
     def test_be_binomial_example(self):
         w = cq_weights(BE, 0.5, 1.0, 3)
-        assert np.allclose(w.weights, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
+        assert np.allclose(w, [1.0, -0.5, -0.125, -0.0625], atol=1e-15)
 
     def test_be_binomial_oracle_long(self):
         w = cq_weights(BE, 0.3, 1.0, 200)
-        assert np.allclose(w.weights, binomial_weights(0.3, 201), rtol=1e-13)
+        assert np.allclose(w, binomial_weights(0.3, 201), rtol=1e-13)
 
     def test_sbd_leading(self):
         w = cq_weights(SBD, 0.5, 1.0, 0)
-        assert w.weights[0] == pytest.approx(1.5 ** 0.5, abs=1e-14)
+        assert w[0] == pytest.approx(1.5 ** 0.5, abs=1e-14)
 
     def test_scaling_law_exact(self):
         for rule in (BE, SBD):
-            w1 = cq_weights(rule, 0.7, 1.0, 32).weights
-            wt = cq_weights(rule, 0.7, 0.01, 32).weights
+            w1 = cq_weights(rule, 0.7, 1.0, 32)
+            wt = cq_weights(rule, 0.7, 0.01, 32)
             assert np.array_equal(wt, w1 * 0.01 ** -0.7)
 
     def test_invalid_polynomial(self):
@@ -72,13 +72,13 @@ class TestWeights:
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_mpmath_taylor_oracle(self, rule, alpha):
         N = 24
-        w = cq_weights(rule, alpha, 0.25, N).weights
+        w = cq_weights(rule, alpha, 0.25, N)
         ref = mp_taylor_weights(rule, alpha, 0.25, N)
         assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_be_negative_monotone_partial_sums(self):
         # 0 < alpha < 1: all later weights negative, partial sums decrease to 0
-        w = cq_weights(BE, 0.4, 1.0, 400).weights
+        w = cq_weights(BE, 0.4, 1.0, 400)
         assert w[0] > 0.0
         assert np.all(w[1:] < 0.0)
         partial = np.cumsum(w)
@@ -90,21 +90,21 @@ class TestFftOracle:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     @pytest.mark.parametrize("rule", [BE, SBD])
     def test_agreement_n512(self, rule, alpha):
-        wr = cq_weights(rule, alpha, 1.0, 512).weights
-        wf = cq_weights_fft(rule, alpha, 1.0, 512).weights
+        wr = cq_weights(rule, alpha, 1.0, 512)
+        wf = cq_weights_fft(rule, alpha, 1.0, 512)
         scale = np.max(np.abs(wr))
         assert np.max(np.abs(wr - wf)) <= 1e-12 * scale
 
     def test_examples(self):
-        wr = cq_weights(BE, 0.5, 1.0, 64).weights
-        wf = cq_weights_fft(BE, 0.5, 1.0, 64).weights
+        wr = cq_weights(BE, 0.5, 1.0, 64)
+        wf = cq_weights_fft(BE, 0.5, 1.0, 64)
         assert np.max(np.abs(wr - wf)) <= 1e-12 * np.max(np.abs(wr))
-        wr = cq_weights(SBD, 1.5, 0.01, 128).weights
-        wf = cq_weights_fft(SBD, 1.5, 0.01, 128).weights
+        wr = cq_weights(SBD, 1.5, 0.01, 128)
+        wf = cq_weights_fft(SBD, 1.5, 0.01, 128)
         assert np.max(np.abs(wr - wf)) <= 1e-11 * np.max(np.abs(wr))
 
     def test_alpha_zero_is_identity(self):
-        w = cq_weights_fft(BE, 0.0, 1.0, 4).weights
+        w = cq_weights_fft(BE, 0.0, 1.0, 4)
         assert np.allclose(w, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -114,9 +114,9 @@ class TestComposition:
     def test_order_addition(self, rule, ab):
         a, b = ab
         N = 128
-        wa = cq_weights(rule, a, 1.0, N).weights
-        wb = cq_weights(rule, b, 1.0, N).weights
-        wab = cq_weights(rule, a + b, 1.0, N).weights
+        wa = cq_weights(rule, a, 1.0, N)
+        wb = cq_weights(rule, b, 1.0, N)
+        wab = cq_weights(rule, a + b, 1.0, N)
         conv = np.convolve(wa, wb)[: N + 1]
         assert np.max(np.abs(conv - wab)) <= 1e-12 * np.max(np.abs(wab))
 
@@ -159,7 +159,7 @@ class TestScalarStability:
     def test_be_mode_monotone(self, lam, alpha):
         # u solving the quadrature form of d^alpha(u - 1) + lam u = 0, u0 = 1
         N = 200
-        w = cq_weights(BE, alpha, 0.05, N).weights
+        w = cq_weights(BE, alpha, 0.05, N)
         u = np.empty(N + 1)
         u[0] = 1.0
         for n in range(1, N + 1):

@@ -361,6 +361,18 @@ class TestCli:
         )
         assert out.returncode == 2
 
+    def test_mlf_negative_argument_exit_code(self):
+        out = self.run_cli("mlf", "--alpha", "0.5", "--x-min", "-1")
+        assert out.returncode == 2
+
+    def test_study_missing_case_exit_code(self, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"alphas": [0.5], "schemes": ["be"], "kind": "temporal"}))
+        for args in (("--config", str(cfg_path)), ("--kind", "temporal")):
+            out = self.run_cli("study", *args)
+            assert out.returncode == 2, out.stderr
+            assert "missing config keys: ['case']" in out.stderr
+
     def test_case_alpha_mismatch_exit_code(self):
         out = self.run_cli("solve", "--case", "a", "--alpha", "1.5", "--N", "4", "--M", "4")
         assert out.returncode == 2

@@ -371,7 +371,7 @@ class TestStepSolvers:
         def run(sys_):
             if scheme in ("be", "sbd"):
                 return schemes.solve(sys_, case, schemes.SchemeConfig(scheme.upper()), grid)
-            return baselines.solve_baseline(sys_, case, scheme, alpha, grid)
+            return baselines.solve_baseline(sys_, case, scheme, grid)
 
         cg, modal = run(base), run(twin)
         assert (cg.backend, modal.backend) == ("cg", "modal")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as special
 
-from fracstep.mlf import MlfParams, mlf, mlf_neg, mlf_scaled_t
+from fracstep.mlf import mlf_neg
 
 
 def erfcx_cf(x, terms=500):
@@ -136,11 +136,11 @@ class TestDifferentiationFormula:
     )
     def test_central_difference(self, alpha, beta, lam, t):
         def f(s):
-            return mlf_scaled_t(MlfParams(alpha, beta), lam, s)
+            return s ** (beta - 1.0) * mlf_neg(alpha, beta, lam * s ** alpha)
 
         h = 1e-5 * t
         fd = (f(t + h) - f(t - h)) / (2.0 * h)
-        ref = mlf_scaled_t(MlfParams(alpha, beta - 1.0), lam, t)
+        ref = t ** (beta - 2.0) * mlf_neg(alpha, beta - 1.0, lam * t ** alpha)
         assert fd == pytest.approx(ref, rel=1e-6)
 
 
@@ -163,38 +163,24 @@ class TestCompleteMonotonicity:
         assert np.all(np.diff(vals) < 1e-15)
 
 
-class TestScaledT:
-    def test_t_zero_limits(self):
-        assert mlf_scaled_t(MlfParams(0.5, 1.0), 3.0, 0.0) == 1.0
-        assert mlf_scaled_t(MlfParams(0.5, 2.0), 3.0, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            mlf_scaled_t(MlfParams(0.5, 0.5), 3.0, 0.0)
-
-    def test_lambda_zero(self):
-        p = MlfParams(0.7, 1.7)
-        t = 0.3
-        assert mlf_scaled_t(p, 0.0, t) == pytest.approx(
-            t ** 0.7 / math.gamma(1.7), rel=1e-13
-        )
-
-    def test_exponential_case(self):
-        got = mlf_scaled_t(MlfParams(1.0, 1.0), 2.0, 0.3)
-        assert got == pytest.approx(math.exp(-0.6), rel=1e-13)
-
-
 class TestContracts:
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            MlfParams(2.5, 1.0)
-        with pytest.raises(ValueError):
-            MlfParams(0.5, -1.0)
-        with pytest.raises(ValueError):
-            MlfParams(0.0, 1.0)
+        for alpha in (0.0, -0.5, 2.5):
+            with pytest.raises(ValueError, match="alpha"):
+                mlf_neg(alpha, 1.0, 1.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta"):
+                mlf_neg(0.5, beta, 1.0)
 
     def test_positive_argument_rejected(self):
-        with pytest.raises(ValueError):
-            mlf(MlfParams(0.5, 1.0), 1.0)
+        # mlf_neg(alpha, beta, y) is E_{alpha,beta}(x) at x = -y
+        with pytest.raises(ValueError, match="nonnegative"):
+            mlf_neg(0.5, 1.0, -1.0)
 
-    def test_mlf_wrapper(self):
-        p = MlfParams(0.5, 1.0)
-        assert mlf(p, -2.0) == pytest.approx(float(special.erfcx(2.0)), rel=1e-11)
+    def test_submodule_import_binds_the_module(self):
+        import types
+
+        import fracstep.mlf as m
+
+        assert isinstance(m, types.ModuleType)
+        assert m.mlf_neg is mlf_neg

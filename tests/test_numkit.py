@@ -103,6 +103,12 @@ class TestCg:
         assert exc.value.residual > 0.0
         assert exc.value.iterations == 1
 
+    def test_indefinite_matrix_reported(self):
+        # eigenvalues 3 and -1; the first search direction has p^T A p = -2
+        A = sparse_from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(CgError, match="not positive definite"):
+            cg_solve(A, np.array([1.0, -1.0]))
+
     @pytest.mark.parametrize("n,seed", [(20, 0), (100, 1), (200, 2)])
     def test_agrees_with_cholesky_up_to_200(self, n, seed):
         B = random_spd(n, seed=seed)

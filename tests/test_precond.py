@@ -11,6 +11,7 @@ import scipy.fft
 import scipy.linalg as sla
 
 from fracstep import baselines, meshfem as mf, reference, schemes
+from fracstep.cq import BE, cq_weights
 from fracstep.numkit import CgError, cg_solve
 
 PAIRS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1e6, 1.0)]
@@ -111,6 +112,20 @@ class TestPreconditionedCg:
         assert exc.value.residual > 0.0
         assert exc.value.iterations == 1
 
+    def test_round_off_stall_reported_as_stall(self):
+        # the first BE step of case (a), alpha = 0.1, t = 0.1, N = 10 from
+        # x0 = v: the matrix is SPD, but 1e-14 asks for more than round-off
+        # allows, and CG breaks down near 6e-14 ||rhs||
+        sys_ = mf.fem_system(16)
+        case = reference.get_case("a", 0.1)
+        w0 = cq_weights(BE, case.alpha, schemes.TimeGrid(0.1, 10).tau, 10)[0]
+        solver = sys_.step_system(w0, 1.0)
+        v = mf.l2_project(sys_, case.v)
+        rhs = sys_.mass.matvec(w0 * v)
+        with pytest.raises(CgError, match=r"CG stalled at residual .* \(target") as exc:
+            cg_solve(solver.matrix, rhs, rel_tol=1e-14, x0=v, precond=solver.precond)
+        assert 1e-14 * np.linalg.norm(rhs) < exc.value.residual < 1e-12 * np.linalg.norm(rhs)
+
 
 class TestCallSites:
     @pytest.fixture
@@ -149,6 +164,40 @@ class TestCallSites:
         if scheme in ("be", "sbd"):
             hist = schemes.solve(sys_, case, schemes.SchemeConfig(stepper=scheme.upper()), grid)
         else:
-            hist = baselines.solve_baseline(sys_, case, scheme, alpha, grid)
+            hist = baselines.solve_baseline(sys_, case, scheme, grid)
         assert len(hist.solve_stats) == 10
         assert max(its for _, its, _ in hist.solve_stats) <= 20
+
+
+class TestStepTolerance:
+    """Every step solve and projection asks CG for meshfem.STEP_RTOL."""
+
+    @pytest.fixture
+    def tolerances(self, monkeypatch):
+        seen = []
+
+        def spy(*args, rel_tol, **kwargs):
+            seen.append(rel_tol)
+            return cg_solve(*args, rel_tol=rel_tol, **kwargs)
+
+        monkeypatch.setattr(mf, "cg_solve", spy)
+        return seen
+
+    @pytest.mark.parametrize("scheme", ["be", "l1", "zeng1", "zeng2", "cn"])
+    def test_steppers(self, tolerances, scheme):
+        sys_ = mf.fem_system(8)
+        case = reference.get_case("d" if scheme == "cn" else "b", 1.5 if scheme == "cn" else 0.5)
+        grid = schemes.TimeGrid(0.1, 4)
+        if scheme == "be":
+            schemes.solve(sys_, case, schemes.SchemeConfig(), grid)
+        else:
+            baselines.solve_baseline(sys_, case, scheme, grid)
+        assert len(tolerances) == 5
+        assert set(tolerances) == {mf.STEP_RTOL}
+
+    def test_projections(self, tolerances):
+        sys_ = mf.fem_system(8)
+        case = reference.get_case("a", 0.5)
+        mf.l2_project(sys_, case.v)
+        mf.ritz_project(sys_, case.v_grad)
+        assert tolerances == [mf.STEP_RTOL, mf.STEP_RTOL]
