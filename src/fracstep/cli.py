@@ -58,9 +58,8 @@ def _cmd_mlf(args):
     xs = np.geomspace(args.x_min, args.x_max, args.points) if args.x_min > 0 else (
         np.linspace(args.x_min, args.x_max, args.points)
     )
-    lines = ["x,E"]
-    for x in xs:
-        lines.append(f"{format(x, '.17g')},{format(mlf_neg(args.alpha, args.beta, x), '.17g')}")
+    vals = mlf_neg(args.alpha, args.beta, xs)
+    lines = ["x,E"] + [f"{format(x, '.17g')},{format(v, '.17g')}" for x, v in zip(xs, vals)]
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -334,7 +334,7 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def emit(report, fmt="csv", path=None):
+def emit(report, fmt="csv"):
     """Render a report as CSV (columns label,error_l2,error_h1,rate) or markdown."""
     if fmt == "csv":
         lines = ["label,error_l2,error_h1,rate"]
@@ -374,9 +374,6 @@ def emit(report, fmt="csv", path=None):
         text = "\n".join(lines)
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
 
 

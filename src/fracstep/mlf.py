@@ -1,17 +1,23 @@
 """Two-parameter Mittag-Leffler function on the nonpositive real axis.
 
 Evaluates E_{alpha,beta}(x) for x <= 0, alpha in (0, 2], beta > 0 at close to
-double precision. Three routes cover the axis:
+double precision, for one argument or a whole array of them. Three routes
+cover the axis, each written once over an array of arguments:
 
-* power series with compensated summation while cancellation stays bounded,
-* the algebraic large-argument expansion, truncated at its smallest term and
-  augmented (for alpha > 1) with the conjugate residue pair of the inversion
-  contour, which is not negligible at moderate arguments,
+* power series with compensated summation while cancellation stays bounded:
+  one Kahan loop over the term index, run across the elements still live;
+* the algebraic large-argument expansion, truncated at each element's own
+  smallest term and augmented (for alpha > 1) with the conjugate residue pair
+  of the inversion contour, which is not negligible at moderate arguments;
 * a real branch-cut integral in between, integrated by adaptive
-  Gauss-Legendre panels.
+  Gauss-Legendre panels run in lockstep: every element starts from its own
+  edges, and in each round every element not yet certified bisects its own
+  worst panel, so one set of numpy calls serves the whole round.
 
-Each route reports an error estimate, and the dispatcher falls through to the
-next route when the certificate misses the target: ``DEFAULT_TOL`` relative,
+An element meets the same arithmetic whatever else is in the array, so its
+value does not depend on the batch it is evaluated in. Each route reports an
+error estimate per element, and the dispatcher passes an element on to the
+next route when its certificate misses the target: ``DEFAULT_TOL`` relative,
 the one accuracy ``mlf_neg`` works to. The recurrence
 E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x) ties the routes together and is what
 the test suite uses to cross-validate them.
@@ -27,6 +33,11 @@ DEFAULT_TOL = 1e-12
 
 _GL_LO = np.polynomial.legendre.leggauss(10)
 _GL_HI = np.polynomial.legendre.leggauss(20)
+# both rules' nodes in one row, so a panel's integrand is one evaluation
+_GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
+_N_LO = len(_GL_LO[0])
+# term indices the series and the expansion form per step of their loops
+_BLOCK = 16
 
 
 class MlfAccuracyError(ArithmeticError):
@@ -67,123 +78,201 @@ def _gamma_ratio(a, b):
 
 
 def _try_series(alpha, beta, y):
-    """Kahan-compensated power series; returns (value, error estimate) or None.
+    """Kahan-compensated power series; returns (value, error estimate) arrays.
 
     The estimate tracks the accumulated magnitude of the terms so catastrophic
-    cancellation is detected rather than silently returned.
+    cancellation is detected rather than silently returned. An element whose
+    terms overflow or pass 1e40 gets an infinite estimate; every other element
+    stops on its own, after two terms in a row below 1e-17 of its sum.
+
+    Terms are formed _BLOCK indices at a time: the products, running sums
+    and maxima go down the block as sequential accumulations, the
+    compensated sum one row per index, and each element's stop is found in
+    the block afterwards, so every element sees exactly the operations of a
+    one-term-at-a-time loop.
     """
-    term = _recip_gamma(beta)
-    s = term
-    comp = 0.0
-    s_abs = abs(term)
-    max_abs = s_abs
-    small = 0
+    n = len(y)
+    val = np.zeros(n)
+    err = np.full(n, math.inf)
+    live, ys = np.arange(n), y
+    term = np.full(n, _recip_gamma(beta))
+    s, comp = term.copy(), np.zeros(n)
+    s_abs = np.abs(term)
+    max_abs = s_abs.copy()
+    tiny_last = np.zeros(n, dtype=bool)
     k = 0
-    while k < 20000:
-        k += 1
-        ratio = y * _gamma_ratio(alpha * (k - 1) + beta, alpha * k + beta)
-        term = -term * ratio
-        if not math.isfinite(term):
-            return None
-        t = s + (term - comp)
-        comp = (t - s) - (term - comp)
-        s = t
-        s_abs += abs(term)
-        max_abs = max(max_abs, abs(term))
-        if max_abs > 1e40:
-            return None
-        if abs(term) <= 1e-17 * max(abs(s), 1e-300):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    err = 4.0e-16 * s_abs + abs(term)
-    return s, err
+    # terms past an element's stop may overflow; they are computed, not used
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and k < 20000:
+            ks = range(k + 1, min(k + _BLOCK, 20000) + 1)
+            ratio = np.outer([_gamma_ratio(alpha * (j - 1) + beta, alpha * j + beta) for j in ks], ys)
+            terms = np.multiply.accumulate(np.vstack([term, -ratio]), axis=0)[1:]
+            sums = np.empty_like(terms)
+            for term_j, sum_j in zip(terms, sums):
+                x = term_j - comp
+                np.add(s, x, out=sum_j)
+                comp = sum_j - s
+                comp -= x
+                s = sum_j
+            mags = np.abs(terms)
+            s_abs_run = np.cumsum(np.vstack([s_abs, mags]), axis=0)[1:]
+            max_run = np.maximum.accumulate(np.vstack([max_abs, mags]), axis=0)[1:]
+            tiny = mags <= 1e-17 * np.maximum(np.abs(sums), 1e-300)
+            fail = ~np.isfinite(terms) | (max_run > 1e40)
+            event = fail | (tiny & np.vstack([tiny_last, tiny[:-1]]))
+            first, at = event.argmax(axis=0), np.arange(live.size)
+            stopped = event[first, at]
+            ok = stopped & ~fail[first, at]
+            j, i = first[ok], at[ok]
+            val[live[ok]] = sums[j, i]
+            err[live[ok]] = 4.0e-16 * s_abs_run[j, i] + mags[j, i]
+            go = ~stopped
+            live, ys, comp = live[go], ys[go], comp[go]
+            term, s, s_abs, max_abs, tiny_last = (
+                a[-1, go] for a in (terms, sums, s_abs_run, max_run, tiny)
+            )
+            k = ks[-1]
+    val[live] = s
+    err[live] = 4.0e-16 * s_abs + np.abs(term)
+    return val, err
 
 
 def _residue_pair(alpha, beta, y):
-    """Contribution of the conjugate pole pair of the inversion integrand."""
-    m = y ** (1.0 / alpha)
+    """Contribution of the conjugate pole pair of the inversion integrand.
+
+    Evaluated one element at a time with the math module's pow, exp and cos:
+    near a real zero of E the pair cancels against the rest of the value,
+    which magnifies the few ulp that numpy's vectorized versions of these
+    functions lose.
+    """
     theta = math.pi / alpha
-    damp = m * math.cos(theta)
-    if damp < -745.0:
-        return 0.0
-    return (
-        (2.0 / alpha)
-        * m ** (1.0 - beta)
-        * math.exp(damp)
-        * math.cos(m * math.sin(theta) + (1.0 - beta) * theta)
-    )
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    out = []
+    for v in y.tolist():
+        m = v ** (1.0 / alpha)
+        damp = m * cos_t
+        out.append(
+            0.0 if damp < -745.0 else
+            (2.0 / alpha) * m ** (1.0 - beta) * math.exp(damp)
+            * math.cos(m * sin_t + (1.0 - beta) * theta)
+        )
+    return np.array(out)
 
 
-def _term_envelope_log(alpha, beta, y_log, k):
-    # sin-free envelope of |y^-k / Gamma(beta - alpha k)|; the reflected
-    # sine factor oscillates, so truncation decisions use this instead
+def _envelope_log_part(alpha, beta, k):
+    # log of the sin-free envelope of |y^-k / Gamma(beta - alpha k)| is this
+    # minus k log y; the reflected sine factor oscillates, so truncation
+    # decisions use the envelope instead
     s = beta - alpha * k
     if s > 0.5:
-        return -math.lgamma(s) - k * y_log
-    return math.lgamma(1.0 - s) - math.log(math.pi) - k * y_log
+        return -math.lgamma(s)
+    return math.lgamma(1.0 - s) - math.log(math.pi)
 
 
 def _try_asymptotic(alpha, beta, y):
-    """Algebraic expansion truncated at its smallest term (plus residues)."""
-    if y < 1.5:
-        return None
-    s = 0.0
-    ln_y = math.log(y)
-    prev_env = math.inf
-    err = math.inf
-    for k in range(1, 400):
-        env_log = _term_envelope_log(alpha, beta, ln_y, k)
-        env = math.exp(env_log) if env_log < 700.0 else math.inf
-        if env > prev_env and k > 2:
-            err = env
-            break
-        prev_env = env
-        rg = _recip_gamma(beta - alpha * k)
-        if rg != 0.0:
-            s += (-1.0) ** (k + 1) * math.exp(-k * ln_y) * rg
-        if env <= 1e-18 * max(abs(s), 1e-300) and k > 2:
-            err = env
-            break
-    else:
-        err = prev_env
-    res = _residue_pair(alpha, beta, y) if alpha > 1.0 else 0.0
-    val = s + res
-    return val, err + 2e-16 * (abs(s) + abs(res))
+    """Algebraic expansion truncated at its smallest term (plus residues).
+
+    Returns (value, error estimate) arrays; elements below y = 1.5, where the
+    expansion does not apply, get an infinite estimate. Terms are formed
+    _BLOCK indices at a time and summed down the block in order; an element
+    stops before a growing term or after a negligible one.
+    """
+    val = np.zeros(len(y))
+    err = np.full(len(y), math.inf)
+    on = y >= 1.5
+    live = np.flatnonzero(on)
+    ln_y = np.log(y[live])
+    s = np.zeros(live.size)
+    prev_env = np.full(live.size, math.inf)
+    k = 1
+    while live.size and k < 400:
+        ks = np.arange(k, min(k + _BLOCK, 400))
+        part = np.array([_envelope_log_part(alpha, beta, j) for j in ks])
+        rg = np.array([_recip_gamma(beta - alpha * j) for j in ks])
+        k_ln_y = ks[:, None] * ln_y
+        env_log = part[:, None] - k_ln_y
+        env = np.where(env_log < 700.0, np.exp(np.minimum(env_log, 700.0)), math.inf)
+        sign = np.where(ks % 2 == 1, 1.0, -1.0)
+        terms = sign[:, None] * np.exp(-k_ln_y) * rg[:, None]
+        sums = np.cumsum(np.vstack([s, terms]), axis=0)
+        late = (ks > 2)[:, None]
+        grows = (env > np.vstack([prev_env, env[:-1]])) & late
+        event = grows | (env <= 1e-18 * np.maximum(np.abs(sums[1:]), 1e-300)) & late
+        first, at = event.argmax(axis=0), np.arange(live.size)
+        stopped = event[first, at]
+        # a growing term is left out of the sum; a negligible one is kept
+        j, i = first[stopped], at[stopped]
+        val[live[stopped]] = np.where(grows[j, i], sums[j, i], sums[j + 1, i])
+        err[live[stopped]] = env[j, i]
+        go = ~stopped
+        live, ln_y = live[go], ln_y[go]
+        s, prev_env = sums[-1, go], env[-1, go]
+        k = ks[-1] + 1
+    val[live] = s
+    err[live] = prev_env
+    res = np.zeros(len(y))
+    if alpha > 1.0:
+        res[on] = _residue_pair(alpha, beta, y[on])
+    return val + res, err + 2e-16 * (np.abs(val) + np.abs(res))
+
+
+def _panels(f, rows, lo, hi):
+    """(|fine - coarse|, fine) Gauss-Legendre estimates of each panel [lo, hi].
+
+    Panel i belongs to element rows[i]. The rule's weighted sums run over a
+    row of fixed length, so a panel's estimate does not depend on the others.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    v = f(mid[:, None] + half[:, None] * _GL_NODES, rows)
+    coarse = half * (v[:, :_N_LO] * _GL_LO[1]).sum(axis=1)
+    fine = half * (v[:, _N_LO:] * _GL_HI[1]).sum(axis=1)
+    return np.abs(fine - coarse), fine
 
 
 def _adaptive_gl(f, edges, scale_hint):
-    """Adaptive Gauss-Legendre panels over the given initial edges.
+    """Adaptive Gauss-Legendre panels over each element's edges, in lockstep.
 
-    Returns (integral, error estimate); panels are bisected worst-first until
-    the summed estimate meets DEFAULT_TOL relative to max(|integral|,
-    scale_hint).
+    Row i of ``edges`` holds element i's initial edges in increasing order,
+    padded at its end by repeating its last edge; ``f(r, rows)`` evaluates
+    the integrand of elements ``rows`` at the points r, one row of points per
+    element. Each element keeps its panels in one row of a table: a bisected
+    panel's left half takes its place and its right half goes to the end.
+    In each round, every element whose summed estimate misses DEFAULT_TOL
+    relative to max(|integral|, scale_hint) bisects its worst panel; sums run
+    left to right along the row, and padding adds exact zeros. Returns
+    (integral, error estimate) per element.
     """
-
-    def panel(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x_lo, w_lo = _GL_LO
-        x_hi, w_hi = _GL_HI
-        coarse = half * np.dot(w_lo, f(mid + half * x_lo))
-        fine = half * np.dot(w_hi, f(mid + half * x_hi))
-        return abs(fine - coarse), lo, hi, fine
-
-    panels = [panel(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    for _ in range(400):
-        total = sum(p[3] for p in panels)
-        err = sum(p[0] for p in panels)
-        scale = max(abs(total), scale_hint, 1e-300)
-        if err <= DEFAULT_TOL * scale:
-            return total, err
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, _ = panels[worst]
-        mid = 0.5 * (lo + hi)
-        panels[worst] = panel(lo, mid)
-        panels.append(panel(mid, hi))
-    return sum(p[3] for p in panels), sum(p[0] for p in panels)
+    n, m = edges.shape
+    lo, hi = edges[:, :-1].copy(), edges[:, 1:].copy()
+    fine, err = np.zeros_like(lo), np.zeros_like(lo)
+    real = hi > lo
+    err[real], fine[real] = _panels(f, np.nonzero(real)[0], lo[real], hi[real])
+    count = np.full(n, m - 1)
+    total, error = np.zeros(n), np.zeros(n)
+    live = np.arange(n)
+    for bisections in range(401):
+        tot = np.cumsum(fine[live], axis=1)[:, -1]
+        es = np.cumsum(err[live], axis=1)[:, -1]
+        done = es <= DEFAULT_TOL * np.maximum(np.maximum(np.abs(tot), scale_hint[live]), 1e-300)
+        # after 400 bisections an element returns what it has, certified or not
+        done |= bisections == 400
+        total[live[done]], error[live[done]] = tot[done], es[done]
+        live = live[~done]
+        if not live.size:
+            return total, error
+        if count[live].max() == lo.shape[1]:
+            grow = np.zeros((n, max(16, lo.shape[1] // 2)))
+            lo, hi, fine, err = (np.hstack([a, grow]) for a in (lo, hi, fine, err))
+        worst = np.argmax(err[live], axis=1)
+        a, b = lo[live, worst], hi[live, worst]
+        c = 0.5 * (a + b)
+        e2, f2 = _panels(f, np.concatenate([live, live]), np.concatenate([a, c]),
+                         np.concatenate([c, b]))
+        k, j = live.size, count[live]
+        hi[live, worst], err[live, worst], fine[live, worst] = c, e2[:k], f2[:k]
+        lo[live, j], hi[live, j], err[live, j], fine[live, j] = c, b, e2[k:], f2[k:]
+        count[live] += 1
 
 
 def _branch_cut_integral(alpha, beta, y, scale_hint):
@@ -193,42 +282,49 @@ def _branch_cut_integral(alpha, beta, y, scale_hint):
     s_amb = _sinpi(beta - alpha)
     width = abs(_sinpi(alpha))
 
-    def kernel(r):
-        r = np.asarray(r, dtype=float)
+    def kernel(r, rows):
+        yr = y[rows, None]
         ra = r ** alpha
-        denom = (ra + y * c) ** 2 + (y * width) ** 2
-        num = s_ab * ra + s_amb * y
+        denom = (ra + yr * c) ** 2 + (yr * width) ** 2
+        num = s_ab * ra + s_amb * yr
         return np.exp(-r) * r ** (alpha - beta) * num / denom / math.pi
 
-    edges = [1.0]
-    r_star = None
+    # candidate edges per element, one column each; NaN marks an absent one
+    cols = [np.ones(len(y))]
+    r_max = np.full(len(y), 50.0)
     if c < 0.0:
         r_star = (-y * c) ** (1.0 / alpha)
-        if r_star > 1e-3:
-            halfw = y * max(width, 1e-12) / (alpha * r_star ** (alpha - 1.0))
-            for fac in (-100.0, -30.0, -10.0, -3.0, -1.0, 1.0, 3.0, 10.0, 30.0, 100.0):
-                e = r_star + fac * halfw
-                if e > 1e-12:
-                    edges.append(e)
-            edges.append(r_star)
-    r_max = 50.0 if r_star is None else max(50.0, r_star + 45.0)
+        peak = r_star > 1e-3
+        halfw = y * max(width, 1e-12) / (alpha * r_star ** (alpha - 1.0))
+        for fac in (-100.0, -30.0, -10.0, -3.0, -1.0, 1.0, 3.0, 10.0, 30.0, 100.0):
+            e = r_star + fac * halfw
+            cols.append(np.where(peak & (e > 1e-12), e, math.nan))
+        cols.append(np.where(peak, r_star, math.nan))
+        r_max = np.maximum(50.0, r_star + 45.0)
     e = 2.0
-    while e < r_max:
-        edges.append(e)
+    while e < r_max.max():
+        cols.append(np.where(e < r_max, e, math.nan))
         e *= 2.0
-    edges.append(r_max)
-    edges = sorted(set(eg for eg in edges if 1e-300 < eg <= r_max))
+    cols.append(r_max)
+    edges = np.stack(cols, axis=1)
+    edges[~((edges > 1e-300) & (edges <= r_max[:, None]))] = math.nan
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = math.nan
+    edges.sort(axis=1)
+    width_max = int(np.max(np.sum(~np.isnan(edges), axis=1)))
+    edges = edges[:, :width_max]
+    edges = np.where(np.isnan(edges), r_max[:, None], edges)
 
     # first panel [0, e0] via r = u**p, removing the integrable r**(alpha-beta)
     # endpoint behaviour
     p = max(1.0, 2.0 / (alpha - beta + 1.0))
-    u_hi = edges[0] ** (1.0 / p)
+    u_hi = edges[:, 0] ** (1.0 / p)
 
-    def kernel_sub(u):
-        u = np.asarray(u, dtype=float)
-        return kernel(u ** p) * p * u ** (p - 1.0)
+    def kernel_sub(u, rows):
+        return kernel(u ** p, rows) * p * u ** (p - 1.0)
 
-    head, err_head = _adaptive_gl(kernel_sub, [0.0, u_hi], scale_hint)
+    head_edges = np.stack([np.zeros(len(y)), u_hi], axis=1)
+    head, err_head = _adaptive_gl(kernel_sub, head_edges, scale_hint)
     tail, err_tail = _adaptive_gl(kernel, edges, scale_hint)
     return head + tail, err_head + err_tail
 
@@ -238,9 +334,9 @@ def _mid(alpha, beta, y):
     if beta >= alpha + 0.75:
         inner, err = _mid(alpha, beta - alpha, y)
         return (_recip_gamma(beta - alpha) - inner) / y, err / y + 4e-16
-    res = _residue_pair(alpha, beta, y) if alpha > 1.0 else 0.0
-    integral, err = _branch_cut_integral(alpha, beta, y, abs(res))
-    return res + integral, err + 2e-16 * abs(res)
+    res = _residue_pair(alpha, beta, y) if alpha > 1.0 else np.zeros(len(y))
+    integral, err = _branch_cut_integral(alpha, beta, y, np.abs(res))
+    return res + integral, err + 2e-16 * np.abs(res)
 
 
 def _alpha_one(beta, y):
@@ -268,50 +364,66 @@ def _alpha_one(beta, y):
     return sign * math.exp(log_val)
 
 
+def _positive(alpha, beta, y):
+    """E_{alpha,beta}(-y) over a 1-d array of finite positive y, route by route."""
+    out, err = _try_series(alpha, beta, y)
+    rest = np.flatnonzero(~(err <= DEFAULT_TOL * np.abs(out)))
+    if rest.size:
+        val, err = _try_asymptotic(alpha, beta, y[rest])
+        ok = err <= DEFAULT_TOL * np.abs(val)
+        out[rest[ok]] = val[ok]
+        rest = rest[~ok]
+    if not rest.size:
+        return out
+    if alpha == 1.0:
+        out[rest] = [_alpha_one(beta, float(v)) for v in y[rest]]
+        return out
+
+    yr = y[rest]
+    val, err = _mid(alpha, beta, yr)
+    # near a real zero of E the relative error is condition-limited; judge
+    # the certificate against the generic magnitude on the axis instead
+    scale = np.maximum(np.maximum(np.abs(val), abs(_recip_gamma(beta)) / (1.0 + yr)), 1e-300)
+    miss = ~((err <= 100.0 * DEFAULT_TOL * scale) | (err <= 1e-300))
+    if miss.any():
+        worst = np.flatnonzero(miss)[np.argmax(err[miss])]
+        raise MlfAccuracyError(
+            f"achieved error estimate {err[worst]:.2e} for "
+            f"E_({alpha},{beta})(-{float(yr[worst])}) ({int(miss.sum())} of {len(yr)} "
+            "arguments missed the certificate)",
+            float(err[worst]),
+        )
+    out[rest] = val
+    return out
+
+
 def mlf_neg(alpha, beta, y):
-    """E_{alpha,beta}(-y) for y >= 0, certified to DEFAULT_TOL relative."""
+    """E_{alpha,beta}(-y) for y >= 0, certified to DEFAULT_TOL relative.
+
+    ``y`` is a scalar or an array of any shape: a scalar or 0-d array gives a
+    float, any other array an array of its shape. Raises ValueError if any
+    element is negative or NaN, and MlfAccuracyError, carrying the worst
+    element's bound, if any element misses its certificate. E(-inf) is the
+    limit 0, which E_{2,beta} has only for beta > 1.
+    """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if y < 0.0:
-        raise ValueError("y must be nonnegative")
-    if y == 0.0:
-        return _recip_gamma(beta)
-    if alpha != 1.0 and abs(alpha - 1.0) <= 1e-11:
-        # the contour peak narrows below double resolution as alpha -> 1;
-        # the parameter perturbation costs far less than the lost quadrature
-        alpha = 1.0
-
-    got = _try_series(alpha, beta, y)
-    if got is not None:
-        val, err = got
-        if err <= DEFAULT_TOL * abs(val):
-            return val
-
-    if alpha == 1.0:
-        asy = _try_asymptotic(alpha, beta, y)
-        if asy is not None:
-            val, err = asy
-            if err <= DEFAULT_TOL * abs(val):
-                return val
-        return _alpha_one(beta, y)
-
-    asy = _try_asymptotic(alpha, beta, y)
-    if asy is not None:
-        val, err = asy
-        if err <= DEFAULT_TOL * abs(val):
-            return val
-
-    val, err = _mid(alpha, beta, y)
-    # near a real zero of E the relative error is condition-limited; judge
-    # the certificate against the generic magnitude on the axis instead
-    scale = max(abs(val), abs(_recip_gamma(beta)) / (1.0 + y), 1e-300)
-    if err > 100.0 * DEFAULT_TOL * scale and err > 1e-300:
-        raise MlfAccuracyError(
-            f"achieved error estimate {err:.2e} for "
-            f"E_({alpha},{beta})(-{y})",
-            err,
-        )
-    return val
-
+    y = np.asarray(y, dtype=float)
+    if not np.all(y >= 0.0):
+        raise ValueError("y must be nonnegative and not NaN")
+    flat = y.ravel()
+    out = np.zeros(flat.shape)
+    out[flat == 0.0] = _recip_gamma(beta)
+    infinite = np.isinf(flat)
+    if alpha == 2.0 and beta <= 1.0 and infinite.any():
+        raise ValueError(f"E_(2,{beta})(-y) has no limit as y -> inf")
+    todo = np.flatnonzero((flat > 0.0) & ~infinite)
+    if todo.size:
+        if alpha != 1.0 and abs(alpha - 1.0) <= 1e-11:
+            # the contour peak narrows below double resolution as alpha -> 1;
+            # the parameter perturbation costs far less than the lost quadrature
+            alpha = 1.0
+        out[todo] = _positive(alpha, beta, flat[todo])
+    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)

@@ -218,15 +218,14 @@ def modal_coefficients(case, K_max=255):
 
 
 def _homogeneous_factor(alpha, beta, lam_flat, t):
-    """E_{alpha,beta}(-lam t^alpha) per mode, one mlf_neg call per distinct lam.
+    """E_{alpha,beta}(-lam t^alpha) per mode, from one array call of mlf_neg.
 
-    The continuous spectrum pi^2 (k^2 + l^2) repeats each value for (k, l)
-    and (l, k), and more often where k^2 + l^2 has several representations.
+    The call receives each distinct argument lam t^alpha once: the continuous
+    spectrum pi^2 (k^2 + l^2) repeats each value for (k, l) and (l, k), and
+    more often where k^2 + l^2 has several representations.
     """
-    ta = t ** alpha
-    lam_u, inv = np.unique(np.asarray(lam_flat, dtype=float), return_inverse=True)
-    vals = np.array([mlf_neg(alpha, beta, lv * ta) for lv in lam_u])
-    return vals[inv]
+    y_u, inv = np.unique(np.asarray(lam_flat, dtype=float) * t ** alpha, return_inverse=True)
+    return mlf_neg(alpha, beta, y_u)[inv]
 
 
 def duhamel_factor(alpha, source_powers, lam_flat, t):

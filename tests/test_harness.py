@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fracstep import harness, meshfem as mf, reference as ref, schemes
+from fracstep import cli, harness, meshfem as mf, reference as ref, schemes
 from fracstep.harness import ConfigError, StudyConfig, emit, parse_csv, run_study
 
 
@@ -232,9 +232,12 @@ class TestEmit:
         assert "(2.00)" in text
 
     def test_emit_to_file(self, small_temporal_report, tmp_path):
+        # the one file-writing path: `fracstep study --out` writes emit's text
         path = tmp_path / "report.csv"
-        emit(small_temporal_report, "csv", str(path))
-        assert path.read_text().startswith("label,error_l2,error_h1,rate")
+        args = ["study", "--case", "a", "--alpha", "0.5", "--kind", "temporal",
+                "--M", "8", "--N-list", "10,20,40,80", "--t", "0.1", "--out", str(path)]
+        assert cli.main(args) == 0
+        assert path.read_text() == emit(small_temporal_report, "csv")
 
 
 class TestReferenceConsistency:
@@ -364,6 +367,13 @@ class TestCli:
     def test_mlf_negative_argument_exit_code(self):
         out = self.run_cli("mlf", "--alpha", "0.5", "--x-min", "-1")
         assert out.returncode == 2
+
+    def test_mlf_nan_argument_exit_code(self):
+        for alpha in ("1.0", "1.5"):
+            out = self.run_cli("mlf", "--alpha", alpha, "--x-min", "nan", "--x-max", "1", "--points", "2")
+            assert out.returncode == 2, out.stdout
+            assert "NaN" in out.stderr
+            assert out.stdout == ""
 
     def test_study_missing_case_exit_code(self, tmp_path):
         cfg_path = tmp_path / "study.json"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.special as special
 
-from fracstep.mlf import mlf_neg
+import fracstep.mlf as mlf
+from fracstep.mlf import MlfAccuracyError, mlf_neg
 
 
 def erfcx_cf(x, terms=500):
@@ -84,7 +85,7 @@ class TestClosedForms:
     def test_erfcx_dense_grid(self):
         xs = np.linspace(0.0, 100.0, 401)
         ref = special.erfcx(xs)
-        got = np.array([mlf_neg(0.5, 1.0, float(x)) for x in xs])
+        got = mlf_neg(0.5, 1.0, xs)
         assert np.max(np.abs(got - ref) / ref) <= 1e-10
 
     @pytest.mark.parametrize("y", [0.3, 3.0, 12.0, 80.0, 700.0])
@@ -148,7 +149,7 @@ class TestBoundedness:
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.8, 2.0), (1.4, 1.0), (1.9, 1.9)])
     def test_algebraic_envelope(self, alpha, beta):
         xs = np.geomspace(1e-3, 1e6, 60)
-        vals = np.array([abs(mlf_neg(alpha, beta, float(x))) for x in xs])
+        vals = np.abs(mlf_neg(alpha, beta, xs))
         c = np.max(vals * (1.0 + xs))
         assert np.isfinite(c)
         assert c < 50.0
@@ -158,7 +159,7 @@ class TestCompleteMonotonicity:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8, 1.0])
     def test_positive_decreasing(self, alpha):
         xs = np.linspace(0.0, 40.0, 400)
-        vals = np.array([mlf_neg(alpha, 1.0, float(x)) for x in xs])
+        vals = mlf_neg(alpha, 1.0, xs)
         assert np.all(vals > 0.0)
         assert np.all(np.diff(vals) < 1e-15)
 
@@ -184,3 +185,158 @@ class TestContracts:
 
         assert isinstance(m, types.ModuleType)
         assert m.mlf_neg is mlf_neg
+
+    def test_nan_rejected(self):
+        # alpha = 1 has its own route, which must refuse NaN as the others do
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            with pytest.raises(ValueError, match="NaN"):
+                mlf_neg(alpha, 1.0, math.nan)
+            with pytest.raises(ValueError, match="NaN"):
+                mlf_neg(alpha, 1.0, np.array([0.0, 1.0, math.nan]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            mlf_neg(0.5, 1.0, np.array([[1.0, 2.0], [3.0, -1e-300]]))
+
+    def test_infinite_argument(self):
+        for alpha in (0.3, 1.0, 1.5, 1.9):
+            assert mlf_neg(alpha, 1.0, math.inf) == 0.0
+        assert mlf_neg(2.0, 2.0, math.inf) == 0.0
+        got = mlf_neg(1.5, 2.0, np.array([0.0, 3.0, math.inf]))
+        assert got[2] == 0.0 and got[0] == 1.0
+        # E_{2,beta}(-y) keeps oscillating without decay for beta <= 1
+        with pytest.raises(ValueError, match="no limit"):
+            mlf_neg(2.0, 1.0, math.inf)
+
+
+def _series_one_at_a_time(alpha, beta, y):
+    """The power-series route for one argument, one term per loop step."""
+    term = mlf._recip_gamma(beta)
+    s, comp, s_abs, max_abs, small = term, 0.0, abs(term), abs(term), 0
+    for k in range(1, 20001):
+        term = -term * (y * mlf._gamma_ratio(alpha * (k - 1) + beta, alpha * k + beta))
+        if not math.isfinite(term):
+            return 0.0, math.inf
+        t = s + (term - comp)
+        comp = (t - s) - (term - comp)
+        s = t
+        s_abs += abs(term)
+        max_abs = max(max_abs, abs(term))
+        if max_abs > 1e40:
+            return 0.0, math.inf
+        small = small + 1 if abs(term) <= 1e-17 * max(abs(s), 1e-300) else 0
+        if small >= 2:
+            break
+    return s, 4.0e-16 * s_abs + abs(term)
+
+
+# y grid over all three routes: series at small y, the branch-cut integral
+# in between, the expansion (with residues for alpha > 1) at large y
+_ROUTE_GRID = np.array([0.0, 0.5, 2.0, 7.0, 19.0, 45.0, 120.0, 400.0])
+
+
+class TestArrayCalls:
+    def test_scalar_and_zero_d_give_float(self):
+        for y in (0.0, 2.0, np.float64(2.0), np.array(2.0), 3):
+            got = mlf_neg(0.7, 1.3, y)
+            assert type(got) is float
+        assert mlf_neg(0.7, 1.3, np.array(2.0)) == mlf_neg(0.7, 1.3, 2.0)
+
+    @pytest.mark.parametrize(
+        "y",
+        [np.array([1.0, 30.0]), np.linspace(0.0, 50.0, 12).reshape(3, 4),
+         np.zeros((2, 0)), np.zeros(0), np.array([0.0, 5.0, 0.0]), np.zeros((2, 2))],
+        ids=["1d", "2d", "empty_2d", "empty", "zeros_inside", "all_zero"],
+    )
+    def test_shape_kept(self, y):
+        got = mlf_neg(1.5, 1.0, y)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == y.shape
+        assert np.all(got[y == 0.0] == 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.3, 1.0), (0.7, 1.9), (1.0, 1.0), (1.0, 2.5), (1.5, 1.0),
+                       (1.5, 2.7), (1.9, 1.9), (2.0, 2.0)],
+    )
+    def test_batch_invariance(self, alpha, beta):
+        ys = np.concatenate([_ROUTE_GRID, np.geomspace(1e-3, 1e3, 25)])
+        got = mlf_neg(alpha, beta, ys)
+        for i, y in enumerate(ys):
+            assert mlf_neg(alpha, beta, y) == got[i], (alpha, beta, y)
+        # and in a reversed sub-batch
+        sub = ys[::-3]
+        assert np.array_equal(mlf_neg(alpha, beta, sub), got[::-3])
+
+    @pytest.mark.parametrize("alpha,beta", [(0.1, 1.0), (0.5, 1.7), (1.0, 2.5), (1.5, 1.0), (1.9, 2.7)])
+    def test_series_route_matches_term_by_term_loop(self, alpha, beta):
+        # the block-wise array series does the loop's arithmetic exactly
+        ys = np.concatenate([_ROUTE_GRID[1:], np.geomspace(1e-3, 3e2, 30)])
+        val, err = mlf._try_series(alpha, beta, ys)
+        for i, y in enumerate(ys):
+            assert (val[i], err[i]) == _series_one_at_a_time(alpha, beta, float(y)), y
+
+    def test_oracle_one_call_per_pair(self, monkeypatch):
+        # each route spied on, so the grid is known to reach every one
+        seen = {"series": 0, "asymptotic": 0, "mid_betas": [], "residue_betas": []}
+
+        def spy(name, record):
+            real = getattr(mlf, name)
+
+            def wrapped(alpha, beta, y, *rest):
+                out = real(alpha, beta, y, *rest)
+                record(alpha, beta, y, out)
+                return out
+
+            monkeypatch.setattr(mlf, name, wrapped)
+
+        def certified(key):
+            def record(alpha, beta, y, out):
+                val, err = out
+                seen[key] += int(np.sum(err <= mlf.DEFAULT_TOL * np.abs(val)))
+            return record
+
+        spy("_try_series", certified("series"))
+        spy("_try_asymptotic", certified("asymptotic"))
+        spy("_mid", lambda a, b, y, out: seen["mid_betas"].append((b, len(y))))
+        spy("_residue_pair", lambda a, b, y, out: seen["residue_betas"].append((b, len(y))))
+
+        pairs = [(0.7, 1.0), (0.7, 1.9), (1.5, 1.0), (1.5, 2.7), (1.9, 1.0)]
+        for alpha, beta in pairs:
+            ys, refs = [], []
+            for y in _ROUTE_GRID:
+                try:
+                    refs.append(mp_mlf(alpha, beta, y))
+                except ValueError:
+                    continue
+                ys.append(y)
+            ys, refs = np.array(ys), np.array(refs)
+            assert len(ys) >= 6
+            got = mlf_neg(alpha, beta, ys)
+            scale = np.maximum(np.abs(refs), 1e-3 / (1.0 + ys))
+            assert np.all(np.abs(got - refs) <= 1e-11 * scale), (alpha, beta)
+        assert seen["series"] > 0 and seen["asymptotic"] > 0
+        # the recurrence: _mid at beta = 2.7 calls itself at 2.7 - 1.5 = 1.2,
+        # where the residue pair joins the integral
+        mids = {b for b, n in seen["mid_betas"] if n}
+        assert {1.9, 2.7}.issubset(mids) and 2.7 - 1.5 in mids
+        assert (2.7 - 1.5) in {b for b, n in seen["residue_betas"] if n}
+
+    def test_accuracy_error_reports_worst_element(self, monkeypatch):
+        real = mlf._mid
+        ys = np.array([12.0, 19.0, 45.0, 80.0])  # all four reach the middle zone
+
+        def mid_with(bounds):
+            def fake(alpha, beta, y):
+                val, err = real(alpha, beta, y)
+                return val, np.maximum(err, bounds)
+            return fake
+
+        monkeypatch.setattr(mlf, "_mid", mid_with(np.array([0.0, 2e-3, 0.0, 5e-3])))
+        with pytest.raises(MlfAccuracyError) as info:
+            mlf_neg(1.5, 1.0, ys)
+        assert info.value.achieved == 5e-3
+        assert "2 of 4" in str(info.value)
+        monkeypatch.setattr(mlf, "_mid", mid_with(np.array([0.0, 2e-3, 0.0, 0.0])))
+        with pytest.raises(MlfAccuracyError) as info:
+            mlf_neg(1.5, 1.0, ys)
+        assert info.value.achieved == 2e-3
+        monkeypatch.setattr(mlf, "_mid", real)
+        assert np.array_equal(mlf_neg(1.5, 1.0, ys), [mlf_neg(1.5, 1.0, y) for y in ys])
