@@ -83,6 +83,7 @@ def _solve_zeng(sys, case, grid, variant):
     half = 0.5 ** alpha
     if variant == 1:
         signed = w * (-1.0) ** np.arange(N + 1)     # weights of (1 + z)^alpha
+        rev = np.ascontiguousarray(signed[::-1])    # rev[N-n+m] = signed[n-m]
         SU = np.zeros((N, sys.n_dof))               # SU[m] = S U^m, filled as needed
 
     def rhs(n, conv, U):
@@ -93,7 +94,7 @@ def _solve_zeng(sys, case, grid, variant):
         out = ta * sys.mass.matvec(acc)
         if variant == 1:
             SU[n - 1] = sys.stiffness.matvec(U[n - 1])
-            out -= half * np.tensordot(signed[1 : n + 1], SU[n - 1 :: -1], axes=(0, 0))
+            out -= half * (rev[N - n : N] @ SU[:n])
             if chi is not None:
                 out += half * float(np.dot(signed[: n + 1], scal[n::-1])) * chi
         else:

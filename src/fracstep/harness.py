@@ -12,10 +12,9 @@ Study kinds:
   to expose the data-regularity exponent of the error constant.
 
 Temporal and decay studies against the discrete-modal reference hold the
-eigensystem of the mesh's pencil anyway. Up to ``MODAL_MAX_DOF`` unknowns
-their schemes step on a twin of the system that carries it, so every step is
-solved exactly in the eigenbasis instead of by CG (see :mod:`meshfem`). All
-other runs, and the cached ``fem_system(M)`` itself, stay on CG.
+eigensystem of the mesh's pencil anyway, so they step, take the reference and
+measure errors in the modal view of the system (see :mod:`meshfem`), with no
+basis product and no CG. All other runs work in nodal coordinates with CG.
 
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import baselines, meshfem, reference, schemes
 
@@ -34,15 +33,6 @@ BASELINE_SCHEMES = baselines.KINDS
 ALL_SCHEMES = PRIMARY_SCHEMES + BASELINE_SCHEMES
 
 REFERENCES = ("discrete_modal", "continuous_modal", "self_convergence")
-
-# Largest n_dof on which discrete-modal studies step in the eigenbasis.
-# Median time per step of BE and SBD marches on 2 vCPUs with one BLAS
-# thread, two runs: the modal solve (four dense and two sparse products)
-# against preconditioned CG (7.5-8.5 iterations; lower quartile in brackets):
-# 82-91 us vs 474-522 (250-277) at n_dof = 225, 125-170 vs 327-502 (151-259)
-# at 361, 229-345 vs 356-541 (188-273) at 441, 379-562 vs 405-602 (221-302)
-# at 529.
-MODAL_MAX_DOF = 361
 
 STUDY_CONFIG_SCHEMA = {
     "type": "object",
@@ -249,28 +239,23 @@ def _spatial_block(cfg, case, sol, scheme):
         hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(cfg.t, cfg.N), cfg.corrected)
         return meshfem.error_norms(sys, hist.final, sol, sol.grad)
 
-    pairs = [one(M) for M in cfg.M_list]
-    l2 = [p[0] for p in pairs]
-    h1 = [p[1] for p in pairs]
-    return list(cfg.M_list), l2, h1
+    l2, h1 = zip(*[one(M) for M in cfg.M_list])
+    return list(cfg.M_list), list(l2), h1
 
 
 def _stepping_system(cfg, sys):
-    """The system a temporal or decay study steps on: a twin of ``sys`` that
-    carries the eigensystem of the discrete-modal reference, or ``sys``."""
-    if cfg.reference != "discrete_modal" or sys.n_dof > MODAL_MAX_DOF:
-        return sys
-    return replace(sys, eigensystem=reference._eigensystem(sys))
+    """The system a temporal or decay study steps on: its modal view against
+    the discrete-modal reference, else ``sys`` itself."""
+    return reference.modal_view(sys) if cfg.reference == "discrete_modal" else sys
 
 
 def run_study(cfg):
     """Execute the configured study; one report with a block per combo."""
     blocks = []
     normalized = None
-    sys = step_sys = None
+    sys = None
     if cfg.kind in ("temporal", "decay"):
-        sys = meshfem.fem_system(cfg.M)
-        step_sys = _stepping_system(cfg, sys)
+        sys = _stepping_system(cfg, meshfem.fem_system(cfg.M))
     for alpha in cfg.alphas:
         case = reference.get_case(cfg.case, alpha)
         norm = case.v_l2_norm if case.v is not None else 0.0
@@ -286,11 +271,11 @@ def run_study(cfg):
             refs = [reference.discrete_reference(sys, case, t) if discrete else None for t in ts]
         for scheme in cfg.schemes:
             if cfg.kind == "temporal":
-                xs, errs = _temporal_block(cfg, case, step_sys, scheme, refs[0])
+                xs, errs = _temporal_block(cfg, case, sys, scheme, refs[0])
                 labels = [f"N={n}" for n in xs]
                 h1 = [None] * len(errs)
             elif cfg.kind == "decay":
-                xs, errs = _decay_block(cfg, case, step_sys, scheme, ts, refs)
+                xs, errs = _decay_block(cfg, case, sys, scheme, ts, refs)
                 labels = [f"t={t:g}" for t in xs]
                 h1 = [None] * len(errs)
             else:

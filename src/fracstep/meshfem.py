@@ -7,28 +7,25 @@ conditions are imposed by eliminating boundary rows and columns, so all
 systems act on the (M-1)^2 interior degrees of freedom.
 
 Every linear system here has the form a M + b S with the interior mass M and
-stiffness S, and ``FemSystem.step_system(a, b)`` returns the one solver object
-for it, with ``solve(rhs, x0, stats)``. It has two backends:
+stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
+``solve(rhs, x0, stats)``. Two kinds of system share this interface:
 
-* ``cg`` (the default): CG to the relative residual ``STEP_RTOL``,
-  preconditioned with P = a M~ + b S, where M~ is the mass stencil with its
-  diagonal coupling spread evenly over both diagonals. M~ and S are both
-  diagonal in the 2-D sine basis of the interior grid, so P is inverted by
-  four dense products with the DST-I matrix (fast diagonalization: Lynch,
-  Rice & Thomas 1964; Buzbee, Golub & Nielson 1970).
-  The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every
-  a, b >= 0, so the iteration count does not grow as the mesh is refined.
-* ``modal``: when the system carries the M-orthonormal eigensystem
-  (lam, Phi) of the pencil (S, M), the exact inverse
-  x = Phi ((Phi^T rhs) / (a + b lam)), applied once more to the residual
-  (one step of iterative refinement); no iteration count, no tolerance.
-
-A system carries an eigensystem only if the code that made it put one there
-with ``dataclasses.replace(sys, eigensystem=(lam, Phi))``; the cached
-``fem_system(M)`` never does, so it always solves by CG. The study harness
-makes such a twin for temporal and decay studies against the discrete modal
-reference, which computes the eigensystem anyway, on meshes small enough
-that the dense products beat CG (``harness.MODAL_MAX_DOF``).
+* ``FemSystem`` (``fem_system(M)``), in nodal coordinates, solves by CG
+  (backend ``cg``) to the relative residual ``STEP_RTOL``, preconditioned
+  with P = a M~ + b S, where M~ is the mass stencil with its diagonal
+  coupling spread evenly over both diagonals. M~ and S are both diagonal in
+  the 2-D sine basis of the interior grid, so P is inverted by four dense
+  products with the DST-I matrix (fast diagonalization: Lynch, Rice &
+  Thomas 1964; Buzbee, Golub & Nielson 1970). The spectrum of
+  P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every a, b >= 0,
+  so the iteration count does not grow as the mesh is refined.
+* ``ModalSystem``, the modal view of a ``FemSystem``, works in the
+  coordinates c = Phi^T M u of the M-orthonormal eigensystem (lam, Phi) of
+  the pencil (S, M): the mass is the identity, the stiffness diag(lam), an
+  assembled nodal load F becomes Phi^T F (``coords``), and a step solve is
+  one division per mode (backend ``modal``). So ``l2_project`` gives
+  Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
+  norm. ``reference.modal_view`` builds it from the reference's eigensolve.
 
 Element mass/stiffness matrices are exact closed forms. Data integration
 (load vectors) uses a 6-point degree-4 triangle rule; error norms use a
@@ -39,6 +36,7 @@ sine modes that a degree-4 rule would misresolve on coarse cells.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,33 +141,25 @@ class FemSystem:
 
     # element gradients for vectorized quadrature, filled by assemble()
     _grads: np.ndarray = field(default=None, repr=False)
-    # (lam, Phi) with Phi^T mass Phi = I and Phi^T stiffness Phi = diag(lam);
-    # when set, step systems are solved in this basis instead of by CG
-    eigensystem: tuple = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.eigensystem is not None:
-            lam, basis = self.eigensystem
-            n = self.n_dof
-            if np.shape(lam) != (n,) or np.shape(basis) != (n, n):
-                raise ValueError(f"eigensystem must be (lam ({n},), Phi ({n}, {n}))")
 
     @property
     def n_dof(self):
         return self.mesh.n_interior
 
-    def step_system(self, a, b):
-        """The solver of (a*mass + b*stiffness) x = rhs; a, b >= 0, not both 0.
+    @property
+    def fem(self):
+        """The nodal system that assembles this system's loads: itself."""
+        return self
 
-        It solves in the carried eigensystem if there is one, else by CG to
-        ``STEP_RTOL`` (see the module docstring).
-        """
-        if not (a >= 0.0 and b >= 0.0 and a + b > 0.0):
-            raise ValueError(f"step system needs a, b >= 0, not both zero (got {a}, {b})")
+    def coords(self, load):
+        """An assembled nodal load in this system's coordinates: unchanged."""
+        return load
+
+    def step_system(self, a, b):
+        """The CG solver of (a*mass + b*stiffness) x = rhs to ``STEP_RTOL``;
+        a, b >= 0, not both 0 (see the module docstring)."""
+        _check_step(a, b)
         matrix = self.mass.scaled_add(a, self.stiffness, b)
-        if self.eigensystem is not None:
-            lam, basis = self.eigensystem
-            return ModalSolver(matrix, basis, a + b * lam)
         return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b))
 
     def quad_points(self, order=4):
@@ -204,34 +194,50 @@ class CgSolver:
         )
 
 
-class ModalSolver:
-    """Backend ``modal``: x = Phi ((Phi^T rhs) / denom) with denom = a + b lam."""
+class ModalSystem:
+    """The modal view of ``fem`` (see the module docstring)."""
+
+    def __init__(self, fem, lam, basis):
+        n = fem.n_dof
+        if np.shape(lam) != (n,) or np.shape(basis) != (n, n):
+            raise ValueError(f"eigensystem must be (lam ({n},), Phi ({n}, {n}))")
+        self.fem, self.lam, self.basis = fem, lam, basis
+        self.n_dof = n
+        self.mass, self.stiffness = Diagonal(np.ones(n)), Diagonal(lam)
+
+    def coords(self, load):
+        """The modal coordinates Phi^T F of an assembled nodal load F."""
+        return self.basis.T @ load
+
+    def step_system(self, a, b):
+        _check_step(a, b)
+        return Diagonal(a + b * self.lam)
+
+
+class Diagonal:
+    """diag(d): the modal view's mass and stiffness, and its step solver."""
 
     backend = "modal"
 
-    def __init__(self, matrix, basis, denom):
-        self.matrix = matrix
-        self.basis = basis
-        self.denom = denom
+    def __init__(self, d):
+        self.d = d
 
-    def _apply(self, v):
-        return self.basis @ ((self.basis.T @ v) / self.denom)
+    def matvec(self, x):
+        return self.d * x
 
     def solve(self, rhs, x0=None, stats=None):
-        """The exact solution up to round-off; ``x0`` is not needed.
-
-        The two dense products alone leave a residual of 2e-15 to 3e-14
-        ||rhs||, large enough to show in decay-study errors near 1e-12 ||v||;
-        one step of iterative refinement against the sparse matrix brings it
-        to 2e-16 to 8e-16 ||rhs|| (M = 8..24). A ``stats`` dict receives
-        0 iterations and the true residual ||matrix x - rhs||, as from CG.
-        """
-        x = self._apply(rhs)
-        x += self._apply(rhs - self.matrix.matvec(x))
+        """rhs / d, exact up to one rounding per entry; ``x0`` is not needed.
+        A ``stats`` dict receives 0 iterations and the residual ||d x - rhs||."""
+        x = rhs / self.d
         if stats is not None:
-            stats["iterations"] = 0
-            stats["residual"] = float(np.linalg.norm(rhs - self.matrix.matvec(x)))
+            r = self.d * x - rhs
+            stats["iterations"], stats["residual"] = 0, math.sqrt(r @ r)
         return x
+
+
+def _check_step(a, b):
+    if not (a >= 0.0 and b >= 0.0 and a + b > 0.0):
+        raise ValueError(f"step system needs a, b >= 0, not both zero (got {a}, {b})")
 
 
 def sine_basis(n):
@@ -319,18 +325,24 @@ def fem_system(M):
     return assemble(build_mesh(M))
 
 
+def _scatter(sys, contrib):
+    """Sum per-element contributions (nel, 3) into the interior nodal load,
+    then map it to the coordinates of ``sys``."""
+    mesh = sys.fem.mesh
+    out = np.zeros(mesh.n_interior)
+    dofs = mesh.interior_map[mesh.triangles]
+    ok = dofs >= 0
+    np.add.at(out, dofs[ok], contrib[ok])
+    return sys.coords(out)
+
+
 def load_vector(sys, g):
-    """Interior load vector (g, phi_i) by elementwise quadrature."""
-    pts, w, shape = sys.quad_points()
+    """Load vector (g, phi_i) by elementwise quadrature, in sys's coordinates."""
+    pts, w, shape = sys.fem.quad_points()
     vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     if vals.shape != pts.shape[:2]:
         vals = np.broadcast_to(vals, pts.shape[:2])
-    contrib = np.einsum("eq,q,qa->ea", vals, w, shape)
-    out = np.zeros(sys.n_dof)
-    dofs = sys.mesh.interior_map[sys.mesh.triangles]
-    ok = dofs >= 0
-    np.add.at(out, dofs[ok], contrib[ok])
-    return out
+    return _scatter(sys, np.einsum("eq,q,qa->ea", vals, w, shape))
 
 
 def l2_project(sys, g):
@@ -340,7 +352,8 @@ def l2_project(sys, g):
 
 def ritz_project(sys, g_grad):
     """Coefficients of the energy projection; ``g_grad(x, y) -> (gx, gy)``."""
-    pts, w, _ = sys.quad_points()
+    fem = sys.fem
+    pts, w, _ = fem.quad_points()
     gx, gy = g_grad(pts[..., 0], pts[..., 1])
     gx = np.broadcast_to(np.asarray(gx, dtype=float), pts.shape[:2])
     gy = np.broadcast_to(np.asarray(gy, dtype=float), pts.shape[:2])
@@ -348,12 +361,8 @@ def ritz_project(sys, g_grad):
     # quadrature average of grad g per element
     mean_gx = gx @ w
     mean_gy = gy @ w
-    contrib = mean_gx[:, None] * sys._grads[:, 0, :] + mean_gy[:, None] * sys._grads[:, 1, :]
-    out = np.zeros(sys.n_dof)
-    dofs = sys.mesh.interior_map[sys.mesh.triangles]
-    ok = dofs >= 0
-    np.add.at(out, dofs[ok], contrib[ok])
-    return sys.step_system(0.0, 1.0).solve(out)
+    contrib = mean_gx[:, None] * fem._grads[:, 0, :] + mean_gy[:, None] * fem._grads[:, 1, :]
+    return sys.step_system(0.0, 1.0).solve(_scatter(sys, contrib))
 
 
 def l2_norm(sys, c):

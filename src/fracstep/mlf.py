@@ -140,13 +140,17 @@ def _try_series(alpha, beta, y):
 def _residue_pair(alpha, beta, y):
     """Contribution of the conjugate pole pair of the inversion integrand.
 
-    Evaluated one element at a time with the math module's pow, exp and cos:
-    near a real zero of E the pair cancels against the rest of the value,
-    which magnifies the few ulp that numpy's vectorized versions of these
-    functions lose.
+    Evaluated one element at a time with the math module's functions: near
+    a real zero of E the pair cancels against the rest of the value, which
+    magnifies the few ulp that numpy's vectorized versions of them lose. At
+    alpha = 2 the damping is exactly 0 (not m cos(pi/2) = 6.1e-17 m), and the
+    phase m sin(theta) + (1 - beta) theta goes by angle addition, so its
+    second part keeps its digits however large m is.
     """
     theta = math.pi / alpha
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_t = 0.0 if alpha == 2.0 else math.cos(theta)
+    sin_t = math.sin(theta)
+    cos_s, sin_s = math.cos((1.0 - beta) * theta), math.sin((1.0 - beta) * theta)
     out = []
     for v in y.tolist():
         m = v ** (1.0 / alpha)
@@ -154,7 +158,7 @@ def _residue_pair(alpha, beta, y):
         out.append(
             0.0 if damp < -745.0 else
             (2.0 / alpha) * m ** (1.0 - beta) * math.exp(damp)
-            * math.cos(m * sin_t + (1.0 - beta) * theta)
+            * (math.cos(m * sin_t) * cos_s - math.sin(m * sin_t) * sin_s)
         )
     return np.array(out)
 

@@ -5,12 +5,11 @@ Everything here depends on numpy alone and is sized for desk-scale problems:
 preconditioned CG (Jacobi by default, or any caller-supplied SPD
 preconditioner such as the sine-transform one of ``meshfem``), and a dense
 generalized symmetric eigensolve (built on ``numpy.linalg``). CG is the
-``cg`` backend of ``meshfem``'s step solver and answers every step solve
-except those of discrete-modal studies on small meshes, always to the one
-tolerance ``meshfem.STEP_RTOL``; ``cg_solve`` itself takes any ``rel_tol``.
-The eigensolve backs the discrete modal reference, and its eigenpairs are the
-``modal`` backend that answers those steps exactly (selection rule:
-``meshfem`` and ``harness.MODAL_MAX_DOF``).
+``cg`` backend of ``meshfem``'s step solver and answers every step solve in
+nodal coordinates, always to the one tolerance ``meshfem.STEP_RTOL``;
+``cg_solve`` itself takes any ``rel_tol``. The eigensolve backs the discrete
+modal reference, and its eigenpairs define the modal view
+(``meshfem.ModalSystem``) in which discrete-modal studies step without CG.
 """
 
 from __future__ import annotations

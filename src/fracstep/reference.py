@@ -97,22 +97,21 @@ class CaseSpec:
         return sum(c * t ** (g + 1.0) / (g + 1.0) for c, g in self.source_powers)
 
     def vhat(self, k, l):
-        if self.v_factors is None:
-            return np.zeros(np.broadcast(k, l).shape)
-        fx, fy = self.v_factors
-        return 2.0 * fx(k) * fy(l)
+        return _sine_coefficient(self.v_factors, k, l)
 
     def bhat(self, k, l):
-        if self.b_factors is None:
-            return np.zeros(np.broadcast(k, l).shape)
-        fx, fy = self.b_factors
-        return 2.0 * fx(k) * fy(l)
+        return _sine_coefficient(self.b_factors, k, l)
 
     def fhat(self, k, l):
-        if self.f_factors is None:
-            return np.zeros(np.broadcast(k, l).shape)
-        fx, fy = self.f_factors
-        return 2.0 * fx(k) * fy(l)
+        return _sine_coefficient(self.f_factors, k, l)
+
+
+def _sine_coefficient(factors, k, l):
+    """(g, phi_kl) = 2 fx(k) fy(l) for factors (fx, fy); zeros for None."""
+    if factors is None:
+        return np.zeros(np.broadcast(k, l).shape)
+    fx, fy = factors
+    return 2.0 * fx(k) * fy(l)
 
 
 _EPS_HALF = 0.5  # characteristic data sit in H^(1/2 - eps); rates use 1/2
@@ -372,36 +371,43 @@ def _eigensystem(sys):
     return lam, basis
 
 
+@functools.lru_cache(maxsize=8)
+def modal_view(sys):
+    """``meshfem.ModalSystem`` of ``sys`` on the discrete reference's eigensystem."""
+    return meshfem.ModalSystem(sys, *_eigensystem(sys))
+
+
 @functools.lru_cache(maxsize=64)
 def _discrete_expansion(sys, case):
     """Eigen-expansion of the projected case data on a FEM system.
 
     The L2 projection c = M^-1 F of a load vector F has the modal
-    coefficients Phi^T M c = Phi^T F, so they need no mass solve and carry
-    no solver tolerance. As t -> 0 the reference tends to this projection; a
-    CG tolerance here would leave an error floor of about 1e-12 ||v|| against
-    a scheme that projects exactly, such as one on the modal step backend.
+    coefficients Phi^T M c = Phi^T F, the load in the modal view's
+    coordinates, so they need no mass solve and carry no solver tolerance.
+    As t -> 0 the reference tends to this projection; a CG tolerance here
+    would leave an error floor of about 1e-12 ||v|| against a scheme that
+    projects exactly, as every scheme on the modal view does.
     """
-    lam, basis = _eigensystem(sys)
-    n = sys.n_dof
+    view = modal_view(sys)
 
     def coeffs(func):
         if func is None:
-            return np.zeros(n)
-        return basis.T @ meshfem.load_vector(sys, func)
+            return np.zeros(view.n_dof)
+        return meshfem.load_vector(view, func)
 
     return ModalExpansion(
         "discrete",
-        lam,
+        view.lam,
         coeffs(case.v),
         coeffs(case.b),
         coeffs(case.source_space),
-        basis=basis,
+        basis=view.basis,
     )
 
 
 def discrete_reference(sys, case, t):
-    """Interior coefficients of the semidiscrete solution, exact in time."""
-    exp = _discrete_expansion(sys, case)
+    """The semidiscrete solution, exact in time, in the coordinates of ``sys``
+    (nodal, or the modal amplitudes Phi^T M u on its modal view)."""
+    exp = _discrete_expansion(sys.fem, case)
     amp = modal_amplitudes(case, exp.lam, exp.vcoef, exp.bcoef, exp.fcoef, t)
-    return exp.basis @ amp
+    return amp if isinstance(sys, meshfem.ModalSystem) else exp.basis @ amp

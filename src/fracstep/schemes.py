@@ -22,11 +22,11 @@ These two steppers and the four of :mod:`baselines` run through one core,
 ``_march``. It owns the solver of the step system a M + b S, the
 (N+1) x n_dof trajectory U, one history buffer H, the history sum
 sum_{j=1..n-1} k_j H^(n-1-j) and each step's solve with its statistics.
-The system passed in chooses the solver's backend (see :mod:`meshfem`):
-sine-preconditioned CG on the plain ``fem_system(M)``, or the exact inverse
-in the pencil's eigenbasis on a twin that carries it, as the study harness
-builds for temporal and decay studies against the discrete modal reference
-on small meshes. A scheme supplies
+The history sum is one matrix-vector product of the forward rows H[0..n-2]
+with a slice of the kernel, reversed once into a contiguous copy. The system
+passed in fixes the coordinates and the solver (see :mod:`meshfem`): nodal
+with CG on ``fem_system(M)``, or its modal view, where every scheme is one
+scalar recursion per mode. A scheme supplies
 
 * the step coefficients (a, b);
 * its kernel k;
@@ -83,7 +83,7 @@ class SchemeConfig:
 
 @dataclass
 class SolutionHistory:
-    U: np.ndarray                 # (N+1, n_dof)
+    U: np.ndarray                 # (N+1, n_dof), in the coordinates of the system
     grid: TimeGrid
     # one (step index, CG iterations, final residual ||A x - rhs||) triple per
     # time step; steps of the modal backend report 0 iterations
@@ -125,10 +125,7 @@ def _source_scalars(case, cfg, rule, grid):
         return np.array([case.source_time(t) for t in times])
     w1 = cq_weights(rule, 1.0, grid.tau, grid.N)
     anti = np.array([case.source_time_integral(t) for t in times])
-    out = np.empty(grid.N + 1)
-    for n in range(grid.N + 1):
-        out[n] = w1[: n + 1] @ anti[n::-1]
-    return out
+    return np.array([w1[: n + 1] @ anti[n::-1] for n in range(grid.N + 1)])
 
 
 def _march(sys, grid, step, kernel, history, rhs, start):
@@ -145,11 +142,12 @@ def _march(sys, grid, step, kernel, history, rhs, start):
     U = np.zeros((N + 1, sys.n_dof))
     U[0] = start
     H = U[1:] if history is None else np.zeros((N, sys.n_dof))
+    # rev[L-n+i] = kernel[n-1-i] weighs H[i] at step n; L is N (L1, CN) or N+1
+    rev = np.ascontiguousarray(kernel[::-1])
+    L = len(kernel)
     stats = []
     for n in range(1, N + 1):
-        conv = None
-        if n > 1:
-            conv = np.tensordot(kernel[1:n], H[n - 2 :: -1], axes=(0, 0))
+        conv = rev[L - n : L - 1] @ H[: n - 1] if n > 1 else None
         info = {}
         U[n] = solver.solve(rhs(n, conv, U), x0=U[n - 1], stats=info)
         if history is not None:

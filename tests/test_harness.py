@@ -137,16 +137,19 @@ class TestModalStepping:
             for label in ("t=1e-06", "t=1e-07"):
                 assert rates[label] == pytest.approx(1.5, abs=0.05), (blk.scheme, label)
 
-    def test_stepping_system(self, monkeypatch):
+    def test_stepping_system(self):
         base = mf.fem_system(8)
         cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=8)
-        twin = harness._stepping_system(cfg, base)
-        assert twin is not base and base.eigensystem is None
-        assert twin.eigensystem[0] is ref._eigensystem(base)[0]
+        view = harness._stepping_system(cfg, base)
+        assert isinstance(view, mf.ModalSystem) and view.fem is base
+        assert view is ref.modal_view(base)
+        assert view.lam is ref._eigensystem(base)[0]
         self_conv = StudyConfig("b", (0.5,), ("be",), "decay", M=8, reference="self_convergence")
         assert harness._stepping_system(self_conv, base) is base
-        monkeypatch.setattr(harness, "MODAL_MAX_DOF", base.n_dof - 1)
-        assert harness._stepping_system(cfg, base) is base
+        # no size cut below the reference's own guard: 441 unknowns step in
+        # the view as well
+        big = mf.fem_system(22)
+        assert harness._stepping_system(cfg, big).fem is big
 
     @pytest.mark.parametrize(
         "reference,backend", [("discrete_modal", "modal"), ("self_convergence", "cg")]
@@ -169,7 +172,7 @@ class TestModalStepping:
     def test_call_order_does_not_matter(self, monkeypatch):
         run_study(StudyConfig("b", (0.5,), ("be",), "temporal", M=8, N_list=(10, 20)))
         base = mf.fem_system(8)
-        assert base.eigensystem is None
+        assert isinstance(base, mf.FemSystem) and base.fem is base
         seen = []
         real = mf.cg_solve
 

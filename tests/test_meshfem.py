@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -324,66 +323,106 @@ class TestQuadratureRules:
                 assert got == pytest.approx(1.0 / ((a + 1) * (b + 1)), rel=1e-13)
 
 
-def modal_twin(M):
-    """fem_system(M) and a twin that carries the eigensystem of its pencil."""
+def modal_view(M):
+    """fem_system(M) and its modal view."""
     base = mf.fem_system(M)
-    lam, basis = gen_sym_eig(base.stiffness.to_dense(), base.mass.to_dense())
-    return base, dataclasses.replace(base, eigensystem=(lam, basis))
+    return base, ref.modal_view(base)
 
 
 # the backward Euler step weight tau^-alpha at tau = 1e-7, alpha = 1.5
 W0 = 1e-7 ** -1.5
 
+# (case, alpha, initial projection) per scheme: the SBD first-step term
+# (v != 0), the sources of (c) and (g), the b data of (f) and the Ritz
+# projection of the bubble (a), (d)
+PRIMARY_CASES = [
+    ("a", 0.5, "Ritz"), ("b", 0.5, "L2"), ("c", 0.5, "L2"),
+    ("d", 1.5, "Ritz"), ("e", 1.5, "L2"), ("f", 1.5, "L2"), ("g", 1.5, "L2"),
+]
+MATCH_CASES = {
+    "be": PRIMARY_CASES,
+    "sbd": PRIMARY_CASES,
+    "l1": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
+    "zeng1": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
+    "zeng2": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
+    "cn": [("d", 1.5, "L2"), ("e", 1.5, "L2"), ("f", 1.5, "L2"), ("g", 1.5, "L2")],
+}
+
 
 class TestStepSolvers:
     def test_backend_follows_the_system(self):
-        base, twin = modal_twin(8)
-        assert base.eigensystem is None
+        base, view = modal_view(8)
+        assert base.fem is base and view.fem is base
+        assert view is ref.modal_view(base)
+        lam, basis = ref._eigensystem(base)
+        assert view.lam is lam and view.basis is basis
         assert base.step_system(1.0, 1.0).backend == "cg"
-        assert twin.step_system(1.0, 1.0).backend == "modal"
-        assert twin.mass is base.mass and twin.stiffness is base.stiffness
+        assert view.step_system(1.0, 1.0).backend == "modal"
+        # identity mass, diagonal stiffness, loads mapped by Phi^T
+        x = np.arange(1.0, view.n_dof + 1)
+        assert np.array_equal(view.mass.matvec(x), x)
+        assert np.array_equal(view.stiffness.matvec(x), lam * x)
+        assert np.array_equal(view.coords(x), basis.T @ x)
+        assert base.coords(x) is x
 
     @pytest.mark.parametrize("M", [8, 16])
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.0, 1.0), (W0, 1.0)])
     def test_modal_residual(self, M, a, b):
-        _, twin = modal_twin(M)
-        solver = twin.step_system(a, b)
-        A = a * twin.mass.to_dense() + b * twin.stiffness.to_dense()
+        base, view = modal_view(M)
+        solver = view.step_system(a, b)
+        A = a * base.mass.to_dense() + b * base.stiffness.to_dense()
         rng = np.random.default_rng(M)
         for _ in range(3):
-            rhs = rng.standard_normal(twin.n_dof)
+            load = rng.standard_normal(view.n_dof)
+            rhs = view.coords(load)
             stats = {}
-            x = solver.solve(rhs, stats=stats)
-            res = np.linalg.norm(A @ x - rhs)
-            # the refinement step: the dense products alone reach 1.4e-14
-            # at (0, 1) on M=16
+            c = solver.solve(rhs, stats=stats)
+            # in the view's own coordinates the solve is one division per mode
+            res = np.linalg.norm((a + b * view.lam) * c - rhs)
             assert res <= 2e-15 * np.linalg.norm(rhs)
             assert stats["iterations"] == 0
             assert stats["residual"] == pytest.approx(res, rel=1e-3, abs=1e-15 * np.linalg.norm(rhs))
+            # mapped back, Phi c solves the nodal system with the load itself
+            nodal = np.linalg.norm(A @ (view.basis @ c) - load)
+            assert nodal <= 5e-14 * np.linalg.norm(load)
 
     @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
     def test_schemes_match_cg(self, scheme):
-        base, twin = modal_twin(8)
-        alpha = 1.5 if scheme == "cn" else 0.5
-        case = ref.get_case("e" if scheme == "cn" else "b", alpha)
+        # the modal march mapped back with Phi against the nodal CG march
+        base, view = modal_view(8)
         grid = schemes.TimeGrid(0.1, 20)
 
-        def run(sys_):
+        def run(sys_, case, projection):
             if scheme in ("be", "sbd"):
-                return schemes.solve(sys_, case, schemes.SchemeConfig(scheme.upper()), grid)
+                equation = "subdiffusion" if case.alpha < 1.0 else "diffusion_wave"
+                cfg = schemes.SchemeConfig(scheme.upper(), equation, True, projection)
+                return schemes.solve(sys_, case, cfg, grid)
             return baselines.solve_baseline(sys_, case, scheme, grid)
 
-        cg, modal = run(base), run(twin)
-        assert (cg.backend, modal.backend) == ("cg", "modal")
-        assert np.linalg.norm(modal.U - cg.U) <= 1e-9 * np.linalg.norm(cg.U)
-        assert [n for n, _, _ in modal.solve_stats] == list(range(1, 21))
-        assert all(its == 0 for _, its, _ in modal.solve_stats)
-        assert all(its > 0 for _, its, _ in cg.solve_stats)
+        for cid, alpha, projection in MATCH_CASES[scheme]:
+            case = ref.get_case(cid, alpha)
+            cg, modal = run(base, case, projection), run(view, case, projection)
+            assert (cg.backend, modal.backend) == ("cg", "modal")
+            nodal = modal.U @ view.basis.T
+            assert np.linalg.norm(nodal - cg.U) <= 1e-9 * np.linalg.norm(cg.U), cid
+            assert [n for n, _, _ in modal.solve_stats] == list(range(1, 21))
+            assert all(its == 0 for _, its, _ in modal.solve_stats)
+            assert all(its > 0 for _, its, _ in cg.solve_stats)
+
+    @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("c", 0.5), ("e", 1.5), ("f", 1.5)])
+    def test_discrete_reference_in_view_coordinates(self, cid, alpha):
+        base, view = modal_view(8)
+        case = ref.get_case(cid, alpha)
+        for t in (0.1, 1e-4):
+            nodal = ref.discrete_reference(base, case, t)
+            amp = ref.discrete_reference(view, case, t)
+            want = view.basis.T @ base.mass.matvec(nodal)
+            assert np.linalg.norm(amp - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (float("nan"), 1.0)])
     def test_rejects_coefficients(self, a, b):
-        base, twin = modal_twin(4)
-        for sys_ in (base, twin):
+        base, view = modal_view(4)
+        for sys_ in (base, view):
             with pytest.raises(ValueError, match="a, b >= 0"):
                 sys_.step_system(a, b)
 
@@ -391,6 +430,6 @@ class TestStepSolvers:
         base = mf.fem_system(4)
         lam, basis = gen_sym_eig(base.stiffness.to_dense(), base.mass.to_dense())
         with pytest.raises(ValueError, match="eigensystem"):
-            dataclasses.replace(base, eigensystem=(lam[:-1], basis))
+            mf.ModalSystem(base, lam[:-1], basis)
         with pytest.raises(ValueError, match="eigensystem"):
-            dataclasses.replace(base, eigensystem=(lam, basis[:, :-1]))
+            mf.ModalSystem(base, lam, basis[:, :-1])

@@ -99,6 +99,17 @@ class TestClosedForms:
         assert mlf_neg(2.0, 1.0, y) == pytest.approx(math.cos(r), rel=1e-11, abs=1e-13)
         assert mlf_neg(2.0, 2.0, y) == pytest.approx(math.sin(r) / r, rel=1e-11, abs=1e-13)
 
+    def test_alpha2_trigonometric_large_arguments(self):
+        # the residue pair alone answers at large y: no spurious damping from
+        # cos(pi/2) and no phase digits lost to the size of sqrt(y)
+        ys = 10.0 ** np.arange(0, 33)
+        cos_got = mlf_neg(2.0, 1.0, ys)
+        sin_got = mlf_neg(2.0, 2.0, ys)
+        for y, c, s in zip(ys, cos_got, sin_got):
+            r = math.sqrt(y)
+            assert abs(c - math.cos(r)) <= 1e-14, y
+            assert abs(r * s - math.sin(r)) <= 1e-14, y
+
 
 class TestHighPrecisionOracle:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9, 1.1, 1.5, 1.9])

@@ -186,3 +186,49 @@ class TestConfigValidation:
         assert len(hist.solve_stats) == 5
         assert all(res < 1e-10 for _, _, res in hist.solve_stats)
         assert all(iters >= 0 for _, iters, _ in hist.solve_stats)
+
+
+class TestHistorySum:
+    """The core's history sum against the direct double loop, every step."""
+
+    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
+    def test_matches_direct_sum(self, scheme, sys8, monkeypatch):
+        from fracstep import baselines
+
+        N = 24
+        real = schemes._march
+        seen = []
+
+        def march(sys_, grid, step, kernel, history, rhs, start):
+            def row(U, m):
+                return U[m] if history is None else history(U, m)
+
+            def checked(n, conv, U):
+                if n == 1:
+                    assert conv is None
+                else:
+                    # sum_{j=1..n-1} kernel[j] H^(n-1-j), H^(m-1) the row of U^m
+                    rows = [row(U, n - j) for j in range(1, n)]
+                    direct = np.array([
+                        math.fsum(kernel[j] * rows[j - 1][i] for j in range(1, n))
+                        for i in range(sys_.n_dof)
+                    ])
+                    err = np.linalg.norm(conv - direct)
+                    assert err <= 1e-13 * np.linalg.norm(direct), (n, err)
+                seen.append(n)
+                return rhs(n, conv, U)
+
+            seen.append(len(kernel))
+            return real(sys_, grid, step, kernel, history, checked, start)
+
+        monkeypatch.setattr(schemes, "_march", march)
+        case = ref.get_case("e" if scheme == "cn" else "c" if scheme == "sbd" else "b",
+                            1.5 if scheme == "cn" else 0.5)
+        grid = TimeGrid(0.1, N)
+        if scheme in ("be", "sbd"):
+            schemes.solve(sys8, case, SchemeConfig(scheme.upper()), grid)
+        else:
+            baselines.solve_baseline(sys8, case, scheme, grid)
+        # kernels of length N (L1, Crank-Nicolson) and N + 1 (the others)
+        assert seen[0] == (N if scheme in ("l1", "cn") else N + 1)
+        assert seen[1:] == list(range(1, N + 1))
