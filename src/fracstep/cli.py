@@ -66,7 +66,8 @@ def _cmd_mlf(args):
 
 def _cmd_solve(args):
     case = reference.get_case(args.case, args.alpha)
-    sys_ = meshfem.fem_system(args.M)
+    # the system a study of this cell steps on
+    sys_ = harness._stepping_system(args, meshfem.fem_system(args.M))
     scheme = args.scheme.lower()
     grid = schemes.TimeGrid(args.t, args.N)
     hist = harness._run_scheme(sys_, case, scheme, grid, args.corrected)
@@ -81,6 +82,7 @@ def _cmd_solve(args):
         "t": args.t,
         "reference": args.reference,
         "normalized": case.v_l2_norm > 0.0,
+        "backend": hist.backend,
         "cg_iterations_mean": float(np.mean(iterations)),
         "cg_iterations_max": max(iterations),
     }
@@ -101,7 +103,9 @@ def _cmd_solve(args):
     if metrics["normalized"]:
         metrics["error_l2_normalized"] = metrics["error_l2"] / case.v_l2_norm
     if args.dump_solution:
-        np.savetxt(args.dump_solution, hist.final)
+        # interior nodal coefficients: modal ones map back by Phi
+        modal = hist.backend == "modal"
+        np.savetxt(args.dump_solution, sys_.basis @ hist.final if modal else hist.final)
     _emit_text(json.dumps(metrics, indent=2), args.out)
     return 0
 
@@ -121,12 +125,9 @@ def _cmd_study(args):
     }
     if args.corrected is not None:
         overrides["corrected"] = args.corrected
-    if args.N_list:
-        overrides["N_list"] = [int(x) for x in args.N_list.split(",")]
-    if args.M_list:
-        overrides["M_list"] = [int(x) for x in args.M_list.split(",")]
-    if args.t_list:
-        overrides["t_list"] = [float(x) for x in args.t_list.split(",")]
+    for key, conv in (("N_list", int), ("M_list", int), ("t_list", float)):
+        if getattr(args, key):
+            overrides[key] = [conv(x) for x in getattr(args, key).split(",")]
 
     cfg = harness.StudyConfig.from_json(args.config, overrides)
     report = harness.run_study(cfg)

@@ -102,12 +102,18 @@ class StudyConfig:
     def from_json(cls, path, overrides=None):
         """Config from the JSON file ``path``, or from the flag defaults
         alphas [0.5] and schemes ["be", "sbd"] when ``path`` is None.
-        ``overrides`` entries that are not None replace those keys."""
+        ``overrides`` entries that are not None replace those keys. Values
+        must have the schema's types; lists must not be empty."""
         if path is None:
             raw = {"alphas": [0.5], "schemes": ["be", "sbd"]}
         else:
-            with open(path) as fh:
-                raw = json.load(fh)
+            try:
+                with open(path) as fh:
+                    raw = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config {path!r} is not a JSON object")
             bad = set(raw) - set(STUDY_CONFIG_SCHEMA["properties"])
             if bad:
                 raise ConfigError(f"unknown config keys: {sorted(bad)}")
@@ -116,10 +122,29 @@ class StudyConfig:
         missing = [key for key in STUDY_CONFIG_SCHEMA["required"] if key not in raw]
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
-        for key in ("alphas", "schemes", "M_list", "N_list", "t_list"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        for key, value in raw.items():
+            _check_type(key, STUDY_CONFIG_SCHEMA["properties"][key], value)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
+# JSON-schema type -> Python types; enum values are names, so strings
+_JSON_TYPES = {
+    "integer": int, "number": (int, float), "boolean": bool, "string": str, "array": (list, tuple),
+}
+
+
+def _check_type(key, spec, value):
+    """ConfigError unless ``value`` has the type ``spec`` declares; a bool
+    is no number, and an array is not empty."""
+    kind = spec.get("type", "string")
+    if not isinstance(value, _JSON_TYPES[kind]) or (
+        isinstance(value, bool) and kind in ("integer", "number")
+    ):
+        raise ConfigError(f"config key {key!r} must be of type {kind}, got {value!r}")
+    if kind == "array" and not value:
+        raise ConfigError(f"config key {key!r} must not be an empty list")
+    for item in value if kind == "array" else ():
+        _check_type(key, spec["items"], item)
 
 
 @dataclass

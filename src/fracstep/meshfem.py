@@ -27,10 +27,11 @@ stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
   Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
   norm. ``reference.modal_view`` builds it from the reference's eigensolve.
 
-Element mass/stiffness matrices are exact closed forms. Data integration
-(load vectors) uses a 6-point degree-4 triangle rule; error norms use a
-denser collapsed-Gauss rule because modal reference solutions carry high
-sine modes that a degree-4 rule would misresolve on coarse cells.
+Mesh and matrices are assembled over whole arrays, from exact closed-form
+element matrices. Loads use a 6-point degree-4 triangle rule, once per
+(nodal system, function): the nodal load is cached read-only. Error norms
+use a denser collapsed-Gauss rule because modal reference solutions carry
+high sine modes that a degree-4 rule would misresolve on coarse cells.
 """
 
 from __future__ import annotations
@@ -55,12 +56,10 @@ _Q4_W2 = 0.109951743655322
 
 
 def _quad_rule_deg4():
-    pts = []
-    wts = []
-    for a, w in ((_Q4_A1, _Q4_W1), (_Q4_A2, _Q4_W2)):
-        pts += [(1 - 2 * a, a, a), (a, 1 - 2 * a, a), (a, a, 1 - 2 * a)]
-        wts += [w, w, w]
-    return np.array(pts), np.array(wts)
+    # three points per a: 1 - 2a at one vertex, a at the other two
+    a = np.repeat([_Q4_A1, _Q4_A2], 3)[:, None]
+    pts = np.where(np.tile(np.eye(3, dtype=bool), (2, 1)), 1 - 2 * a, a)
+    return pts, np.repeat([_Q4_W1, _Q4_W2], 3)
 
 
 def _quad_rule_collapsed(n=6):
@@ -72,14 +71,11 @@ def _quad_rule_collapsed(n=6):
     x, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
-    P, W = [], []
-    for i in range(n):
-        for j in range(n):
-            xi = u[i]
-            eta = u[j] * (1.0 - u[i])
-            P.append((1.0 - xi - eta, xi, eta))
-            W.append(wu[i] * wu[j] * (1.0 - u[i]) * 2.0)
-    return np.array(P), np.array(W)
+    # point (i, j), row-major: xi = u_i, eta = u_j (1 - u_i)
+    xi = np.repeat(u, n)
+    eta = np.tile(u, n) * (1.0 - xi)
+    W = np.repeat(wu, n) * np.tile(wu, n) * (1.0 - xi) * 2.0
+    return np.column_stack([1.0 - xi - eta, xi, eta]), W
 
 
 _RULES = {4: _quad_rule_deg4(), 10: _quad_rule_collapsed(6)}
@@ -109,27 +105,15 @@ def build_mesh(M):
     side = np.linspace(0.0, 1.0, M + 1)
     X, Y = np.meshgrid(side, side, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * (M + 1) + j
-
-    tris = []
-    for i in range(M):
-        for j in range(M):
-            n00 = nid(i, j)
-            n10 = nid(i + 1, j)
-            n11 = nid(i + 1, j + 1)
-            n01 = nid(i, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    triangles = np.array(tris, dtype=np.intp)
-
-    interior_map = np.full((M + 1) ** 2, -1, dtype=np.intp)
-    k = 0
-    for i in range(1, M):
-        for j in range(1, M):
-            interior_map[nid(i, j)] = k
-            k += 1
+    # node (i, j) is i (M+1) + j; cell (i, j), row-major, has the triangles
+    # (n00, n10, n11) and (n00, n11, n01) of its lower-left node n00
+    n00 = np.arange(M * (M + 1), dtype=np.intp).reshape(M, M + 1)[:, :M].ravel()
+    corners = np.array([[0, M + 1, M + 2], [0, M + 2, 1]], dtype=np.intp)
+    triangles = (n00[:, None, None] + corners).reshape(-1, 3)
+    # interior nodes are numbered row-major over i, j = 1..M-1
+    interior_map = np.full((M + 1, M + 1), -1, dtype=np.intp)
+    interior_map[1:M, 1:M] = np.arange((M - 1) ** 2).reshape(M - 1, M - 1)
+    interior_map = interior_map.ravel()
     return Mesh(M, nodes, triangles, interior_map)
 
 
@@ -275,46 +259,30 @@ def sine_preconditioner(M, a, b):
 
 
 def element_matrices(coords):
-    """Exact P1 mass and stiffness matrices of one triangle."""
-    x = coords[:, 0]
-    y = coords[:, 1]
-    bmat = np.array(
-        [
-            [y[1] - y[2], y[2] - y[0], y[0] - y[1]],
-            [x[2] - x[1], x[0] - x[2], x[1] - x[0]],
-        ]
-    )
-    det = x[1] * y[2] - x[2] * y[1] - x[0] * (y[2] - y[1]) + y[0] * (x[2] - x[1])
+    """Exact P1 mass (..., 3, 3), stiffness (..., 3, 3), area (...) and
+    gradients (..., 2, 3) of the triangles ``coords`` (..., 3, 2)."""
+    (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(coords, (-2, -1), (0, 1))
+    bmat = np.array([[y1 - y2, y2 - y0, y0 - y1], [x2 - x1, x0 - x2, x1 - x0]])
+    det = x1 * y2 - x2 * y1 - x0 * (y2 - y1) + y0 * (x2 - x1)
     area = 0.5 * det
-    grads = bmat / det
-    K = area * grads.T @ grads
-    Mloc = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    grads = np.ascontiguousarray(np.moveaxis(bmat / det, (0, 1), (-2, -1)))
+    a = area[..., None, None]
+    K = a * np.swapaxes(grads, -1, -2) @ grads
+    Mloc = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
     return Mloc, K, area, grads
 
 
 def assemble(mesh):
-    """Interior-dof mass and stiffness matrices for the P1 space."""
+    """Interior-dof mass and stiffness matrices for the P1 space; entries
+    are summed in (element, a, b) order, as an element loop would."""
     n = mesh.n_interior
-    tris = mesh.triangles
-    imap = mesh.interior_map
-    rows_m, cols_m, vals_m, vals_k = [], [], [], []
-    grads = np.empty((len(tris), 2, 3))
-    for e, tri in enumerate(tris):
-        Mloc, Kloc, _, g = element_matrices(mesh.nodes[tri])
-        grads[e] = g
-        dofs = imap[tri]
-        for a in range(3):
-            if dofs[a] < 0:
-                continue
-            for b in range(3):
-                if dofs[b] < 0:
-                    continue
-                rows_m.append(dofs[a])
-                cols_m.append(dofs[b])
-                vals_m.append(Mloc[a, b])
-                vals_k.append(Kloc[a, b])
-    mass = SparseMatrix.from_coo(n, n, rows_m, cols_m, vals_m)
-    stiffness = SparseMatrix.from_coo(n, n, rows_m, cols_m, vals_k)
+    Mloc, Kloc, _, grads = element_matrices(mesh.nodes[mesh.triangles])
+    dofs = mesh.interior_map[mesh.triangles]
+    rows = np.broadcast_to(dofs[:, :, None], Mloc.shape)
+    cols = np.broadcast_to(dofs[:, None, :], Mloc.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    mass = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], Mloc[keep])
+    stiffness = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], Kloc[keep])
     return FemSystem(mesh, mass, stiffness, grads)
 
 
@@ -325,24 +293,28 @@ def fem_system(M):
     return assemble(build_mesh(M))
 
 
-def _scatter(sys, contrib):
-    """Sum per-element contributions (nel, 3) into the interior nodal load,
-    then map it to the coordinates of ``sys``."""
-    mesh = sys.fem.mesh
-    out = np.zeros(mesh.n_interior)
-    dofs = mesh.interior_map[mesh.triangles]
+def _scatter(fem, contrib):
+    """Sum per-element contributions (nel, 3) into the interior nodal load."""
+    dofs = fem.mesh.interior_map[fem.mesh.triangles]
     ok = dofs >= 0
-    np.add.at(out, dofs[ok], contrib[ok])
-    return sys.coords(out)
+    return np.bincount(dofs[ok], weights=contrib[ok], minlength=fem.n_dof)
+
+
+@functools.lru_cache(maxsize=64)
+def _nodal_load(fem, g):
+    """The nodal load (g, phi_i) of ``fem`` by elementwise quadrature, for
+    a pure function ``g``; cached read-only, as ladders repeat it."""
+    pts, w, shape = fem.quad_points()
+    vals = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    load = _scatter(fem, np.einsum("eq,q,qa->ea", vals, w, shape))
+    load.flags.writeable = False
+    return load
 
 
 def load_vector(sys, g):
-    """Load vector (g, phi_i) by elementwise quadrature, in sys's coordinates."""
-    pts, w, shape = sys.fem.quad_points()
-    vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
-    if vals.shape != pts.shape[:2]:
-        vals = np.broadcast_to(vals, pts.shape[:2])
-    return _scatter(sys, np.einsum("eq,q,qa->ea", vals, w, shape))
+    """Load vector (g, phi_i) in sys's coordinates; read-only when ``sys``
+    is nodal, since it is then the cached nodal load itself."""
+    return sys.coords(_nodal_load(sys.fem, g))
 
 
 def l2_project(sys, g):
@@ -362,7 +334,7 @@ def ritz_project(sys, g_grad):
     mean_gx = gx @ w
     mean_gy = gy @ w
     contrib = mean_gx[:, None] * fem._grads[:, 0, :] + mean_gy[:, None] * fem._grads[:, 1, :]
-    return sys.step_system(0.0, 1.0).solve(_scatter(sys, contrib))
+    return sys.step_system(0.0, 1.0).solve(sys.coords(_scatter(fem, contrib)))
 
 
 def l2_norm(sys, c):

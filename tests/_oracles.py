@@ -1,8 +1,9 @@
 """Independent oracles shared by the module tests and the acceptance suite.
 
-Everything here is deliberately written from the scheme displays with plain
-loops and mpmath-generated weights so it shares no code path with the
-package. Agreement with these oracles is what certifies the solvers.
+Everything here is deliberately written from the scheme displays and the
+P1 element formulas with plain loops and mpmath-generated weights, so it
+shares no code path with the package. Agreement with these oracles is what
+certifies the solvers and the assembly.
 """
 
 import mpmath as mp
@@ -60,3 +61,70 @@ def scalar_recursion(kind, equation, corrected, alpha, tau, N, m, s,
                 rhs += 0.5 * chi * (0.0 if corrected else phi(0.0))
         u[n] = rhs / lhs
     return u
+
+
+def loop_mesh(M):
+    """Nodes, triangles and interior map of the criss-cross mesh, one node
+    and one cell at a time."""
+    side = np.linspace(0.0, 1.0, M + 1)
+    X, Y = np.meshgrid(side, side, indexing="ij")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def nid(i, j):
+        return i * (M + 1) + j
+
+    tris = []
+    for i in range(M):
+        for j in range(M):
+            n00, n10, n11, n01 = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
+            tris.append((n00, n10, n11))
+            tris.append((n00, n11, n01))
+    interior_map = np.full((M + 1) ** 2, -1, dtype=np.intp)
+    k = 0
+    for i in range(1, M):
+        for j in range(1, M):
+            interior_map[nid(i, j)] = k
+            k += 1
+    return nodes, np.array(tris, dtype=np.intp), interior_map
+
+
+def loop_element(coords):
+    """Exact P1 mass and stiffness matrices and gradients of one triangle."""
+    x, y = coords[:, 0], coords[:, 1]
+    bmat = np.array(
+        [
+            [y[1] - y[2], y[2] - y[0], y[0] - y[1]],
+            [x[2] - x[1], x[0] - x[2], x[1] - x[0]],
+        ]
+    )
+    det = x[1] * y[2] - x[2] * y[1] - x[0] * (y[2] - y[1]) + y[0] * (x[2] - x[1])
+    area = 0.5 * det
+    grads = bmat / det
+    K = area * grads.T @ grads
+    Mloc = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
+    return Mloc, K, grads
+
+
+def loop_assembly(nodes, triangles, interior_map):
+    """Interior mass and stiffness entries summed element by element.
+
+    Returns rows, cols, mass values and stiffness values, sorted by
+    (row, col), and the element gradients (nel, 2, 3). Each entry is the sum
+    of its element contributions in element order.
+    """
+    mass, stiff = {}, {}
+    grads = np.empty((len(triangles), 2, 3))
+    for e, tri in enumerate(triangles):
+        Mloc, Kloc, grads[e] = loop_element(nodes[tri])
+        dofs = interior_map[tri]
+        for a in range(3):
+            for b in range(3):
+                if dofs[a] < 0 or dofs[b] < 0:
+                    continue
+                key = (dofs[a], dofs[b])
+                mass[key] = mass.get(key, 0.0) + Mloc[a, b]
+                stiff[key] = stiff.get(key, 0.0) + Kloc[a, b]
+    keys = sorted(mass)
+    rows = np.array([r for r, _ in keys], dtype=np.intp)
+    cols = np.array([c for _, c in keys], dtype=np.intp)
+    return rows, cols, np.array([mass[k] for k in keys]), np.array([stiff[k] for k in keys]), grads

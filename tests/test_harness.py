@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fracstep import cli, harness, meshfem as mf, reference as ref, schemes
@@ -57,6 +58,57 @@ class TestConfig:
         cfg = StudyConfig.from_json(str(path))
         assert cfg.N_list == (10, 20)
 
+    def test_from_json_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            StudyConfig.from_json(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize(
+        "content", [None, '{"case": ', b"\xff\xfe{}"], ids=["directory", "malformed", "not-utf8"]
+    )
+    def test_from_json_unreadable_file(self, tmp_path, content):
+        # None: the path is a directory; else malformed JSON or bytes
+        path = tmp_path / "study.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            StudyConfig.from_json(str(path))
+
+    @pytest.mark.parametrize(
+        "content", ["5", "null", '["case", "alphas", "schemes", "kind"]'], ids=["number", "null", "list"]
+    )
+    def test_from_json_rejects_non_object(self, tmp_path, content):
+        path = tmp_path / "study.json"
+        path.write_text(content)
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            StudyConfig.from_json(str(path))
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("alphas", 0.5, "'alphas' must be of type array"),
+            ("M", "16", "'M' must be of type integer"),
+            ("schemes", "be", "'schemes' must be of type array"),
+            ("N_list", [], "'N_list' must not be an empty list"),
+            ("alphas", [], "'alphas' must not be an empty list"),
+            ("schemes", [], "'schemes' must not be an empty list"),
+            ("M", True, "'M' must be of type integer"),
+            ("alphas", [True], "'alphas' must be of type number"),
+            ("t", False, "'t' must be of type number"),
+            ("t_list", [1e-3, "1e-4"], "'t_list' must be of type number"),
+            ("corrected", 1, "'corrected' must be of type boolean"),
+        ],
+    )
+    def test_from_json_enforces_schema_types(self, tmp_path, key, value, message):
+        path = tmp_path / "study.json"
+        raw = {"case": "a", "alphas": [0.5], "schemes": ["be"], "kind": "temporal"}
+        path.write_text(json.dumps(dict(raw, **{key: value})))
+        with pytest.raises(ConfigError, match=message):
+            StudyConfig.from_json(str(path))
+
     def test_from_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "study.json"
         path.write_text(json.dumps({"case": "a", "alphas": [0.5], "schemes": ["be"], "kind": "temporal", "bogus": 1}))
@@ -73,6 +125,37 @@ def small_temporal_report():
 
 
 class TestRunStudy:
+    def test_loads_integrated_once_per_system_and_function(self, monkeypatch):
+        # ladders like the paper's tables: every solve of a case needs the
+        # same few loads, and each is integrated once per nodal system
+        pairs, quadratures = [], []
+        real_load, real_quad = mf.load_vector, mf.FemSystem.quad_points
+
+        def load(sys, g):
+            pairs.append((sys.fem, g))
+            return real_load(sys, g)
+
+        def quad(self, order=4):
+            quadratures.append(order)
+            return real_quad(self, order)
+
+        monkeypatch.setattr(mf, "load_vector", load)
+        monkeypatch.setattr(mf.FemSystem, "quad_points", quad)
+        mf._nodal_load.cache_clear()
+        for case, alpha, names in [("c", 0.5, ("be", "sbd", "l1")), ("d", 1.5, ("be", "sbd"))]:
+            run_study(StudyConfig(case, (alpha,), names, "temporal", M=16, N_list=(10, 20, 40)))
+        run_study(StudyConfig("b", (0.5,), ("be",), "decay", M=8, N=10, reference="self_convergence"))
+        distinct = set(pairs)
+        assert len(pairs) > 3 * len(distinct)
+        assert len(quadratures) == len(distinct)
+        assert mf._nodal_load.cache_info().currsize == len(distinct)
+        for fem, g in distinct:
+            assert isinstance(fem, mf.FemSystem)
+            cached = mf._nodal_load(fem, g)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
     def test_temporal_rates(self, small_temporal_report):
         by_scheme = {blk.scheme: blk for blk in small_temporal_report.blocks}
         assert by_scheme["be"].summary_rate == pytest.approx(1.0, abs=0.1)
@@ -311,7 +394,14 @@ class TestCli:
             assert metrics["reference"] == reference
             assert metrics["error_l2"] > 0.0
             assert metrics["normalized"] is True
-            assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"]
+            # against the discrete-modal reference the cell steps in the
+            # modal view, as a study does, with no CG iteration
+            if reference == "discrete_modal":
+                assert metrics["backend"] == "modal"
+                assert metrics["cg_iterations_max"] == 0
+            else:
+                assert metrics["backend"] == "cg"
+                assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"]
         # the sine-transform preconditioner keeps every step solve short
         out = self.run_cli(
             "solve", "--case", "b", "--alpha", "0.5", "--scheme", "sbd",
@@ -320,6 +410,33 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         metrics = json.loads(out.stdout)
         assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"] <= 20
+
+    def test_solve_steps_as_the_study_does(self, tmp_path):
+        # one path per cell: the solve and the decay study step on the same
+        # system, so they report the same error to the last bit
+        out, dump = tmp_path / "m.json", tmp_path / "u.txt"
+        args = ["solve", "--case", "d", "--alpha", "1.5", "--scheme", "sbd",
+                "--M", "16", "--N", "10", "--t", "1e-8"]
+        assert cli.main(args + ["--out", str(out), "--dump-solution", str(dump)]) == 0
+        metrics = json.loads(out.read_text())
+        assert metrics["backend"] == "modal"
+        blk = run_study(StudyConfig("d", (1.5,), ("sbd",), "decay", M=16, N=10)).blocks[0]
+        assert metrics["error_l2_normalized"] == blk.err_l2[blk.labels.index("t=1e-08")]
+        # the dump holds interior nodal coefficients, as a CG solve gives them
+        base = mf.fem_system(16)
+        case = ref.get_case("d", 1.5)
+        cfg = schemes.SchemeConfig("SBD", "diffusion_wave")
+        nodal = schemes.solve(base, case, cfg, schemes.TimeGrid(1e-8, 10)).final
+        dumped = np.loadtxt(dump)
+        assert np.linalg.norm(dumped - nodal) <= 1e-10 * np.linalg.norm(nodal)
+
+    def test_study_bad_config_exit_code(self, tmp_path):
+        bad = tmp_path / "study.json"
+        bad.write_text(json.dumps({"case": "a", "alphas": 0.5, "schemes": ["be"], "kind": "temporal"}))
+        for path in (str(tmp_path / "does-not-exist.json"), str(bad)):
+            out = self.run_cli("study", "--config", path)
+            assert out.returncode == 2, out.stderr
+            assert out.stderr.startswith("config error:")
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from _oracles import loop_assembly, loop_mesh
 from fracstep import baselines, meshfem as mf, reference as ref, schemes
 from fracstep.numkit import gen_sym_eig
 
@@ -101,6 +102,24 @@ class TestAssembly:
             gvals = a + bx * coords[:, 0] + cy * coords[:, 1]
             expect = area * grads.T @ np.array([bx, cy])
             assert np.allclose(Kloc @ gvals, expect, atol=1e-14)
+
+    @pytest.mark.parametrize("M", [2, 6, 16, 64])
+    def test_matches_element_loop(self, M):
+        # bit for bit: the whole-array assembly sums each entry's element
+        # contributions in the order of the element loop
+        nodes, triangles, interior_map = loop_mesh(M)
+        mesh = mf.build_mesh(M)
+        for got, want in [
+            (mesh.nodes, nodes), (mesh.triangles, triangles), (mesh.interior_map, interior_map)
+        ]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        rows, cols, mass, stiffness, grads = loop_assembly(nodes, triangles, interior_map)
+        sys_ = mf.assemble(mesh)
+        for mat, vals in ((sys_.mass, mass), (sys_.stiffness, stiffness)):
+            assert np.array_equal(mat._entry_rows, rows)
+            assert np.array_equal(mat.col_indices, cols)
+            assert np.array_equal(mat.values, vals)
+        assert np.array_equal(sys_._grads, grads)
 
     def test_assembly_against_quadrature_oracle(self):
         # brute-force element integrals of phi_i phi_j and grad phi_i . grad phi_j
