@@ -6,9 +6,8 @@ beyond what each method prescribes; their loss of order on rough data is the
 point of the comparison. The spatial weak form (interior mass/stiffness, L2
 projections) and the stepping core ``schemes._march`` are shared with the
 primary schemes: each scheme here supplies only its step coefficients,
-kernel, history map, right-hand side and starting vector (see
-:mod:`schemes`). The Gruenwald-Letnikov I right-hand side also convolves
-S U^m with the weights of (1 + z)^alpha, in a buffer of its own.
+kernel, right-hand side and starting vector, and marches the increment
+U^n - U^0 (see :mod:`schemes`).
 
 The Crank-Nicolson scheme is that of Sun & Wu (Appl. Numer. Math. 56, 2006),
 of design order 3 - alpha. Its error also carries a tau^2 term from the
@@ -55,21 +54,20 @@ def _solve_l1(sys, case, grid):
     N = grid.N
     b = l1_coefficients(alpha, N)
     c0 = grid.tau ** (-alpha) / math.gamma(2.0 - alpha)
-    # c0 [b0 U^n + sum_{j=1..n-1}(b_j - b_{j-1}) U^{n-j} - b_{n-1} U^0]
+    # c0 [b0 D^n + sum_{j=1..n-1}(b_j - b_{j-1}) D^{n-j}], D^m = U^m - U^0
     kernel = np.concatenate(([b[0]], b[:-1] - b[1:]))   # b_{j-1} - b_j for j >= 1
     chi, scal = _loads(case, sys, grid.times())
+    start = initial_coefficients(sys, case)
+    Sv = sys.stiffness.matvec(start)
 
-    def rhs(n, conv, U):
-        acc = b[n - 1] * U[0]
-        if conv is not None:
-            acc += conv
-        out = c0 * sys.mass.matvec(acc)
+    def rhs(n, conv, D):
+        out = np.zeros(sys.n_dof) if conv is None else c0 * sys.mass.matvec(conv)
         if chi is not None:
             out += scal[n] * chi
+        out -= Sv
         return out
 
-    start = initial_coefficients(sys, case)
-    return schemes._march(sys, grid, (c0, 1.0), kernel, None, rhs, start)
+    return schemes._march(sys, grid, (c0, 1.0), kernel, rhs, start)
 
 
 def _solve_zeng(sys, case, grid, variant):
@@ -79,33 +77,30 @@ def _solve_zeng(sys, case, grid, variant):
     w = cq_weights(BE, alpha, 1.0, N)
     ta = grid.tau ** (-alpha)
     chi, scal = _loads(case, sys, grid.times())
-    cumw = np.cumsum(w)
     half = 0.5 ** alpha
+    start = initial_coefficients(sys, case)
+    Sv = sys.stiffness.matvec(start)
     if variant == 1:
         signed = w * (-1.0) ** np.arange(N + 1)     # weights of (1 + z)^alpha
         rev = np.ascontiguousarray(signed[::-1])    # rev[N-n+m] = signed[n-m]
-        SU = np.zeros((N, sys.n_dof))               # SU[m] = S U^m, filled as needed
+        sum_signed = np.cumsum(signed)              # weighs S U^0 at step n
 
-    def rhs(n, conv, U):
-        # sum_{j=0..n} w_j (U^{n-j} - U^0): the j=n term cancels into cumw
-        acc = cumw[n - 1] * U[0]
-        if conv is not None:
-            acc -= conv
-        out = ta * sys.mass.matvec(acc)
+    def rhs(n, conv, D):
+        # the sum_{j=0..n} w_j D^{n-j} with D^n moved to the left
+        out = np.zeros(sys.n_dof) if conv is None else -ta * sys.mass.matvec(conv)
         if variant == 1:
-            SU[n - 1] = sys.stiffness.matvec(U[n - 1])
-            out -= half * (rev[N - n : N] @ SU[:n])
+            # sum_{m=0..n} signed_{n-m} S U^m with S D^n moved to the left
+            out -= half * (sys.stiffness.matvec(rev[N - n : N] @ D[:n]) + sum_signed[n] * Sv)
             if chi is not None:
                 out += half * float(np.dot(signed[: n + 1], scal[n::-1])) * chi
         else:
-            out -= 0.5 * alpha * sys.stiffness.matvec(U[n - 1])
+            out -= 0.5 * alpha * sys.stiffness.matvec(D[n - 1]) + Sv
             if chi is not None:
                 out += ((1.0 - 0.5 * alpha) * scal[n] + 0.5 * alpha * scal[n - 1]) * chi
         return out
 
     step = (ta * w[0], half * w[0]) if variant == 1 else (ta * w[0], 1.0 - 0.5 * alpha)
-    start = initial_coefficients(sys, case)
-    return schemes._march(sys, grid, step, w, None, rhs, start)
+    return schemes._march(sys, grid, step, w, rhs, start)
 
 
 def _solve_cn(sys, case, grid):
@@ -113,7 +108,9 @@ def _solve_cn(sys, case, grid):
 
     The Caputo derivative is approximated at the half steps t_(n-1/2) by the
     weights a_j acting on the increments U^j - U^(j-1); the stiffness term is
-    the average of its values at U^(n-1) and U^n. The error behaves like
+    the average of its values at U^(n-1) and U^n. Summed by parts with
+    D^m = U^m - U^0 (D^0 = 0), the increments become one kernel on D,
+    k_j = 2 a_(j-1) - a_j - a_(j-2) with a_(-1) = 0. The error behaves like
     A tau^(3-alpha) + B tau^2. At alpha = 1.1 on case d (t = 0.1, M = 16) the
     two terms have opposite signs in the smallest mode and cancel between
     N = 320 and N = 640, so a plain rate estimate there first climbs far
@@ -125,8 +122,8 @@ def _solve_cn(sys, case, grid):
     N = grid.N
     a = cn_coefficients(alpha, N)
     c = tau ** (-alpha) / math.gamma(3.0 - alpha)
-    # + sum_{j=1..n-1} (a_{j-1} - a_j) (U^{n-j} - U^{n-j-1})
-    kernel = np.concatenate(([a[0]], a[:-1] - a[1:]))
+    # k_j = -(second difference of 0, 0, a_0, a_1, ...) at j
+    kernel = -np.diff(np.concatenate(([0.0, 0.0], a)), 2)
 
     b_vec = np.zeros(sys.n_dof)
     if case.b is not None:
@@ -137,19 +134,19 @@ def _solve_cn(sys, case, grid):
         # f(t_(n-1/2)) for n = 1..N, stored at n - 1
         scal_mid = np.array([case.source_time((n - 0.5) * tau) for n in range(1, N + 1)])
 
-    def rhs(n, conv, U):
-        acc = a[0] * U[n - 1] + a[n - 1] * tau * b_vec
+    start = initial_coefficients(sys, case)
+    Sv = sys.stiffness.matvec(start)
+
+    def rhs(n, conv, D):
+        acc = a[n - 1] * tau * b_vec
         if conv is not None:
             acc += conv
-        out = c * sys.mass.matvec(acc) - 0.5 * sys.stiffness.matvec(U[n - 1])
+        out = c * sys.mass.matvec(acc) - 0.5 * sys.stiffness.matvec(D[n - 1]) - Sv
         if chi is not None:
             out += scal_mid[n - 1] * chi
         return out
 
-    start = initial_coefficients(sys, case)
-    return schemes._march(
-        sys, grid, (c * a[0], 0.5), kernel, lambda U, m: U[m] - U[m - 1], rhs, start
-    )
+    return schemes._march(sys, grid, (c * a[0], 0.5), kernel, rhs, start)
 
 
 def solve_baseline(sys, case, kind, grid):

@@ -24,7 +24,6 @@ from .numkit import CgError
 
 def _add_common(p):
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
 
 
 def _emit_text(text, out):
@@ -193,6 +192,7 @@ def build_parser():
     p.add_argument("--t-list", dest="t_list")
     p.add_argument("--reference", choices=harness.REFERENCES)
     p.add_argument("--corrected", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--format", choices=("csv", "markdown"))
     _add_common(p)
     p.set_defaults(func=_cmd_study)
     return ap

@@ -97,6 +97,10 @@ class StudyConfig:
             raise ConfigError(
                 "decay studies require discrete_modal or self_convergence"
             )
+        for key in ("M_list", "N_list", "t_list"):
+            ladder = getattr(self, key)
+            if len(set(ladder)) != len(ladder):
+                raise ConfigError(f"{key} repeats an entry: {list(ladder)}")
 
     @classmethod
     def from_json(cls, path, overrides=None):

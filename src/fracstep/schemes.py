@@ -1,15 +1,16 @@
 """Fully discrete time-stepping schemes for the benchmark problems.
 
-Both steppers advance the fractional-order equation written with the history
-convolution grouped around the initial value: at step n the weak form is
+Every scheme marches the increment D^n = U^n - v from D^0 = 0, which is the
+convolution quadrature of the Riemann-Liouville derivative of u - v. For the
+two steppers here the weak form of step n is
 
-    (w0 M + S) U^n = loads + M [w0 v - sum_{j=1..n} w_j (U^{n-j} - v)]
+    (w0 M + S) D^n = loads - S v - M sum_{j=1..n-1} w_j D^(n-j)
                      (+ M sigma_n b for the second-order-in-time equation),
 
 where w are the quadrature weights of the fractional differentiation order
-and sigma_n applies the same weights to the sampled ramp t_m. Grouping the
-history as differences from v evaluates the v-term of the right-hand side
-exactly and avoids cancellation between two large convolutions.
+and sigma_n applies the same weights to the sampled ramp t_m. The initial
+value enters once, as the precomputed S v, and never has to cancel against
+a convolution at its own scale.
 
 The second-order stepper carries its first-step modification (the extra
 half-stiffness and half-source terms); without it the scheme drops to first
@@ -19,23 +20,21 @@ difference of the exact time antiderivative, which restores the design rate
 when the source has limited temporal smoothness.
 
 These two steppers and the four of :mod:`baselines` run through one core,
-``_march``. It owns the solver of the step system a M + b S, the
-(N+1) x n_dof trajectory U, one history buffer H, the history sum
-sum_{j=1..n-1} k_j H^(n-1-j) and each step's solve with its statistics.
-The history sum is one matrix-vector product of the forward rows H[0..n-2]
-with a slice of the kernel, reversed once into a contiguous copy. The system
-passed in fixes the coordinates and the solver (see :mod:`meshfem`): nodal
-with CG on ``fem_system(M)``, or its modal view, where every scheme is one
-scalar recursion per mode. A scheme supplies
+``_march``. It owns the solver of the step system a M + b S, the one
+(N+1) x n_dof trajectory, the history sum sum_{j=1..n-1} k_j D^(n-j) of its
+stored rows and each step's solve with its statistics; after the last step
+it adds v to every row in place. The history sum is one matrix-vector
+product of the rows D^1..D^(n-1) with a slice of the kernel, reversed once
+into a contiguous copy. The system passed in fixes the coordinates and the
+solver (see :mod:`meshfem`): nodal with CG on ``fem_system(M)``, or its
+modal view, where every scheme is one scalar recursion per mode. A scheme
+supplies
 
 * the step coefficients (a, b);
 * its kernel k;
-* its history map: U^m - v here, U^m - U^(m-1) for Crank-Nicolson, and U^m
-  itself (a view of U, no extra buffer) for L1 and both Gruenwald-Letnikov
-  variants;
-* a closure rhs(n, conv, U) that builds the right-hand side of step n from
-  the history sum, the loads and any first-step correction;
-* the starting vector U^0.
+* a closure rhs(n, conv, D) that builds the right-hand side of step n from
+  the history sum, the loads, the S v term and any first-step correction;
+* the starting vector v = U^0.
 """
 
 from __future__ import annotations
@@ -128,31 +127,28 @@ def _source_scalars(case, cfg, rule, grid):
     return np.array([w1[: n + 1] @ anti[n::-1] for n in range(grid.N + 1)])
 
 
-def _march(sys, grid, step, kernel, history, rhs, start):
-    """The one stepper behind every scheme: solve (a M + b S) U^n = rhs.
+def _march(sys, grid, step, kernel, rhs, start):
+    """The one stepper behind every scheme: solve (a M + b S) D^n = rhs.
 
-    ``step`` is (a, b). The history rows are H[m-1] = history(U, m), or the
-    states U^m themselves when ``history`` is None. At step n > 1 the core
-    forms conv = sum_{j=1..n-1} kernel[j] H[n-1-j] and hands it to
-    ``rhs(n, conv, U)`` (conv is None at n = 1), which sees U^0..U^(n-1).
-    A CG solve starts from U^(n-1).
+    ``step`` is (a, b). At step n > 1 the core forms the history sum
+    conv = sum_{j=1..n-1} kernel[j] D^(n-j) and hands it to
+    ``rhs(n, conv, D)`` (conv is None at n = 1), which sees D^0..D^(n-1),
+    D^0 = 0. A CG solve starts from D^(n-1). The returned trajectory is
+    U^n = D^n + start.
     """
     solver = sys.step_system(*step)
     N = grid.N
     U = np.zeros((N + 1, sys.n_dof))
-    U[0] = start
-    H = U[1:] if history is None else np.zeros((N, sys.n_dof))
-    # rev[L-n+i] = kernel[n-1-i] weighs H[i] at step n; L is N (L1, CN) or N+1
+    # rev[L-1-j] = kernel[j] weighs D^(n-j) at step n; L is N (L1, CN) or N+1
     rev = np.ascontiguousarray(kernel[::-1])
     L = len(kernel)
     stats = []
     for n in range(1, N + 1):
-        conv = rev[L - n : L - 1] @ H[: n - 1] if n > 1 else None
+        conv = rev[L - n : L - 1] @ U[1:n] if n > 1 else None
         info = {}
         U[n] = solver.solve(rhs(n, conv, U), x0=U[n - 1], stats=info)
-        if history is not None:
-            H[n - 1] = history(U, n)
         stats.append((n, info["iterations"], info["residual"]))
+    U += start
     return SolutionHistory(U, grid, stats, solver.backend)
 
 
@@ -180,21 +176,21 @@ def solve(sys, case, cfg, grid):
         chi_load = meshfem.load_vector(sys, case.source_space)
         src = _source_scalars(case, cfg, rule, grid)
 
-    def rhs(n, conv, U):
-        mass_part = w[0] * v
+    Sv = sys.stiffness.matvec(v)
+
+    def rhs(n, conv, D):
+        mass_part = sigma[n] * b if have_b else np.zeros(sys.n_dof)
         if conv is not None:
-            # sum_{j=1..n} w_j (U^{n-j} - v); the j = n term vanishes (U^0 = v)
             mass_part -= conv
-        if have_b:
-            mass_part += sigma[n] * b
         out = sys.mass.matvec(mass_part)
         if src is not None:
             out += src[n] * chi_load
+        out -= Sv
         if sbd and n == 1:
             # first-step modification of the second-order scheme
-            out -= 0.5 * sys.stiffness.matvec(U[0])
+            out -= 0.5 * Sv
             if src is not None:
                 out += 0.5 * src[0] * chi_load
         return out
 
-    return _march(sys, grid, (w[0], 1.0), w, lambda U, m: U[m] - v, rhs, v)
+    return _march(sys, grid, (w[0], 1.0), w, rhs, v)

@@ -42,6 +42,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             StudyConfig("a", (0.5,), ("dpg",), "temporal")
 
+    # a repeated entry would divide a stepwise rate by log(1)
+    def test_repeated_n_list_entry(self):
+        with pytest.raises(ConfigError, match="N_list repeats an entry"):
+            StudyConfig("a", (0.5,), ("be",), "temporal", N_list=(10, 20, 10))
+
+    def test_repeated_m_list_entry(self):
+        with pytest.raises(ConfigError, match="M_list repeats an entry"):
+            StudyConfig("e", (1.5,), ("sbd",), "spatial", M_list=(8, 8))
+
+    def test_repeated_t_list_entry(self):
+        with pytest.raises(ConfigError, match="t_list repeats an entry"):
+            StudyConfig("a", (0.5,), ("be",), "decay", t_list=(1e-3, 0.001))
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "study.json"
         path.write_text(
@@ -219,6 +232,18 @@ class TestModalStepping:
             rates = dict(zip(blk.labels, blk.rates))
             for label in ("t=1e-06", "t=1e-07"):
                 assert rates[label] == pytest.approx(1.5, abs=0.05), (blk.scheme, label)
+
+    @pytest.mark.parametrize("cid,value,rel", [
+        ("d", 1.0875702755e-14, 1e-2),
+        ("e", 1.7717497676e-13, 1e-5),
+    ])
+    def test_sbd_decay_floor(self, cid, value, rel):
+        # the same modal march carried out in np.longdouble; marching U^n at
+        # the scale of v read 8.8e-15 .. 1.21e-14 and 1.768e-13 .. 1.770e-13
+        # here, as the BLAS thread count changed the eigensolve's rounding
+        cfg = StudyConfig(cid, (1.5,), ("sbd",), "decay", M=16, N=10, t_list=(1e-8,))
+        (blk,) = run_study(cfg).blocks
+        assert blk.err_l2[0] == pytest.approx(value, rel=rel, abs=0.0)
 
     def test_stepping_system(self):
         base = mf.fem_system(8)
@@ -471,6 +496,19 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert "temporal study" in out_path.read_text()
 
+    def test_study_format_from_config(self, tmp_path):
+        # the flag overrides the file only when given
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({
+            "case": "a", "alphas": [0.5], "schemes": ["be"], "kind": "temporal",
+            "M": 4, "N_list": [8, 16], "format": "markdown",
+        }))
+        out = self.run_cli("study", "--config", str(cfg_path))
+        assert out.returncode == 0, out.stderr
+        assert "temporal study" in out.stdout
+        out = self.run_cli("study", "--config", str(cfg_path), "--format", "csv")
+        assert out.stdout.startswith("label,error_l2")
+
     def test_study_schema_printing(self):
         out = self.run_cli("study", "--print-schema")
         assert out.returncode == 0
@@ -483,6 +521,28 @@ class TestCli:
             "--kind", "spatial", "--reference", "discrete_modal",
         )
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--kind", "temporal", "--N-list", "10,10"),
+        ("--kind", "decay", "--t-list", "1e-3,1e-3"),
+    ])
+    def test_study_repeated_ladder_entry_exit_code(self, args):
+        out = self.run_cli(
+            "study", "--case", "a", "--alpha", "0.5", "--M", "4", "--scheme", "be", *args
+        )
+        assert out.returncode == 2, out.stderr
+        assert "repeats an entry" in out.stderr
+
+    @pytest.mark.parametrize("command", [
+        ("weights", "--rule", "be", "--alpha", "0.5"),
+        ("mlf", "--alpha", "0.5"),
+        ("solve", "--case", "a", "--alpha", "0.5", "--M", "4", "--N", "4"),
+    ])
+    def test_format_only_for_study(self, command):
+        out = self.run_cli(*command, "--format", "markdown")
+        assert out.returncode == 2
+        assert "unrecognized arguments: --format markdown" in out.stderr
+        assert out.stdout == ""
 
     def test_mlf_negative_argument_exit_code(self):
         out = self.run_cli("mlf", "--alpha", "0.5", "--x-min", "-1")

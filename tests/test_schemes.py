@@ -7,6 +7,7 @@ quadrature weights. The solver must reproduce that recursion to 1e-12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,27 +200,24 @@ class TestHistorySum:
         real = schemes._march
         seen = []
 
-        def march(sys_, grid, step, kernel, history, rhs, start):
-            def row(U, m):
-                return U[m] if history is None else history(U, m)
-
-            def checked(n, conv, U):
+        def march(sys_, grid, step, kernel, rhs, start):
+            def checked(n, conv, D):
+                assert not np.any(D[0])
                 if n == 1:
                     assert conv is None
                 else:
-                    # sum_{j=1..n-1} kernel[j] H^(n-1-j), H^(m-1) the row of U^m
-                    rows = [row(U, n - j) for j in range(1, n)]
+                    # sum_{j=1..n-1} kernel[j] D^(n-j), D^m = U^m - U^0 the stored row
                     direct = np.array([
-                        math.fsum(kernel[j] * rows[j - 1][i] for j in range(1, n))
+                        math.fsum(kernel[j] * D[n - j][i] for j in range(1, n))
                         for i in range(sys_.n_dof)
                     ])
                     err = np.linalg.norm(conv - direct)
                     assert err <= 1e-13 * np.linalg.norm(direct), (n, err)
                 seen.append(n)
-                return rhs(n, conv, U)
+                return rhs(n, conv, D)
 
             seen.append(len(kernel))
-            return real(sys_, grid, step, kernel, history, checked, start)
+            return real(sys_, grid, step, kernel, checked, start)
 
         monkeypatch.setattr(schemes, "_march", march)
         case = ref.get_case("e" if scheme == "cn" else "c" if scheme == "sbd" else "b",
@@ -232,3 +230,26 @@ class TestHistorySum:
         # kernels of length N (L1, Crank-Nicolson) and N + 1 (the others)
         assert seen[0] == (N if scheme in ("l1", "cn") else N + 1)
         assert seen[1:] == list(range(1, N + 1))
+
+
+class TestTrajectoryMemory:
+    """A solve allocates its (N+1) x n_dof trajectory and no other N x n_dof
+    array: the history rows are the stored rows of the increment march."""
+
+    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
+    def test_peak_allocation(self, scheme):
+        from fracstep import baselines
+
+        sys16 = mf.fem_system(16)
+        case = ref.get_case("e", 1.5) if scheme == "cn" else ref.get_case("b", 0.5)
+        grid = TimeGrid(0.1, 400)
+        tracemalloc.start()
+        try:
+            if scheme in ("be", "sbd"):
+                hist = schemes.solve(sys16, case, SchemeConfig(scheme.upper()), grid)
+            else:
+                hist = baselines.solve_baseline(sys16, case, scheme, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * hist.U.nbytes, peak / hist.U.nbytes
