@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from _oracles import bincount_matvec, check
 from fracstep.numkit import (
     CgError,
     NotPositiveDefiniteError,
@@ -23,12 +24,17 @@ def random_spd(n, seed, shift=None):
     return B @ B.T + (shift if shift is not None else n) * np.eye(n)
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestSparseMatrix:
     def test_from_coo_sums_duplicates(self):
         A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0])
         assert A.nnz == 2
         assert A.to_dense()[0, 1] == 3.0
-        A.check()
+        check(A)
 
     def test_explicit_zeros_kept(self):
         A = SparseMatrix.from_coo(2, 2, [0, 0], [0, 1], [1.0, 0.0])
@@ -41,7 +47,7 @@ class TestSparseMatrix:
         D = rng.standard_normal((40, 40))
         D[rng.random((40, 40)) < 0.7] = 0.0
         A = sparse_from_dense(D)
-        A.check()
+        check(A)
         x = rng.standard_normal(40)
         ref = sp.csr_matrix(D) @ x
         assert np.allclose(A.matvec(x), ref, atol=1e-14)
@@ -49,11 +55,61 @@ class TestSparseMatrix:
     def test_check_rejects_unsorted_row(self):
         A = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([2, 1, 0]), np.ones(3))
         with pytest.raises(ValueError, match="row 0 columns not increasing"):
-            A.check()
+            check(A)
 
     def test_decreasing_offsets_rejected_at_construction(self):
         with pytest.raises(ValueError, match="row_offsets decrease"):
             SparseMatrix(2, 2, [0, 2, 1], np.array([0, 1]), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "offsets,cols,message",
+        [
+            ([0, 1, 2], [0, 2], "column index out of range"),
+            ([0, 1, 2], [0, -1], "column index out of range"),
+            ([0, 1, 3], [0, 1], "row_offsets must run from 0 to nnz"),
+            ([1, 1, 2], [0, 1], "row_offsets must run from 0 to nnz"),
+        ],
+    )
+    def test_bad_layout_rejected_at_construction(self, offsets, cols, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix(2, 2, np.array(offsets), np.array(cols), np.ones(2))
+
+    def test_matvec_rejects_wrong_length(self):
+        A = fem_system(4).mass
+        for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1), np.ones((A.n_cols, 1))):
+            with pytest.raises(ValueError, match=rf"x must have shape \({A.n_cols},\)"):
+                A.matvec(x)
+
+    def test_matvec_without_entries_is_float(self):
+        y = SparseMatrix.from_coo(3, 3, [], [], []).matvec(np.ones(3))
+        assert y.dtype == np.float64 and np.array_equal(y, np.zeros(3))
+
+    @pytest.mark.parametrize("M", [2, 6, 16, 64])
+    def test_matvec_bit_identical_on_mesh(self, M):
+        sys_ = fem_system(M)
+        rng = np.random.default_rng(M)
+        for A in (sys_.mass, sys_.stiffness, sys_.mass.scaled_add(1.7, sys_.stiffness, 0.3)):
+            for x in (rng.standard_normal(A.n_cols), np.ones(A.n_cols)):
+                assert_same_bits(A.matvec(x), bincount_matvec(A, x))
+
+    @pytest.mark.parametrize(
+        "shape", [(40, 40), (25, 60), (60, 25), (1, 1), (5, 0), (0, 5), (0, 0)]
+    )
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3])
+    def test_matvec_bit_identical_on_random_patterns(self, shape, density):
+        # explicit zeros, duplicate triplets, empty rows, negative zeros in x
+        n_rows, n_cols = shape
+        rng = np.random.default_rng(n_rows * 1000 + n_cols + int(100 * density))
+        nnz = int(density * n_rows * n_cols)
+        rows = rng.integers(0, n_rows // 2 + 1, nnz)  # leaves rows empty
+        cols = rng.integers(0, max(n_cols, 1), nnz)
+        vals = rng.standard_normal(nnz)
+        vals[rng.random(nnz) < 0.2] = 0.0
+        A = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+        check(A)
+        x = rng.standard_normal(n_cols)
+        x[rng.random(n_cols) < 0.2] = -0.0
+        assert_same_bits(A.matvec(x), bincount_matvec(A, x))
 
     def test_scaled_add(self):
         D1 = np.array([[2.0, 1.0], [1.0, 2.0]])
