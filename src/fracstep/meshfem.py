@@ -31,7 +31,9 @@ Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per
 (nodal system, function): the nodal load is cached read-only. Error norms
 use a denser collapsed-Gauss rule because modal reference solutions carry
-high sine modes that a degree-4 rule would misresolve on coarse cells.
+high sine modes that a degree-4 rule would misresolve on coarse cells. Its
+points form one tensor grid over the cells per triangle half and rule
+point, and the exact field is evaluated on those grids.
 """
 
 from __future__ import annotations
@@ -147,16 +149,30 @@ class FemSystem:
         return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b))
 
     def quad_points(self, order=4):
-        """Physical quadrature points and per-point weights on every element.
+        """Quadrature points (nel, nq, 2) on every element, the weights (nq,)
+        scaled by element area, and the shape values (nq, 3)."""
+        return self._points(order, self.mesh.triangles)
 
-        Returns (points (nel, nq, 2), weights (nq,) scaled by element area,
-        shape values (nq, 3)).
+    def grid_points(self, order=10):
+        """The points of ``quad_points(order)`` as 2 nq tensor grids.
+
+        Returns (xs (2 nq, M), ys (2 nq, M), weights, shape values). Point q
+        of triangle t in cell (i, j), element (i M + j) 2 + t, lies at
+        (xs[t nq + q, i], ys[t nq + q, j]), bit for bit: its x does not
+        depend on j nor its y on i, so cells (i, 0) and (0, j) give both.
         """
+        M = self.mesh.M
+        cells = self.mesh.triangles.reshape(M, M, 2, 3)
+        pts, w, bary = self._points(order, np.concatenate([cells[:, 0], cells[0, :]]))
+        grids = pts.reshape(2, M, 2, len(w), 2).transpose(0, 4, 2, 3, 1).reshape(2, 2, -1, M)
+        return grids[0, 0], grids[1, 1], w, bary
+
+    def _points(self, order, triangles):
+        if order not in _RULES:
+            raise ValueError(f"no quadrature rule of order {order}; orders are {sorted(_RULES)}")
         bary, wts = _RULES[order]
-        tri_nodes = self.mesh.nodes[self.mesh.triangles]  # (nel, 3, 2)
-        pts = np.einsum("qk,ekd->eqd", bary, tri_nodes)
-        area = 0.5 * self.mesh.h ** 2
-        return pts, wts * area, bary
+        pts = np.einsum("qk,ekd->eqd", bary, self.mesh.nodes[triangles.reshape(-1, 3)])
+        return pts, wts * (0.5 * self.mesh.h ** 2), bary
 
 
 class CgSolver:
@@ -358,38 +374,33 @@ def nodal_values(sys, c):
 def error_norms(sys, c, u_exact, grad_exact=None, order=10):
     """(L2, H1-seminorm) error between the FE function and a pointwise field.
 
-    ``u_exact(x, y)`` is evaluated at quadrature points of the given order;
-    the H1 part is skipped (returned as None) unless ``grad_exact`` is given,
-    in which case it must map point arrays to the pair (du/dx, du/dy). When
-    ``grad_exact`` is ``u_exact.grad`` and ``u_exact`` has ``value_and_grad``
-    (as ``reference.ExactSolution`` does), one call of that evaluates both,
-    so the points are sorted and tabulated once.
+    ``u_exact(x, y)`` is called once, on the rule's grids (``grid_points``)
+    as broadcast arrays x (2 nq, M, 1) and y (2 nq, 1, M). The H1 part is
+    None unless ``grad_exact`` maps the same arguments to (du/dx, du/dy).
+    When ``grad_exact`` is ``u_exact.grad`` (``reference.ExactSolution``),
+    one call of ``u_exact.value_and_grad`` evaluates both.
     """
-    pts, w, shape = sys.quad_points(order)
-    x, y = pts[..., 0], pts[..., 1]
-    full = nodal_values(sys, c)
-    local = full[sys.mesh.triangles]  # (nel, 3)
-    uh = local @ shape.T              # (nel, nq)
-    both = getattr(u_exact, "value_and_grad", None)
-    if grad_exact is not None and both is not None and grad_exact == getattr(u_exact, "grad", None):
-        ue, (gex, gey) = both(x, y)
+    xs, ys, w, shape = sys.grid_points(order)
+    M, nq = sys.mesh.M, len(w)
+    x, y = xs[:, :, None], ys[:, None, :]
+    if grad_exact is not None and grad_exact == getattr(u_exact, "grad", None):
+        ue, (gex, gey) = u_exact.value_and_grad(x, y)
     else:
         ue = u_exact(x, y)
         if grad_exact is not None:
             gex, gey = grad_exact(x, y)
-    # squares formed in place: the exact fields may all be held at once
-    err = uh - np.broadcast_to(np.asarray(ue, dtype=float), uh.shape)
-    err *= err
-    l2 = float(np.sqrt(np.sum(err @ w)))
+    local = nodal_values(sys, c)[sys.mesh.triangles]  # (nel, 3)
+
+    def sq_error(fe, exact):
+        """The rule's sum of (fe - exact)^2; fe is (nel,) or (nel, nq)."""
+        fe = np.broadcast_to(fe.reshape(len(fe), -1), (len(fe), nq))
+        d = fe.reshape(M, M, 2, nq).transpose(2, 3, 0, 1).reshape(2 * nq, M, M) - exact
+        d *= d
+        return float(np.tile(w, 2) @ d.sum(axis=(1, 2)))
+
+    l2 = math.sqrt(sq_error(local @ shape.T, ue))
     if grad_exact is None:
         return l2, None
     # FE gradient is constant per element
-    ghx = np.einsum("ea,ea->e", sys._grads[:, 0, :], local)
-    ghy = np.einsum("ea,ea->e", sys._grads[:, 1, :], local)
-    dx2 = ghx[:, None] - np.broadcast_to(np.asarray(gex, dtype=float), uh.shape)
-    dx2 *= dx2
-    dy2 = ghy[:, None] - np.broadcast_to(np.asarray(gey, dtype=float), uh.shape)
-    dy2 *= dy2
-    dx2 += dy2
-    h1 = float(np.sqrt(np.sum(dx2 @ w)))
-    return l2, h1
+    ghx, ghy = (np.einsum("ea,ea->e", sys._grads[:, d, :], local) for d in (0, 1))
+    return l2, math.sqrt(sq_error(ghx, gex) + sq_error(ghy, gey))

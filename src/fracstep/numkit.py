@@ -163,8 +163,8 @@ class SparseMatrix:
         )
 
     def _check_layout(self):
-        """The invariants the diagonal layout relies on; whether each row's
-        columns increase is left to the caller."""
+        """The invariants the diagonal layout relies on: a repeated column
+        would leave one of its entries out of the layout."""
         if len(self.row_offsets) != self.n_rows + 1:
             raise ValueError("row_offsets must have n_rows + 1 entries")
         if np.any(np.diff(self.row_offsets) < 0):
@@ -173,6 +173,14 @@ class SparseMatrix:
             raise ValueError("row_offsets must run from 0 to nnz")
         if np.any(self.col_indices < 0) or np.any(self.col_indices >= self.n_cols):
             raise ValueError("column index out of range")
+        # columns increase along each row; a row's first entry may lie
+        # left of the previous row's last
+        stalls = self.col_indices[1:] <= self.col_indices[:-1]
+        starts = np.asarray(self.row_offsets[1:-1])
+        stalls[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
+        if stalls.any():
+            row = np.searchsorted(self.row_offsets, np.argmax(stalls) + 1, side="right") - 1
+            raise ValueError(f"row {row} columns not increasing")
 
 
 def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=None):

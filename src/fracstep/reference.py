@@ -253,31 +253,22 @@ def modal_amplitudes(case, lam, vcoef, bcoef, fcoef, t):
 
 def _distinct_phases(v, modes):
     """Inverse index of v into its distinct values u, and the phases m pi u."""
-    vals, inv = np.unique(v.ravel(), return_inverse=True)
-    return inv, PI * np.outer(vals, modes)
+    vals, inv = np.unique(v, return_inverse=True)
+    return inv.reshape(v.shape), PI * np.outer(vals, modes)
 
 
 class ExactSolution:
-    """Pointwise evaluator of the truncated series solution at a fixed time.
+    """The truncated series solution at a fixed time, summed on tensor grids.
 
     u(x, y) = 2 sum_{k,l} A[k, l] sin(k pi x) sin(l pi y) over the K x L
-    retained modes. A call sums the series over the distinct x and the
-    distinct y among its points, never per point: it tabulates the sines
-    (and, for ``grad``, the cosines) at the nx distinct x and ny distinct y,
-    forms the nx x L products SX @ A once, and then spends one length-L dot
-    product per point and value. The cost is a sort of the coordinates,
-    O(nx K + ny L) for the tables, O(nx K L) for the products and O(L) per
-    point; memory stays at the tables plus one block of gathered rows.
-    Error-quadrature points on the uniform mesh repeat their coordinates
-    heavily (the order-10 rule at M=64 has 294,912 points, 2,411 distinct x
-    and 3,440 distinct y); points with all coordinates distinct cost O(K L)
-    each, as a per-point sum would. Arguments follow numpy broadcasting.
+    retained modes. On a grid (x_i, y_j) this is 2 (SX A) SY^T with the sine
+    tables SX[i, k] = sin(k pi x_i), SY[j, l] = sin(l pi y_j); a gradient
+    component swaps one table for its derivative. Broadcast points x
+    (..., nx, 1) and y (..., 1, ny), as ``meshfem.error_norms`` passes them,
+    are one nx x ny grid per leading index; any other points are 1 x 1
+    grids. A call tabulates the distinct x and y once, then spends one
+    (nx x L) @ (L x ny) product per grid and field.
     """
-
-    # entries of one block of gathered rows: two such blocks (1 MiB) stay in
-    # a 2 MiB per-core L2 cache; on a Xeon with that cache, blocks of 4096
-    # rows of 128 ran the row dots 5x slower than blocks of 512
-    _BLOCK_ENTRIES = 1 << 16
 
     def __init__(self, case, expansion, t):
         if expansion.kind != "continuous":
@@ -290,40 +281,38 @@ class ExactSolution:
             expansion.fcoef, self.t,
         )
 
-    def _phases(self, x, y):
-        """Broadcast shape, inverse indices and phase tables of the distinct x, y."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        ix, px = _distinct_phases(x, self.expansion.ks)
-        iy, py = _distinct_phases(y, self.expansion.ls)
-        return x.shape, ix, iy, px, py
-
-    def _row_dots(self, xa, ytab, ix, iy):
-        """2 xa[ix[p]] . ytab[iy[p]] for every point p, in blocks of points."""
-        out = np.empty(len(ix))
-        rows = max(1, self._BLOCK_ENTRIES // xa.shape[1])
-        for s in range(0, len(ix), rows):
-            blk = slice(s, s + rows)
-            out[blk] = np.einsum("pl,pl->p", xa[ix[blk]], ytab[iy[blk]])
-        out *= 2.0
-        return out
-
     def _fields(self, x, y, value, grad):
-        """[u][, (du/dx, du/dy)] at the points, from one set of phase tables."""
-        shape, ix, iy, px, py = self._phases(x, y)
-        A, ks, ls = self.amplitudes, self.expansion.ks, self.expansion.ls
+        """[u][, (du/dx, du/dy)] at the points, from one set of tables."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        if min(x.ndim, y.ndim) < 2 or x.shape[-1] != 1 or y.shape[-2] != 1:
+            x, y = x[..., None, None], y[..., None, None]
+        *batch, nx, ny = np.broadcast_shapes(x.shape, y.shape)
+        n_grids = math.prod(batch)
+        xs = np.broadcast_to(x[..., 0], (*batch, nx)).reshape(n_grids, nx)
+        ys = np.broadcast_to(y[..., 0, :], (*batch, ny)).reshape(n_grids, ny)
+        ix, px = _distinct_phases(xs, self.expansion.ks)
+        iy, py = _distinct_phases(ys, self.expansion.ls)
+        A = 2.0 * self.amplitudes
+        # grids in batches that gather no more entries than A holds
+        step = max(1, len(A) // max(nx + ny, 1))
+
+        def on_grids(xtab, ytab):
+            out = np.empty((n_grids, nx, ny))
+            for s in range(0, n_grids, step):
+                b = slice(s, s + step)
+                np.matmul(xtab[ix[b]], ytab[iy[b]].transpose(0, 2, 1), out=out[b])
+            return out.reshape(shape)
+
         sx_a, sy = np.sin(px) @ A, np.sin(py)
-        out = []
-        if value:
-            out.append(self._row_dots(sx_a, sy, ix, iy).reshape(shape))
+        out = [on_grids(sx_a, sy)] if value else []
         if grad:
             # the cosine tables overwrite the phases, which are not needed again
             cx = np.cos(px, out=px)
-            cx *= PI * ks
-            gx = self._row_dots(cx @ A, sy, ix, iy)
+            cx *= PI * self.expansion.ks
             cy = np.cos(py, out=py)
-            cy *= PI * ls
-            gy = self._row_dots(sx_a, cy, ix, iy)
-            out.append((gx.reshape(shape), gy.reshape(shape)))
+            cy *= PI * self.expansion.ls
+            out.append((on_grids(cx @ A, sy), on_grids(sx_a, cy)))
         return out
 
     def __call__(self, x, y):
@@ -333,7 +322,7 @@ class ExactSolution:
         return self._fields(x, y, False, True)[0]
 
     def value_and_grad(self, x, y):
-        """(u, (du/dx, du/dy)): the two calls above for one sort of the points."""
+        """(u, (du/dx, du/dy)): the two calls above from one set of tables."""
         return tuple(self._fields(x, y, True, True))
 
     def l2_norm(self):

@@ -154,3 +154,42 @@ def check(A):
         cols = A.col_indices[A.row_offsets[i] : A.row_offsets[i + 1]]
         if np.any(np.diff(cols) <= 0):
             raise ValueError(f"row {i} columns not increasing")
+
+
+def row_dot_series(sol, x, y):
+    """Value and gradient (u, (du/dx, du/dy)) of the series of a
+    ``reference.ExactSolution`` at broadcast points x, y, one point at a
+    time: the sine and cosine tables of the distinct x and y, then one
+    gathered length-L row dot per point and field."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    A, ks, ls = sol.amplitudes, sol.expansion.ks, sol.expansion.ls
+    ux, ix = np.unique(x.ravel(), return_inverse=True)
+    uy, iy = np.unique(y.ravel(), return_inverse=True)
+    px, py = np.pi * np.outer(ux, ks), np.pi * np.outer(uy, ls)
+    sx_a, sy = np.sin(px) @ A, np.sin(py)
+    cx_a, cy = (np.pi * ks * np.cos(px)) @ A, np.pi * ls * np.cos(py)
+
+    def dots(xtab, ytab):
+        return 2.0 * np.einsum("pl,pl->p", xtab[ix.ravel()], ytab[iy.ravel()]).reshape(x.shape)
+
+    return dots(sx_a, sy), (dots(cx_a, sy), dots(sx_a, cy))
+
+
+def pointwise_error_norms(sys, c, u_exact, grad_exact=None, order=10):
+    """(L2, H1-seminorm) error of the FE function c against pointwise fields,
+    evaluated at the (nel, nq) points of ``sys.quad_points(order)`` and
+    summed element by element; the H1 part is None without ``grad_exact``."""
+    pts, w, shape = sys.quad_points(order)
+    x, y = pts[..., 0], pts[..., 1]
+    full = np.zeros(len(sys.mesh.nodes))
+    inner = sys.mesh.interior_map >= 0
+    full[inner] = np.asarray(c)[sys.mesh.interior_map[inner]]
+    local = full[sys.mesh.triangles]
+    err = local @ shape.T - np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), x.shape)
+    l2 = float(np.sqrt(np.sum((err * err) @ w)))
+    if grad_exact is None:
+        return l2, None
+    gex, gey = grad_exact(x, y)
+    dx = np.einsum("ea,ea->e", sys._grads[:, 0, :], local)[:, None] - gex
+    dy = np.einsum("ea,ea->e", sys._grads[:, 1, :], local)[:, None] - gey
+    return l2, float(np.sqrt(np.sum((dx * dx + dy * dy) @ w)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from _oracles import check, loop_assembly, loop_mesh
+from _oracles import check, loop_assembly, loop_mesh, pointwise_error_norms, row_dot_series
 from fracstep import baselines, meshfem as mf, reference as ref, schemes
 from fracstep.numkit import gen_sym_eig
 
@@ -264,8 +264,9 @@ class TestNorms:
         def u(x, y):
             # evaluate the FE function: locate the cell, then the triangle half
             M = mesh.M
-            xx = np.asarray(x).ravel()
-            yy = np.asarray(y).ravel()
+            x, y = np.broadcast_arrays(x, y)
+            xx = x.ravel()
+            yy = y.ravel()
             out = np.empty_like(xx)
             for idx, (a, b) in enumerate(zip(xx, yy)):
                 i = min(int(a * M), M - 1)
@@ -280,7 +281,7 @@ class TestNorms:
                     out[idx] = n00 + s * (n10 - n00) + t * (n11 - n10)
                 else:
                     out[idx] = n00 + t * (n01 - n00) + s * (n11 - n01)
-            return out.reshape(np.asarray(x).shape)
+            return out.reshape(x.shape)
 
         l2, _ = mf.error_norms(sys8, c, u)
         assert l2 <= 1e-13 * mf.l2_norm(sys8, c)
@@ -289,20 +290,53 @@ class TestNorms:
         case = ref.get_case("e", 1.5)
         sol = ref.exact_solution(case, ref.modal_coefficients(case, 31), 0.1)
         c = mf.l2_project(sys8, case.v)
-        calls = []
-        real = ref.ExactSolution._phases
+        builds = []
+        real = ref._distinct_phases
 
-        def counted(self, x, y):
-            calls.append(1)
-            return real(self, x, y)
+        def counted(v, modes):
+            # one table build tabulates the distinct x, then the distinct y
+            if modes is sol.expansion.ks:
+                builds.append(1)
+            return real(v, modes)
 
-        monkeypatch.setattr(ref.ExactSolution, "_phases", counted)
+        monkeypatch.setattr(ref, "_distinct_phases", counted)
         # a gradient that is not sol.grad itself is evaluated on its own
         apart = mf.error_norms(sys8, c, sol, lambda x, y: sol.grad(x, y))
-        assert len(calls) == 2
+        assert len(builds) == 2
         together = mf.error_norms(sys8, c, sol, sol.grad)
-        assert len(calls) == 3
+        assert len(builds) == 3
         assert together == apart
+
+    @pytest.mark.parametrize("M", [2, 8, 16])
+    @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("b", 0.5), ("e", 1.5)])
+    def test_series_norms_against_pointwise_oracle(self, cid, alpha, M):
+        # the discrete reference lies O(h^2) from the series, as a solve does
+        case = ref.get_case(cid, alpha)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.1)
+        s = mf.fem_system(M)
+        c = ref.discrete_reference(s, case, 0.1)
+        l2, h1 = mf.error_norms(s, c, sol, sol.grad)
+        want = pointwise_error_norms(
+            s, c, lambda x, y: row_dot_series(sol, x, y)[0],
+            lambda x, y: row_dot_series(sol, x, y)[1],
+        )
+        assert l2 == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert h1 == pytest.approx(want[1], rel=1e-14, abs=0.0)
+        assert mf.error_norms(s, c, sol) == (l2, None)
+
+    @pytest.mark.parametrize("M", [2, 8, 16])
+    def test_plain_callable_norms_against_pointwise_oracle(self, M):
+        s = mf.fem_system(M)
+        case = ref.get_case("a", 0.5)
+        c = mf.l2_project(s, case.v)
+        g = lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y)
+        for u, grad in ((case.v, case.v_grad), (ref._chi_left, None), (g, None)):
+            got, want = mf.error_norms(s, c, u, grad), pointwise_error_norms(s, c, u, grad)
+            assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+            if grad is None:
+                assert got[1] is want[1] is None
+            else:
+                assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
     def test_discrete_poincare(self, sys8):
         rng = np.random.default_rng(9)
@@ -329,6 +363,28 @@ class TestEigenvalue:
 
 
 class TestQuadratureRules:
+    @pytest.mark.parametrize("M", [2, 8, 64])
+    @pytest.mark.parametrize("order", [4, 10])
+    def test_grid_points_are_quad_points_bitwise(self, M, order):
+        s = mf.fem_system(M)
+        pts, w, shape = s.quad_points(order)
+        xs, ys, grid_w, grid_shape = s.grid_points(order)
+        nq = len(w)
+        # element (i M + j) 2 + t, rule point q: grid t nq + q, entry (i, j)
+        grids = pts.reshape(M, M, 2, nq, 2).transpose(2, 3, 0, 1, 4).reshape(2 * nq, M, M, 2)
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+        assert xs.shape == ys.shape == (2 * nq, M)
+        full = grids.shape[:3]
+        assert np.array_equal(bits(grids[..., 0]), bits(np.broadcast_to(xs[:, :, None], full)))
+        assert np.array_equal(bits(grids[..., 1]), bits(np.broadcast_to(ys[:, None, :], full)))
+        assert np.array_equal(grid_w, w) and np.array_equal(grid_shape, shape)
+
+    def test_unknown_order_rejected(self, sys4):
+        for call in (sys4.quad_points, sys4.grid_points,
+                     lambda order: mf.error_norms(sys4, np.zeros(9), ref._chi_left, order=order)):
+            with pytest.raises(ValueError, match=r"orders are \[4, 10\]"):
+                call(7)
+
     @pytest.mark.parametrize("order", [4, 10])
     def test_exactness_on_monomials(self, order):
         sys2 = mf.assemble(mf.build_mesh(2))

@@ -53,9 +53,16 @@ class TestSparseMatrix:
         assert np.allclose(A.matvec(x), ref, atol=1e-14)
 
     def test_check_rejects_unsorted_row(self):
-        A = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([2, 1, 0]), np.ones(3))
+        # decreasing, then repeated columns; rows may restart their columns
         with pytest.raises(ValueError, match="row 0 columns not increasing"):
-            check(A)
+            SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([2, 1, 0]), np.ones(3))
+        with pytest.raises(ValueError, match="row 0 columns not increasing"):
+            SparseMatrix(1, 2, np.array([0, 2]), np.array([1, 1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="row 2 columns not increasing"):
+            SparseMatrix(4, 3, np.array([0, 1, 1, 3, 4]), np.array([2, 1, 1, 0]), np.ones(4))
+        A = SparseMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 1]), np.ones(4))
+        check(A)
+        assert np.array_equal(A.matvec(np.array([1.0, 2.0, 4.0])), [6.0, 0.0, 3.0])
 
     def test_decreasing_offsets_rejected_at_construction(self):
         with pytest.raises(ValueError, match="row_offsets decrease"):
