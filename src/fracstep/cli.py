@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 
@@ -134,7 +135,10 @@ def _cmd_study(args):
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The one parser of this process; each ``parse_args`` call returns a
+    fresh namespace, so calls share no arguments."""
     ap = argparse.ArgumentParser(
         prog="fracstep",
         description="Galerkin FEM + convolution quadrature solvers for "

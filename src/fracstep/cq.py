@@ -6,11 +6,18 @@ underlying multistep method (backward Euler or the second-order backward
 difference). The primary path computes them with the power-series power
 recurrence; an FFT-based evaluation of the same generating function is kept
 as a validation oracle.
+
+The Taylor coefficients of delta(xi)**alpha depend on neither tau nor the
+number of terms asked for, so the module keeps one growing list of them per
+(delta coefficients, alpha), for at most 64 such pairs (least recently used
+go first). A ladder over N or t therefore runs the recurrence once per rule
+and alpha, up to its largest N, and each call scales a copy by tau**-alpha.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,46 +50,53 @@ def get_rule(kind):
         raise ValueError(f"unknown quadrature rule {kind!r}") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _series(coeffs, alpha):
+    """The one growing list of Taylor coefficients of p(xi)**alpha.
+
+    ``_series_power`` extends it in place; the first n terms do not depend
+    on how many more are asked for, and none depends on tau.
+    """
+    if coeffs[0] <= 0.0:
+        raise ValueError("invalid generating polynomial")
+    return [coeffs[0] ** alpha]
+
+
 def _series_power(coeffs, alpha, n_terms):
-    """Taylor coefficients of p(xi)**alpha via the power recurrence.
+    """Taylor coefficients q_0..q_{n_terms-1} of p(xi)**alpha, via the power
+    recurrence on Python floats.
 
     With p = sum a_j xi^j and a_0 > 0:
         q_0 = a_0**alpha,
         q_n = (n a_0)^-1 sum_{j=1}^{min(n,deg)} ((alpha+1) j - n) a_j q_{n-j}.
     """
-    a = np.asarray(coeffs, dtype=float)
-    if a[0] <= 0.0:
-        raise ValueError("invalid generating polynomial")
+    a = tuple(float(c) for c in coeffs)
+    q = _series(a, alpha)
     deg = len(a) - 1
-    q = np.zeros(n_terms)
-    q[0] = a[0] ** alpha
-    for n in range(1, n_terms):
-        jmax = min(n, deg)
-        js = np.arange(1, jmax + 1)
-        q[n] = np.sum(((alpha + 1.0) * js - n) * a[1 : jmax + 1] * q[n - js]) / (
-            n * a[0]
-        )
-    return q
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_weights(delta_coeffs, alpha, tau, N):
-    q = _series_power(delta_coeffs, alpha, N + 1)
-    w = q * tau ** (-alpha)
-    w.flags.writeable = False
-    return w
+    for n in range(len(q), n_terms):
+        s = 0.0
+        for j in range(1, min(n, deg) + 1):
+            s += ((alpha + 1.0) * j - n) * a[j] * q[n - j]
+        q.append(s / (n * a[0]))
+    return np.array(q[:n_terms])
 
 
 def cq_weights(rule, alpha, tau, N):
-    """Quadrature weights of (delta(xi)/tau)**alpha, indices 0..N.
+    """Quadrature weights of (delta(xi)/tau)**alpha, indices 0..N, read-only.
 
-    The array is cached and shared between callers, so it is read-only.
+    They are q_0..q_N times tau**-alpha, where q is the series of
+    delta(xi)**alpha that ``_series`` keeps per (rule, alpha).
     """
+    alpha, tau = float(alpha), float(tau)
+    if not (math.isfinite(alpha) and math.isfinite(tau)):
+        raise ValueError("alpha and tau must be finite")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    return _cached_weights(tuple(rule.delta_coeffs), float(alpha), float(tau), int(N))
+    if not float(N).is_integer() or N < 0:
+        raise ValueError("N must be a nonnegative integer")
+    w = _series_power(rule.delta_coeffs, alpha, int(N) + 1) * tau ** (-alpha)
+    w.flags.writeable = False
+    return w
 
 
 def cq_weights_fft(rule, alpha, tau, N):

@@ -66,6 +66,8 @@ class SparseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
+        for name in ("row_offsets", "col_indices", "values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
         # before np.repeat, which would fail with numpy's own message
         self._check_layout()
         # per-entry row index, for the layout below, to_dense and diagonal

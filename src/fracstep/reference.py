@@ -222,33 +222,52 @@ def _homogeneous_factor(alpha, beta, lam_flat, t):
     The call receives each distinct argument lam t^alpha once: the continuous
     spectrum pi^2 (k^2 + l^2) repeats each value for (k, l) and (l, k), and
     more often where k^2 + l^2 has several representations.
+
+    Nothing is cached here. The discrete reference reads its factors through
+    ``_discrete_factor``, which keeps them read-only per (nodal system,
+    alpha, t, beta), at most 128 of them; the continuous reference calls
+    this once per factor of each ``ExactSolution``.
     """
     y_u, inv = np.unique(np.asarray(lam_flat, dtype=float) * t ** alpha, return_inverse=True)
     return mlf_neg(alpha, beta, y_u)[inv]
 
 
-def duhamel_factor(alpha, source_powers, lam_flat, t):
-    """Closed-form Duhamel amplitude per mode for a power-sum time factor."""
-    out = np.zeros(len(lam_flat))
-    for c, g in source_powers:
-        pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
-        out += pref * _homogeneous_factor(alpha, alpha + g + 1.0, lam_flat, t)
+@functools.lru_cache(maxsize=128)
+def _discrete_factor(fem, alpha, t, beta):
+    """``_homogeneous_factor`` on the spectrum of ``modal_view(fem)``, read-only.
+
+    Every case on one system shares the spectrum, so cases a and b share
+    E_{alpha,1}, and a decay ladder's t = 0.1 repeats the temporal
+    reference's factors.
+    """
+    out = _homogeneous_factor(alpha, beta, modal_view(fem).lam, t)
+    out.flags.writeable = False
     return out
 
 
-def modal_amplitudes(case, lam, vcoef, bcoef, fcoef, t):
-    """Per-mode solution amplitude at time t for arbitrary eigenvalues."""
-    flat = lam.ravel()
+def duhamel_factor(alpha, source_powers, t, factor):
+    """Closed-form Duhamel amplitude per mode for a power-sum time factor;
+    ``factor(beta)`` is E_{alpha,beta}(-lam t^alpha) per mode."""
+    out = 0.0
+    for c, g in source_powers:
+        pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
+        out = out + pref * factor(alpha + g + 1.0)
+    return out
+
+
+def modal_amplitudes(case, exp, t, factor):
+    """Per-mode solution amplitude at time t of an expansion whose factors
+    E_{alpha,beta}(-lam t^alpha), flattened, are ``factor(beta)``."""
     if t == 0.0:
-        return vcoef.copy()
-    amp = np.zeros(flat.shape)
-    if np.any(vcoef):
-        amp += vcoef.ravel() * _homogeneous_factor(case.alpha, 1.0, flat, t)
-    if np.any(bcoef):
-        amp += bcoef.ravel() * t * _homogeneous_factor(case.alpha, 2.0, flat, t)
-    if np.any(fcoef) and case.source_powers:
-        amp += fcoef.ravel() * duhamel_factor(case.alpha, case.source_powers, flat, t)
-    return amp.reshape(lam.shape)
+        return exp.vcoef.copy()
+    amp = np.zeros(exp.lam.size)
+    if np.any(exp.vcoef):
+        amp += exp.vcoef.ravel() * factor(1.0)
+    if np.any(exp.bcoef):
+        amp += exp.bcoef.ravel() * t * factor(2.0)
+    if np.any(exp.fcoef) and case.source_powers:
+        amp += exp.fcoef.ravel() * duhamel_factor(case.alpha, case.source_powers, t, factor)
+    return amp.reshape(exp.lam.shape)
 
 
 def _distinct_phases(v, modes):
@@ -276,9 +295,10 @@ class ExactSolution:
         self.case = case
         self.expansion = expansion
         self.t = float(t)
+        lam = expansion.lam.ravel()
         self.amplitudes = modal_amplitudes(
-            case, expansion.lam, expansion.vcoef, expansion.bcoef,
-            expansion.fcoef, self.t,
+            case, expansion, self.t,
+            lambda beta: _homogeneous_factor(case.alpha, beta, lam, self.t),
         )
 
     def _fields(self, x, y, value, grad):
@@ -398,5 +418,7 @@ def discrete_reference(sys, case, t):
     """The semidiscrete solution, exact in time, in the coordinates of ``sys``
     (nodal, or the modal amplitudes Phi^T M u on its modal view)."""
     exp = _discrete_expansion(sys.fem, case)
-    amp = modal_amplitudes(case, exp.lam, exp.vcoef, exp.bcoef, exp.fcoef, t)
+    amp = modal_amplitudes(
+        case, exp, t, functools.partial(_discrete_factor, sys.fem, case.alpha, t)
+    )
     return amp if isinstance(sys, meshfem.ModalSystem) else exp.basis @ amp

@@ -23,6 +23,28 @@ def mp_weights(kind, alpha, tau, N):
     return np.array([float(c) for c in mp.taylor(f, 0, N)])
 
 
+def numpy_series_power(coeffs, alpha, n_terms):
+    """Taylor coefficients of p(xi)**alpha by the power recurrence, each term
+    one numpy expression over j = 1..min(n, deg):
+
+        q_n = sum(((alpha+1) j - n) a_j q_{n-j}) / (n a_0).
+
+    The package's former route; its Python-float recurrence must match it
+    bit for bit.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    deg = len(a) - 1
+    q = np.zeros(n_terms)
+    q[0] = a[0] ** alpha
+    for n in range(1, n_terms):
+        jmax = min(n, deg)
+        js = np.arange(1, jmax + 1)
+        q[n] = np.sum(((alpha + 1.0) * js - n) * a[1 : jmax + 1] * q[n - js]) / (
+            n * a[0]
+        )
+    return q
+
+
 def scalar_recursion(kind, equation, corrected, alpha, tau, N, m, s,
                      v=0.0, b=0.0, chi=0.0, powers=()):
     """The displayed schemes specialized to one dof.

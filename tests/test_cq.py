@@ -4,7 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from _oracles import numpy_series_power
+from fracstep import cq, schemes
 from fracstep.cq import BE, SBD, cq_apply, cq_weights, cq_weights_fft, get_rule
+from fracstep.harness import StudyConfig, run_study
 
 ALPHA_GRID = (0.1, 0.5, 0.9, 1.1, 1.5, 1.9)
 
@@ -68,6 +71,25 @@ class TestWeights:
         with pytest.raises(ValueError):
             cq_weights(BE, 0.5, 1.0, -1)
 
+    @pytest.mark.parametrize(
+        "alpha,tau,N,message",
+        [
+            (math.nan, 0.1, 3, "finite"),
+            (math.inf, 0.1, 3, "finite"),
+            (0.5, math.inf, 3, "finite"),
+            (0.5, math.nan, 3, "finite"),
+            (0.5, 0.1, 2.7, "integer"),
+            (0.5, 0.1, math.inf, "integer"),
+            (0.5, 0.1, math.nan, "integer"),
+        ],
+    )
+    def test_rejects_nonfinite_and_nonintegral(self, alpha, tau, N, message):
+        with pytest.raises(ValueError, match=message):
+            cq_weights(BE, alpha, tau, N)
+
+    def test_integral_float_N_accepted(self):
+        assert np.array_equal(cq_weights(SBD, 0.5, 0.1, 3.0), cq_weights(SBD, 0.5, 0.1, 3))
+
     @pytest.mark.parametrize("rule", [BE, SBD])
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_mpmath_taylor_oracle(self, rule, alpha):
@@ -84,6 +106,50 @@ class TestWeights:
         partial = np.cumsum(w)
         assert np.all(np.diff(partial) < 0.0)
         assert partial[-1] > 0.0
+
+
+class TestSeriesCache:
+    @pytest.mark.parametrize("rule", [BE, SBD])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.1, 0.5, 0.9, 1.0, 1.1, 1.5, 1.9])
+    def test_bitwise_equal_to_numpy_recurrence(self, rule, alpha):
+        cq._series.cache_clear()
+        want = numpy_series_power(rule.delta_coeffs, alpha, 1001)
+        for n_terms in (1, 2, 3, 11, 321, 1001):
+            got = cq._series_power(rule.delta_coeffs, alpha, n_terms)
+            assert got.tobytes() == want[:n_terms].tobytes()
+
+    @pytest.mark.parametrize("rule", [BE, SBD])
+    def test_request_order_does_not_matter(self, rule):
+        Ns = (0, 1, 2, 5, 40, 320, 1000)
+        results = []
+        for order in (Ns, Ns[::-1]):
+            cq._series.cache_clear()
+            results.append({N: cq_weights(rule, 0.7, 0.01, N) for N in order})
+        for N in Ns:
+            cq._series.cache_clear()
+            cold = cq_weights(rule, 0.7, 0.01, N)
+            assert not cold.flags.writeable
+            assert results[0][N].tobytes() == results[1][N].tobytes() == cold.tobytes()
+
+    def test_decay_ladder_runs_one_recurrence_per_rule_and_alpha(self, monkeypatch):
+        calls = []
+        real = cq.cq_weights
+
+        def counted(rule, alpha, tau, N):
+            calls.append((rule.kind, alpha, tau, N))
+            return real(rule, alpha, tau, N)
+
+        monkeypatch.setattr(schemes, "cq_weights", counted)
+        cq._series.cache_clear()
+        ts = (1e-1, 1e-2, 1e-3, 1e-4)
+        run_study(StudyConfig("b", (0.3, 0.6), ("be", "sbd"), "decay", M=8, N=10, t_list=ts))
+        pairs = {(kind, alpha) for kind, alpha, _, _ in calls}
+        assert len({tau for _, _, tau, _ in calls}) == len(ts)
+        assert len(calls) > len(pairs) == 4
+        info = cq._series.cache_info()
+        assert (info.misses, info.hits) == (len(pairs), len(calls) - len(pairs))
+        for kind, alpha in pairs:
+            assert len(cq._series(get_rule(kind).delta_coeffs, alpha)) == 11
 
 
 class TestFftOracle:

@@ -395,6 +395,19 @@ class TestCli:
         assert float(lines[1].split(",")[1]) == 1.0
         assert float(lines[2].split(",")[1]) == -0.5
 
+    def test_weights_rejects_nan_alpha(self):
+        out = self.run_cli("weights", "--rule", "be", "--alpha", "nan", "--N", "3")
+        assert out.returncode == 2
+        assert "config error" in out.stderr and out.stdout == ""
+
+    def test_successive_mains_share_no_arguments(self, capsys):
+        # one parser per process, a fresh namespace per call
+        assert cli.main(["weights", "--rule", "be", "--alpha", "0.5", "--N", "2"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 3
+        assert cli.main(["weights", "--rule", "sbd", "--alpha", "0.5"]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 33
+        assert cli.build_parser() is cli.build_parser()
+
     def test_mlf_table(self):
         out = self.run_cli("mlf", "--alpha", "1.0", "--beta", "1.0", "--x-min", "1.0", "--x-max", "1.0", "--points", "1")
         assert out.returncode == 0

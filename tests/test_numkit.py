@@ -81,6 +81,14 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match=message):
             SparseMatrix(2, 2, np.array(offsets), np.array(cols), np.ones(2))
 
+    def test_list_inputs(self):
+        A = SparseMatrix(1, 2, [0, 2], [0, 1], [1.0, 2.0])
+        check(A)
+        assert all(isinstance(a, np.ndarray) for a in (A.row_offsets, A.col_indices, A.values))
+        assert np.array_equal(A.matvec(np.array([3.0, 5.0])), [13.0])
+        with pytest.raises(ValueError, match="column index out of range"):
+            SparseMatrix(1, 2, [0, 2], [0, 2], [1.0, 2.0])
+
     def test_matvec_rejects_wrong_length(self):
         A = fem_system(4).mass
         for x in (np.ones(A.n_cols + 1), np.ones(A.n_cols - 1), np.ones((A.n_cols, 1))):

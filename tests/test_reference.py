@@ -119,7 +119,8 @@ class TestExactSolution:
             return mlf_neg(alpha, alpha, lam * w) * (1.0 + s ** 0.2) / alpha
 
         oracle, err = quad(integrand, 0.0, t ** alpha, epsabs=1e-14, limit=300)
-        mine = ref.duhamel_factor(alpha, ((1.0, 0.0), (1.0, 0.2)), np.array([lam]), t)[0]
+        factor = lambda beta: ref._homogeneous_factor(alpha, beta, np.array([lam]), t)
+        mine = ref.duhamel_factor(alpha, ((1.0, 0.0), (1.0, 0.2)), t, factor)[0]
         assert mine == pytest.approx(oracle, rel=1e-8)
 
     def test_gradient_consistency(self):
@@ -228,7 +229,8 @@ class TestModeFactors:
         for c, g in powers:
             pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
             per_mode += pref * mlf_neg(alpha, alpha + g + 1.0, y)
-        assert np.array_equal(ref.duhamel_factor(alpha, powers, lam, t), per_mode)
+        factor = lambda beta: ref._homogeneous_factor(alpha, beta, lam, t)
+        assert np.array_equal(ref.duhamel_factor(alpha, powers, t, factor), per_mode)
 
     @pytest.mark.parametrize("cid,alpha,factors", [("e", 1.5, 1), ("c", 0.5, 2)])
     def test_one_mlf_call_per_distinct_eigenvalue(self, monkeypatch, cid, alpha, factors):
@@ -274,6 +276,36 @@ class TestDiscreteReference:
         vc = mf.l2_project(sys8, c.v)
         recon = exp.basis @ exp.vcoef
         assert np.max(np.abs(recon - vc)) <= 1e-10
+
+    def test_one_mlf_call_per_distinct_factor(self, monkeypatch, sys8):
+        # cases a and b share E_{alpha,1} on one spectrum, c needs two Duhamel
+        # factors; the modal view reads the same cache as the nodal system
+        received = []
+        real = ref.mlf_neg
+
+        def counted(a, b, y):
+            received.append((a, b))
+            return real(a, b, y)
+
+        monkeypatch.setattr(ref, "mlf_neg", counted)
+        ref._discrete_factor.cache_clear()
+        view = ref.modal_view(sys8)
+        calls = [(cid, t) for t in (0.1, 0.01) for cid in "abc"] + [("a", 0.1), ("b", 0.01)]
+        for cid, t in calls:
+            c = ref.get_case(cid, 0.5)
+            nodal = ref.discrete_reference(sys8, c, t)
+            assert np.array_equal(nodal, view.basis @ ref.discrete_reference(view, c, t))
+        assert sorted(received) == sorted([(0.5, 1.0), (0.5, 1.5), (0.5, 1.7)] * 2)
+        assert ref._discrete_factor.cache_info().currsize == len(received)
+        for key_t in (0.1, 0.01):
+            for beta in (1.0, 1.5, 1.7):
+                cached = ref._discrete_factor(sys8, 0.5, key_t, beta)
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 0.0
+        e = ref._discrete_expansion(sys8, ref.get_case("a", 0.5))
+        alone = ref._homogeneous_factor(0.5, 1.0, e.lam, 0.1)
+        assert np.array_equal(ref._discrete_factor(sys8, 0.5, 0.1, 1.0), alone)
 
     def test_dof_guard(self):
         big = mf.assemble(mf.build_mesh(66))
