@@ -9,7 +9,7 @@ from Mittag-Leffler eigenfunction expansions, either continuous or built on
 the discrete eigenpairs of the FEM matrices.
 """
 
-from .cq import BE, SBD, CqRule, cq_apply, cq_weights, cq_weights_fft
+from .cq import BE, SBD, CqRule, cq_apply, cq_weights
 from .meshfem import (
     FemSystem,
     Mesh,

@@ -3,9 +3,7 @@
 The weights of the fractional-power operator are the Taylor coefficients of
 ``(delta(xi)/tau)**alpha`` where ``delta`` is the generating quotient of the
 underlying multistep method (backward Euler or the second-order backward
-difference). The primary path computes them with the power-series power
-recurrence; an FFT-based evaluation of the same generating function is kept
-as a validation oracle.
+difference). They are computed with the power-series power recurrence.
 
 The Taylor coefficients of delta(xi)**alpha depend on neither tau nor the
 number of terms asked for, so the module keeps one growing list of them per
@@ -29,12 +27,6 @@ class CqRule:
 
     kind: str
     delta_coeffs: tuple
-
-    def delta(self, xi):
-        out = np.zeros_like(np.asarray(xi, dtype=complex))
-        for j, a in enumerate(self.delta_coeffs):
-            out = out + a * np.asarray(xi) ** j
-        return out
 
 
 BE = CqRule("BE", (1.0, -1.0))
@@ -99,31 +91,6 @@ def cq_weights(rule, alpha, tau, N):
     return w
 
 
-def cq_weights_fft(rule, alpha, tau, N):
-    """Same weights via sampling the generating function on a scaled circle.
-
-    Evaluates (delta(xi)/tau)**alpha on 2(N+1) roots of unity of radius
-    rho < 1 and inverts the transform. Round-off limits the accuracy of the
-    tiny high-index weights, so this path serves as a cross-check, not as
-    the production route.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    # oversample: aliasing decays like rho**L while round-off grows like
-    # rho**-N, so a mild radius plus a long transform beats the balanced
-    # sqrt(eps) choice by several orders
-    L = 1 << max(4, int(np.ceil(np.log2(16 * (N + 1)))))
-    rho = 0.1 ** (1.0 / max(N, 1))
-    m = np.arange(L)
-    xi = rho * np.exp(2j * np.pi * m / L)
-    vals = (rule.delta(xi) / tau) ** alpha
-    # forward transform recovers Taylor coefficients: c_j = (1/L) sum f(xi_m) xi_m^{-j}
-    coeffs = np.fft.fft(vals)[: N + 1] / L
-    w = coeffs.real / rho ** np.arange(N + 1)
-    w.flags.writeable = False
-    return w
-
-
 def cq_apply(w, g, n):
     """Discrete convolution sum_{j=0}^{n} w_j g_{n-j} of a weight array.
 
@@ -135,5 +102,4 @@ def cq_apply(w, g, n):
     g = np.asarray(g, dtype=float)
     if g.shape[0] < n + 1:
         raise ValueError("sample sequence shorter than n+1")
-    rev = g[n::-1]
-    return np.tensordot(w[: n + 1], rev, axes=(0, 0))
+    return w[: n + 1] @ g[n::-1]

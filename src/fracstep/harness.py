@@ -390,15 +390,3 @@ def emit(report, fmt="csv"):
         raise ConfigError(f"unknown format {fmt!r}")
     return text
 
-
-def parse_csv(text):
-    """Inverse of emit(..., 'csv'); returns rows of (label, l2, h1, rate)."""
-    rows = []
-    lines = text.strip().split("\n")
-    if lines[0] != "label,error_l2,error_h1,rate":
-        raise ValueError(f"not a study CSV: header {lines[0]!r}")
-    for line in lines[1:]:
-        lab, e2, e1, r = line.split(",")
-        conv = lambda s: None if s == "" else float(s)
-        rows.append((lab, conv(e2), conv(e1), conv(r)))
-    return rows

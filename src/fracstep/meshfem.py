@@ -29,7 +29,8 @@ stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
 
 Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per
-(nodal system, function): the nodal load is cached read-only. Error norms
+(nodal system, function): the nodal load is cached read-only, and so are
+its coordinates in a modal view, per (view, function). Error norms
 use a denser collapsed-Gauss rule because modal reference solutions carry
 high sine modes that a degree-4 rule would misresolve on coarse cells. Its
 points form one tensor grid over the cells per triangle half and rule
@@ -327,10 +328,19 @@ def _nodal_load(fem, g):
     return load
 
 
+@functools.lru_cache(maxsize=64)
+def _modal_load(view, g):
+    """The coordinates Phi^T F of the cached nodal load F in a modal view,
+    cached read-only per (view, function), as ladders repeat them."""
+    load = view.coords(_nodal_load(view.fem, g))
+    load.flags.writeable = False
+    return load
+
+
 def load_vector(sys, g):
-    """Load vector (g, phi_i) in sys's coordinates; read-only when ``sys``
-    is nodal, since it is then the cached nodal load itself."""
-    return sys.coords(_nodal_load(sys.fem, g))
+    """Load vector (g, phi_i) in sys's coordinates, read-only: the cached
+    nodal load, or its cached modal coordinates."""
+    return _nodal_load(sys, g) if sys.fem is sys else _modal_load(sys, g)
 
 
 def l2_project(sys, g):

@@ -1,40 +1,37 @@
 """Fully discrete time-stepping schemes for the benchmark problems.
 
-Every scheme marches the increment D^n = U^n - v from D^0 = 0, which is the
-convolution quadrature of the Riemann-Liouville derivative of u - v. For the
-two steppers here the weak form of step n is
+Every scheme, the two steppers here and the four of :mod:`baselines`, is
+convolution quadrature in the generating-function form of the paper's
+error analysis: for the increment D^n = U^n - v, D^0 = 0, step n solves
 
-    (w0 M + S) D^n = loads - S v - M sum_{j=1..n-1} w_j D^(n-j)
-                     (+ M sigma_n b for the second-order-in-time equation),
+    sum_{j=0..n} (k^M_j M + k^S_j S) D^(n-j)
+        = sum_i c_i[n] F_i - (sum_{j<=n} k^S_j) S v
 
-where w are the quadrature weights of the fractional differentiation order
-and sigma_n applies the same weights to the sampled ramp t_m. The initial
-value enters once, as the precomputed S v, and never has to cancel against
-a convolution at its own scale.
+with the mass M, the stiffness S, a mass kernel k^M, a stiffness kernel
+k^S and load vectors F_i weighed by coefficient sequences c_i. A scheme is
+those kernels and loads and the starting vector v = U^0, nothing more; the
+initial value enters once, as S v, and never has to cancel against a
+convolution at its own scale.
 
-The second-order stepper carries its first-step modification (the extra
-half-stiffness and half-source terms); without it the scheme drops to first
-order for nonzero initial values. The ``corrected`` flag selects how the
-source enters: through the plain samples F^n, or through the backward
-difference of the exact time antiderivative, which restores the design rate
-when the source has limited temporal smoothness.
+The two steppers here take the quadrature weights w of the fractional
+differentiation order as k^M and k^S = [1]. Their loads are the source
+(the samples f(t_n), or with ``corrected`` the order-1 quadrature of the
+exact time antiderivative, which restores the design rate when the source
+has limited temporal smoothness) and, for the second-order-in-time
+equation, M b weighed by sigma_n, the weights applied to the ramp t_m. The
+second-order stepper's first-step modification is two load coefficients
+at n = 1, -1/2 on S v and +1/2 f(0) on the source; without it the scheme
+drops to first order for nonzero initial values.
 
-These two steppers and the four of :mod:`baselines` run through one core,
-``_march``. It owns the solver of the step system a M + b S, the one
-(N+1) x n_dof trajectory, the history sum sum_{j=1..n-1} k_j D^(n-j) of its
-stored rows and each step's solve with its statistics; after the last step
-it adds v to every row in place. The history sum is one matrix-vector
-product of the rows D^1..D^(n-1) with a slice of the kernel, reversed once
-into a contiguous copy. The system passed in fixes the coordinates and the
-solver (see :mod:`meshfem`): nodal with CG on ``fem_system(M)``, or its
-modal view, where every scheme is one scalar recursion per mode. A scheme
-supplies
-
-* the step coefficients (a, b);
-* its kernel k;
-* a closure rhs(n, conv, D) that builds the right-hand side of step n from
-  the history sum, the loads, the S v term and any first-step correction;
-* the starting vector v = U^0.
+One core, ``_march``, solves every scheme. It hands the step pair
+(a, b) = (k^M_0, k^S_0) to ``sys.step_system``, keeps the one
+(N+1) x n_dof trajectory, forms each history sum sum_{j>=1} k_j D^(n-j) as
+one product of the stored rows with a slice of the kernel reversed once,
+and the loads of step n as one product of a coefficient row with the
+stacked load vectors; after the last step it adds v to every row in place.
+The system passed in fixes the coordinates and the solver (see
+:mod:`meshfem`): nodal with CG on ``fem_system(M)``, or its modal view,
+where every scheme is one scalar recursion per mode.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import meshfem
-from .cq import cq_weights, get_rule
+from .cq import cq_apply, cq_weights, get_rule
 
 
 @dataclass(frozen=True)
@@ -111,42 +108,50 @@ def initial_coefficients(sys, case, projection="L2"):
     return meshfem.ritz_project(sys, case.v_grad)
 
 
-def _source_scalars(case, cfg, rule, grid):
-    """Time-dependent scalar multiplying the chi load vector at each step.
+def _applied(kernel, samples):
+    """The sequence sum_{j<=n} kernel[j] samples[n-j], n = 0..len(samples)-1."""
+    return np.array([cq_apply(kernel, samples, n) for n in range(len(samples))])
 
-    Plain scheme: the sample f(t_n). Corrected scheme: the order-1 quadrature
-    applied to the exact antiderivative samples, computed for all n at once.
-    """
-    if case.source_space is None:
-        return None
+
+def _source_scalars(case, cfg, rule, grid):
+    """The source's coefficient at each step: f(t_n), or, corrected, the
+    order-1 quadrature applied to the exact antiderivative samples."""
     times = grid.times()
     if not cfg.corrected:
         return np.array([case.source_time(t) for t in times])
     w1 = cq_weights(rule, 1.0, grid.tau, grid.N)
-    anti = np.array([case.source_time_integral(t) for t in times])
-    return np.array([w1[: n + 1] @ anti[n::-1] for n in range(grid.N + 1)])
+    return _applied(w1, np.array([case.source_time_integral(t) for t in times]))
 
 
-def _march(sys, grid, step, kernel, rhs, start):
-    """The one stepper behind every scheme: solve (a M + b S) D^n = rhs.
+def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
+    """The one stepper behind every scheme (see the module docstring).
 
-    ``step`` is (a, b). At step n > 1 the core forms the history sum
-    conv = sum_{j=1..n-1} kernel[j] D^(n-j) and hands it to
-    ``rhs(n, conv, D)`` (conv is None at n = 1), which sees D^0..D^(n-1),
-    D^0 = 0. A CG solve starts from D^(n-1). The returned trajectory is
-    U^n = D^n + start.
+    ``loads`` lists pairs (c, F) of a coefficient sequence c[0..N] and a
+    load F in the system's coordinates; F = None weighs S start itself. A
+    CG solve starts from D^(n-1). Returns the trajectory U^n = D^n + start.
     """
-    solver = sys.step_system(*step)
     N = grid.N
+    S_start = sys.stiffness.matvec(start)
+    steps = np.minimum(np.arange(N + 1), len(stiff_kernel) - 1)
+    loads = [(-np.cumsum(stiff_kernel)[steps], None), *loads]
+    C = np.column_stack([c for c, _ in loads])
+    B = np.array([S_start if F is None else F for _, F in loads])
+    # rev[L-1-j] = kernel[j] weighs D^(n-j) at step n; L is N+1, N or 2
+    hist = [(np.ascontiguousarray(k[::-1]), len(k), A)
+            for k, A in ((mass_kernel, sys.mass), (stiff_kernel, sys.stiffness)) if len(k) > 1]
+    solver = sys.step_system(mass_kernel[0], stiff_kernel[0])
     U = np.zeros((N + 1, sys.n_dof))
-    # rev[L-1-j] = kernel[j] weighs D^(n-j) at step n; L is N (L1, CN) or N+1
-    rev = np.ascontiguousarray(kernel[::-1])
-    L = len(kernel)
     stats = []
+    # ndarray.dot runs the same BLAS product as @ (bit for bit with numpy 2.4
+    # and OpenBLAS) at about 1 us less call overhead, which modal steps feel
     for n in range(1, N + 1):
-        conv = rev[L - n : L - 1] @ U[1:n] if n > 1 else None
+        rhs = C[n].dot(B)
+        for rev, L, A in hist:
+            m = min(n, L)
+            if m > 1:
+                rhs -= A.matvec(rev[L - m : L - 1].dot(U[n - m + 1 : n]))
         info = {}
-        U[n] = solver.solve(rhs(n, conv, U), x0=U[n - 1], stats=info)
+        U[n] = solver.solve(rhs, x0=U[n - 1], stats=info)
         stats.append((n, info["iterations"], info["residual"]))
     U += start
     return SolutionHistory(U, grid, stats, solver.backend)
@@ -156,41 +161,16 @@ def solve(sys, case, cfg, grid):
     """Run the configured stepper over the grid; returns the full history."""
     _check_compat(case, cfg)
     rule = get_rule(cfg.stepper)
-    tau = grid.tau
-    N = grid.N
-    sbd = rule.kind == "SBD"
-
-    w = cq_weights(rule, case.alpha, tau, N)
-    v = initial_coefficients(sys, case, cfg.initial_projection)
-    b = np.zeros(sys.n_dof)
+    w = cq_weights(rule, case.alpha, grid.tau, grid.N)
+    first, loads = np.zeros(grid.N + 1), []
+    if rule.kind == "SBD":
+        first[1] = 0.5    # the second-order stepper's first-step weight
+        loads.append((-first, None))
     if cfg.equation == "diffusion_wave" and case.b is not None:
         b = meshfem.l2_project(sys, case.b)
-    have_b = np.any(b)
-    if have_b:
-        # sigma_n = quadrature of order alpha applied to the ramp samples m*tau
-        sigma = np.array([w[: n + 1] @ (tau * np.arange(n, -1, -1.0)) for n in range(N + 1)])
-
-    chi_load = None
-    src = None
+        loads.append((_applied(w, grid.times()), sys.mass.matvec(b)))
     if case.source_space is not None:
-        chi_load = meshfem.load_vector(sys, case.source_space)
         src = _source_scalars(case, cfg, rule, grid)
-
-    Sv = sys.stiffness.matvec(v)
-
-    def rhs(n, conv, D):
-        mass_part = sigma[n] * b if have_b else np.zeros(sys.n_dof)
-        if conv is not None:
-            mass_part -= conv
-        out = sys.mass.matvec(mass_part)
-        if src is not None:
-            out += src[n] * chi_load
-        out -= Sv
-        if sbd and n == 1:
-            # first-step modification of the second-order scheme
-            out -= 0.5 * Sv
-            if src is not None:
-                out += 0.5 * src[0] * chi_load
-        return out
-
-    return _march(sys, grid, (w[0], 1.0), w, rhs, v)
+        loads.append((src + first * src[0], meshfem.load_vector(sys, case.source_space)))
+    v = initial_coefficients(sys, case, cfg.initial_projection)
+    return _march(sys, grid, w, np.ones(1), loads, v)

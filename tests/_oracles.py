@@ -45,6 +45,102 @@ def numpy_series_power(coeffs, alpha, n_terms):
     return q
 
 
+def cq_weights_fft(rule, alpha, tau, N):
+    """Weights of (delta(xi)/tau)**alpha by sampling the generating function
+    on a scaled circle: 2^k >= 16 (N+1) roots of unity of radius rho < 1 and
+    one inverse transform. Round-off limits the accuracy of the tiny
+    high-index weights, so this serves as a cross-check of the recurrence.
+    """
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    # oversample: aliasing decays like rho**L while round-off grows like
+    # rho**-N, so a mild radius plus a long transform beats the balanced
+    # sqrt(eps) choice by several orders
+    L = 1 << max(4, int(np.ceil(np.log2(16 * (N + 1)))))
+    rho = 0.1 ** (1.0 / max(N, 1))
+    xi = rho * np.exp(2j * np.pi * np.arange(L) / L)
+    delta = sum(a * xi ** j for j, a in enumerate(rule.delta_coeffs))
+    # forward transform recovers Taylor coefficients: c_j = (1/L) sum f(xi_m) xi_m^{-j}
+    coeffs = np.fft.fft((delta / tau) ** alpha)[: N + 1] / L
+    return coeffs.real / rho ** np.arange(N + 1)
+
+
+def parse_csv(text):
+    """Inverse of ``harness.emit(..., 'csv')``: rows of (label, l2, h1, rate)."""
+    rows = []
+    lines = text.strip().split("\n")
+    if lines[0] != "label,error_l2,error_h1,rate":
+        raise ValueError(f"not a study CSV: header {lines[0]!r}")
+    for line in lines[1:]:
+        lab, e2, e1, r = line.split(",")
+        conv = lambda s: None if s == "" else float(s)
+        rows.append((lab, conv(e2), conv(e1), conv(r)))
+    return rows
+
+
+def _series(coeffs, N):
+    """mpmath Taylor coefficients 0..N from a shorter list."""
+    return [mp.mpf(c) for c in coeffs] + [mp.mpf(0)] * (N + 1 - len(coeffs))
+
+
+def _binomial(a, r, N):
+    """Taylor coefficients 0..N of (1 + r xi)^a."""
+    return [mp.binomial(a, j) * r ** j for j in range(N + 1)]
+
+
+def _product(p, q, N):
+    """Taylor coefficients 0..N of the product of two series."""
+    p, q = p + [0] * (N + 1), q + [0] * (N + 1)
+    return [mp.fsum(p[k] * q[j - k] for k in range(j + 1)) for j in range(N + 1)]
+
+
+def scheme_kernels(kind, alpha, tau, N):
+    """Mass and stiffness kernels (k^M, k^S) of a scheme, Taylor coefficients
+    0..N in mpmath, from the displayed schemes:
+
+    * be: ((1 - xi)/tau)^alpha, sbd: ((1 - xi)(3 - xi)/(2 tau))^alpha, each
+      with k^S = 1;
+    * l1: tau^-alpha / Gamma(2 - alpha) (1 - xi) sum_j b_j xi^j with
+      b_j = (j+1)^(1-alpha) - j^(1-alpha), k^S = 1;
+    * zeng1 and zeng2: ((1 - xi)/tau)^alpha, with k^S ((1 + xi)/2)^alpha and
+      1 - alpha/2 + (alpha/2) xi;
+    * cn: tau^-alpha / Gamma(3 - alpha) (1 - xi)^2 sum_j a_j xi^j with
+      a_j = (j+1)^(2-alpha) - j^(2-alpha), k^S = (1 + xi)/2.
+    """
+    mp.mp.dps = 40
+    a, t = mp.mpf(repr(alpha)), mp.mpf(repr(tau))
+    one = _series([1], N)
+    gl = [c / t ** a for c in _binomial(a, -1, N)]
+    if kind == "be":
+        return gl, one
+    if kind == "sbd":
+        # (3 - xi)/2 = (3/2)(1 - xi/3)
+        return [(mp.mpf(3) / 2) ** a * c for c in _product(gl, _binomial(a, -mp.mpf(1) / 3, N), N)], one
+    if kind == "zeng1":
+        return gl, [c / 2 ** a for c in _binomial(a, 1, N)]
+    if kind == "zeng2":
+        return gl, _series([1 - a / 2, a / 2], N)
+    js = [mp.mpf(j) for j in range(N + 1)]
+    if kind == "l1":
+        b = [(j + 1) ** (1 - a) - j ** (1 - a) for j in js]
+        return [c / (t ** a * mp.gamma(2 - a)) for c in _product([1, -1], b, N)], one
+    if kind == "cn":
+        A = [(j + 1) ** (2 - a) - j ** (2 - a) for j in js]
+        return [c / (t ** a * mp.gamma(3 - a)) for c in _product([1, -2, 1], A, N)], _series([0.5, 0.5], N)
+    raise ValueError(f"unknown scheme {kind!r}")
+
+
+def mode_march(mass, stiff, lam, load):
+    """D^0..D^N of one mode of eigenvalue lam, from the generating function
+    D(xi) = F(xi) / (k^M(xi) + lam k^S(xi)) by mpmath power-series division;
+    ``load`` holds the coefficients of F, with F_0 = 0."""
+    den = [m + lam * s for m, s in zip(mass, stiff)]
+    d = []
+    for n, f in enumerate(load):
+        d.append((f - mp.fsum(den[j] * d[n - j] for j in range(1, n + 1))) / den[0])
+    return d
+
+
 def scalar_recursion(kind, equation, corrected, alpha, tau, N, m, s,
                      v=0.0, b=0.0, chi=0.0, powers=()):
     """The displayed schemes specialized to one dof.

@@ -26,10 +26,10 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import scalar_recursion
+from _oracles import cq_weights_fft, scalar_recursion
 
 from fracstep import baselines, harness, meshfem as mf, reference as ref, schemes
-from fracstep.cq import BE, SBD, cq_apply, cq_weights, cq_weights_fft
+from fracstep.cq import BE, SBD, cq_apply, cq_weights
 from fracstep.mlf import mlf_neg
 from fracstep.schemes import SchemeConfig, TimeGrid
 

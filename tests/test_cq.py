@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from _oracles import numpy_series_power
+from _oracles import cq_weights_fft, numpy_series_power
 from fracstep import cq, schemes
-from fracstep.cq import BE, SBD, cq_apply, cq_weights, cq_weights_fft, get_rule
+from fracstep.cq import BE, SBD, cq_apply, cq_weights, get_rule
 from fracstep.harness import StudyConfig, run_study
 
 ALPHA_GRID = (0.1, 0.5, 0.9, 1.1, 1.5, 1.9)

@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from _oracles import parse_csv
 
 from fracstep import cli, harness, meshfem as mf, reference as ref, schemes
-from fracstep.harness import ConfigError, StudyConfig, emit, parse_csv, run_study
+from fracstep.harness import ConfigError, StudyConfig, emit, run_study
 
 
 class TestRates:
@@ -155,6 +156,7 @@ class TestRunStudy:
         monkeypatch.setattr(mf, "load_vector", load)
         monkeypatch.setattr(mf.FemSystem, "quad_points", quad)
         mf._nodal_load.cache_clear()
+        mf._modal_load.cache_clear()
         for case, alpha, names in [("c", 0.5, ("be", "sbd", "l1")), ("d", 1.5, ("be", "sbd"))]:
             run_study(StudyConfig(case, (alpha,), names, "temporal", M=16, N_list=(10, 20, 40)))
         run_study(StudyConfig("b", (0.5,), ("be",), "decay", M=8, N=10, reference="self_convergence"))

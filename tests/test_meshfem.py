@@ -440,6 +440,14 @@ class TestStepSolvers:
         assert np.array_equal(view.coords(x), basis.T @ x)
         assert base.coords(x) is x
 
+    def test_modal_load_cached_read_only(self):
+        base, view = modal_view(8)
+        g = ref.get_case("c", 0.5).source_space
+        first = mf.load_vector(view, g)
+        assert mf.load_vector(view, g) is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, view.basis.T @ mf.load_vector(base, g))
+
     @pytest.mark.parametrize("M", [8, 16])
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.0, 1.0), (W0, 1.0)])
     def test_modal_residual(self, M, a, b):

@@ -6,14 +6,16 @@ written down directly from the displayed formulas with mpmath-generated
 quadrature weights. The solver must reproduce that recursion to 1e-12.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from _oracles import scalar_recursion
+from _oracles import mode_march, scalar_recursion, scheme_kernels
 
-from fracstep import meshfem as mf
+from fracstep import baselines, meshfem as mf
 from fracstep import reference as ref
 from fracstep import schemes
 from fracstep.schemes import SchemeConfig, TimeGrid
@@ -189,47 +191,121 @@ class TestConfigValidation:
         assert all(iters >= 0 for _, iters, _ in hist.solve_stats)
 
 
+def direct_march(lam, mass_kernel, stiff_kernel, loads, start, N):
+    """U^0..U^N of the two-kernel march on a modal view, mode by mode: for
+    n >= 1, sum_{j=0..n} (k^M_j + lam k^S_j) D^(n-j) = sum_i c_i[n] F_i
+    - (sum_{j<=n} k^S_j) lam start, each sum a math.fsum and one division
+    per mode; F = None stands for lam start."""
+
+    def k(kernel, j):
+        return float(kernel[j]) if j < len(kernel) else 0.0
+
+    D = np.zeros((N + 1, len(lam)))
+    for n in range(1, N + 1):
+        for i, li in enumerate(lam):
+            terms = [c[n] * (li * start[i] if F is None else F[i]) for c, F in loads]
+            terms.append(-math.fsum(k(stiff_kernel, j) for j in range(n + 1)) * li * start[i])
+            terms += [-(k(mass_kernel, j) + li * k(stiff_kernel, j)) * D[n - j, i] for j in range(1, n)]
+            D[n, i] = math.fsum(terms) / (mass_kernel[0] + li * stiff_kernel[0])
+    return D + start
+
+
+def assert_rows_match(U, expect):
+    for n, (got, want) in enumerate(zip(U, expect)):
+        err = np.linalg.norm(got - want)
+        assert err <= 1e-13 * np.linalg.norm(want), (n, err)
+
+
+def full_case(alpha):
+    """The initial value of case b or e, the b of case f and the source of
+    c or g in one case, so that every load a scheme knows is present."""
+    sub = alpha < 1.0
+    base = ref.get_case("b" if sub else "e", alpha)
+    src = ref.get_case("c" if sub else "g", alpha)
+    extra = {} if sub else {k: getattr(ref.get_case("f", alpha), k) for k in ("b", "b_factors", "r")}
+    return dataclasses.replace(base, source_space=src.source_space, source_powers=src.source_powers,
+                               f_factors=src.f_factors, **extra)
+
+
+def run_scheme(sys_, case, scheme, grid):
+    if scheme in ("be", "sbd"):
+        eq = "subdiffusion" if case.alpha < 1.0 else "diffusion_wave"
+        return schemes.solve(sys_, case, SchemeConfig(scheme.upper(), eq), grid)
+    return baselines.solve_baseline(sys_, case, scheme, grid)
+
+
 class TestHistorySum:
-    """The core's history sum against the direct double loop, every step."""
+    """The core ``_march`` against the direct double loop, every step, on the
+    modal view of fem_system(8), where each solve is one exact division."""
+
+    @pytest.fixture(scope="class")
+    def view8(self):
+        return ref.modal_view(mf.fem_system(8))
+
+    @pytest.mark.parametrize("mass_len", ["N+1", "N", "2"])
+    @pytest.mark.parametrize("stiff_len", ["N+1", "N", "2"])
+    def test_random_kernels(self, view8, mass_len, stiff_len):
+        N = 24
+        lengths = {"N+1": N + 1, "N": N, "2": 2}
+        rng = np.random.default_rng([lengths[mass_len], lengths[stiff_len]])
+
+        def kernel(length, lead):
+            # decaying history, so that the march stays well conditioned
+            k = rng.uniform(-1.0, 1.0, length) * 0.5 ** np.arange(length)
+            k[0] = lead
+            return k
+
+        mass, stiff = kernel(lengths[mass_len], 2.0), kernel(lengths[stiff_len], 1.0)
+        start = rng.standard_normal(view8.n_dof)
+        loads = [(rng.standard_normal(N + 1), rng.standard_normal(view8.n_dof)) for _ in range(2)]
+        loads.append((rng.standard_normal(N + 1), None))
+        hist = schemes._march(view8, TimeGrid(0.1, N), mass, stiff, loads, start)
+        assert_rows_match(hist.U, direct_march(view8.lam, mass, stiff, loads, start, N))
 
     @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
-    def test_matches_direct_sum(self, scheme, sys8, monkeypatch):
-        from fracstep import baselines
-
+    def test_matches_direct_sum(self, scheme, view8, monkeypatch):
+        # each scheme's own kernels and loads, caught on their way into the core
         N = 24
-        real = schemes._march
-        seen = []
+        real, seen = schemes._march, []
 
-        def march(sys_, grid, step, kernel, rhs, start):
-            def checked(n, conv, D):
-                assert not np.any(D[0])
-                if n == 1:
-                    assert conv is None
-                else:
-                    # sum_{j=1..n-1} kernel[j] D^(n-j), D^m = U^m - U^0 the stored row
-                    direct = np.array([
-                        math.fsum(kernel[j] * D[n - j][i] for j in range(1, n))
-                        for i in range(sys_.n_dof)
-                    ])
-                    err = np.linalg.norm(conv - direct)
-                    assert err <= 1e-13 * np.linalg.norm(direct), (n, err)
-                seen.append(n)
-                return rhs(n, conv, D)
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
 
-            seen.append(len(kernel))
-            return real(sys_, grid, step, kernel, checked, start)
+        monkeypatch.setattr(schemes, "_march", spy)
+        case = full_case(1.5 if scheme == "cn" else 0.5)
+        hist = run_scheme(view8, case, scheme, TimeGrid(0.1, N))
+        (_, _, mass, stiff, loads, start), = seen
+        lengths = {"be": (N + 1, 1), "sbd": (N + 1, 1), "l1": (N, 1),
+                   "zeng1": (N + 1, N + 1), "zeng2": (N + 1, 2), "cn": (N, 2)}
+        assert (len(mass), len(stiff)) == lengths[scheme]
+        assert_rows_match(hist.U, direct_march(view8.lam, mass, stiff, loads, start, N))
 
-        monkeypatch.setattr(schemes, "_march", march)
-        case = ref.get_case("e" if scheme == "cn" else "c" if scheme == "sbd" else "b",
-                            1.5 if scheme == "cn" else 0.5)
+
+class TestGeneratingFunction:
+    """On one mode of eigenvalue lam every scheme is the power-series quotient
+    D(xi) = F(xi) / (k^M(xi) + lam k^S(xi)), with kernels taken from the
+    displays and divided in mpmath (``_oracles.mode_march``)."""
+
+    @pytest.mark.parametrize("cid,scheme", [("b", s) for s in ("be", "sbd", "l1", "zeng1", "zeng2")]
+                             + [("e", s) for s in ("be", "sbd", "cn")])
+    def test_modal_march(self, cid, scheme):
+        N, alpha = 32, 0.5 if cid == "b" else 1.5
+        view = ref.modal_view(mf.fem_system(4))
         grid = TimeGrid(0.1, N)
-        if scheme in ("be", "sbd"):
-            schemes.solve(sys8, case, SchemeConfig(scheme.upper()), grid)
-        else:
-            baselines.solve_baseline(sys8, case, scheme, grid)
-        # kernels of length N (L1, Crank-Nicolson) and N + 1 (the others)
-        assert seen[0] == (N if scheme in ("l1", "cn") else N + 1)
-        assert seen[1:] == list(range(1, N + 1))
+        hist = run_scheme(view, ref.get_case(cid, alpha), scheme, grid)
+        mass, stiff = scheme_kernels(scheme, alpha, grid.tau, N)
+        expect = np.empty_like(hist.U)
+        for i, (lam, v) in enumerate(zip(view.lam, hist.U[0])):
+            lam, v = mp.mpf(float(lam)), mp.mpf(float(v))
+            # the initial value enters as -(sum_{j<=n} k^S_j) lam v, and the
+            # second-order stepper's first step adds -lam v / 2
+            load = [0] + [-mp.fsum(stiff[: n + 1]) * lam * v for n in range(1, N + 1)]
+            if scheme == "sbd":
+                load[1] -= lam * v / 2
+            expect[:, i] = [float(v + d) for d in mode_march(mass, stiff, lam, load)]
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(hist.U - expect)) <= 1e-12 * scale
 
 
 class TestTrajectoryMemory:
@@ -238,8 +314,6 @@ class TestTrajectoryMemory:
 
     @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
     def test_peak_allocation(self, scheme):
-        from fracstep import baselines
-
         sys16 = mf.fem_system(16)
         case = ref.get_case("e", 1.5) if scheme == "cn" else ref.get_case("b", 0.5)
         grid = TimeGrid(0.1, 400)
