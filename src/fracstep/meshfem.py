@@ -8,17 +8,24 @@ systems act on the (M-1)^2 interior degrees of freedom.
 
 Every linear system here has the form a M + b S with the interior mass M and
 stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
-``solve(rhs, x0, stats)``. Two kinds of system share this interface:
+``solve(rhs, stats)``. A solver answers the steps of one march in order
+and chooses the start of each solve itself. Two kinds of system share this
+interface:
 
 * ``FemSystem`` (``fem_system(M)``), in nodal coordinates, solves by CG
-  (backend ``cg``) to the relative residual ``STEP_RTOL``, preconditioned
-  with P = a M~ + b S, where M~ is the mass stencil with its diagonal
-  coupling spread evenly over both diagonals. M~ and S are both diagonal in
-  the 2-D sine basis of the interior grid, so P is inverted by four dense
-  products with the DST-I matrix (fast diagonalization: Lynch, Rice &
-  Thomas 1964; Buzbee, Golub & Nielson 1970). The spectrum of
-  P^-1 (a M + b S) lies in [0.63, 1.37] for every h and every a, b >= 0,
-  so the iteration count does not grow as the mesh is refined.
+  (backend ``cg``) to the relative residual ``STEP_RTOL``. The first solve
+  starts from zero and the second from the last solution x1; from the
+  third on CG starts from the extrapolation 2 x1 - x2 of the last two.
+  The start's residual is formed from the products A x = rhs - r of those
+  solves, with r the true residual that CG confirmed, so it costs no
+  product. CG is preconditioned with P = a M~ + b S, where M~ is the mass
+  stencil with its diagonal coupling spread evenly over both diagonals.
+  M~ and S are both diagonal in the 2-D sine basis of the interior grid,
+  so P is inverted by four dense products with the DST-I matrix (fast
+  diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
+  1970). The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every
+  h and every a, b >= 0, so the iteration count does not grow as the mesh
+  is refined.
 * ``ModalSystem``, the modal view of a ``FemSystem``, works in the
   coordinates c = Phi^T M u of the M-orthonormal eigensystem (lam, Phi) of
   the pencil (S, M): the mass is the identity, the stiffness diag(lam), an
@@ -177,22 +184,38 @@ class FemSystem:
 
 
 class CgSolver:
-    """Backend ``cg``: sine-preconditioned CG to ``STEP_RTOL``, from ``x0``."""
+    """Backend ``cg``: sine-preconditioned CG to ``STEP_RTOL``, from a start
+    of its own choosing (see the module docstring)."""
 
     backend = "cg"
 
     def __init__(self, matrix, precond):
         self.matrix = matrix
         self.precond = precond
+        self._last = []   # (x, matrix x) of the last two solves, newest first
 
-    def solve(self, rhs, x0=None, stats=None):
+    def solve(self, rhs, stats=None):
         """x with ||matrix x - rhs|| <= STEP_RTOL ||rhs||, or CgError.
 
         A ``stats`` dict receives the iteration count and final residual.
         """
-        return cg_solve(
-            self.matrix, rhs, rel_tol=STEP_RTOL, x0=x0, stats=stats, precond=self.precond
+        x0 = r0 = None
+        if len(self._last) == 1:
+            (x0, ax0), = self._last
+            r0 = rhs - ax0
+        elif self._last:
+            (x1, ax1), (x2, ax2) = self._last
+            x0 = 2.0 * x1 - x2
+            r0 = rhs - (2.0 * ax1 - ax2)
+        info = {}
+        x = cg_solve(
+            self.matrix, rhs, rel_tol=STEP_RTOL, x0=x0, stats=info, precond=self.precond, r0=r0
         )
+        # the true residual cg_solve confirmed gives matrix x = rhs - r
+        self._last = [(x, rhs - info["residual_vector"]), *self._last[:1]]
+        if stats is not None:
+            stats["iterations"], stats["residual"] = info["iterations"], info["residual"]
+        return x
 
 
 class ModalSystem:
@@ -204,7 +227,7 @@ class ModalSystem:
             raise ValueError(f"eigensystem must be (lam ({n},), Phi ({n}, {n}))")
         self.fem, self.lam, self.basis = fem, lam, basis
         self.n_dof = n
-        self.mass, self.stiffness = Diagonal(np.ones(n)), Diagonal(lam)
+        self.mass, self.stiffness = Identity(np.ones(n)), Diagonal(lam)
 
     def coords(self, load):
         """The modal coordinates Phi^T F of an assembled nodal load F."""
@@ -226,13 +249,20 @@ class Diagonal:
     def matvec(self, x):
         return self.d * x
 
-    def solve(self, rhs, x0=None, stats=None):
-        """rhs / d, exact up to one rounding per entry; ``x0`` is not needed.
-        A ``stats`` dict receives 0 iterations and the residual ||d x - rhs||."""
+    def solve(self, rhs, stats=None):
+        """rhs / d, exact up to one rounding per entry. A ``stats`` dict
+        receives 0 iterations and the residual ||d x - rhs||."""
         x = rhs / self.d
         if stats is not None:
             r = self.d * x - rhs
             stats["iterations"], stats["residual"] = 0, math.sqrt(r @ r)
+        return x
+
+
+class Identity(Diagonal):
+    """The modal view's mass: ``matvec`` returns x itself, not a copy."""
+
+    def matvec(self, x):
         return x
 
 

@@ -185,15 +185,17 @@ class SparseMatrix:
             raise ValueError(f"row {row} columns not increasing")
 
 
-def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=None):
+def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=None, r0=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     ``precond`` maps a residual r to z = P^-1 r for an SPD approximation P
     of A; by default P is the diagonal of A (Jacobi). Terminates when the
     true residual satisfies ||Ax - b|| <= rel_tol*||b||; raises
     :class:`CgError` (with the final residual attached) otherwise. Pass a
-    dict as ``stats`` to receive the iteration count and final residual of
-    the solve.
+    dict as ``stats`` to receive the iteration count, the final residual
+    norm and, as ``"residual_vector"``, the true residual b - A x itself.
+    A caller that knows the start's residual b - A x0 passes it as ``r0``,
+    which saves the first product.
 
     A curvature p^T A p <= 0 ends the iteration. On an SPD matrix it means
     round-off has swamped the search direction, as when ``rel_tol`` asks for
@@ -207,11 +209,16 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
     if max_iter is None:
         max_iter = 10 * n
     bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+
+    def done(x, it, r, res):
         if stats is not None:
-            stats["iterations"] = 0
-            stats["residual"] = 0.0
-        return np.zeros(n)
+            stats["iterations"] = it
+            stats["residual"] = float(res)
+            stats["residual_vector"] = r
+        return x
+
+    if bnorm == 0.0:
+        return done(np.zeros(n), 0, np.zeros(n), 0.0)
     target = rel_tol * bnorm
 
     if precond is None:
@@ -221,7 +228,7 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
             return inv_diag * r
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A.matvec(x)
+    r = b - A.matvec(x) if r0 is None else np.array(r0, dtype=float)
     z = precond(r)
     p = z.copy()
     rz = r @ z
@@ -230,12 +237,10 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
     while it < max_iter:
         if res <= target:
             # recurrence residual can drift; confirm with the true residual
-            res = np.linalg.norm(b - A.matvec(x))
+            r_true = b - A.matvec(x)
+            res = np.linalg.norm(r_true)
             if res <= target:
-                if stats is not None:
-                    stats["iterations"] = it
-                    stats["residual"] = float(res)
-                return x
+                return done(x, it, r_true, res)
         Ap = A.matvec(p)
         pAp = p @ Ap
         if pAp <= 0.0:
@@ -253,12 +258,10 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
         rz = rz_new
         res = np.linalg.norm(r)
         it += 1
-    res = np.linalg.norm(b - A.matvec(x))
+    r_true = b - A.matvec(x)
+    res = np.linalg.norm(r_true)
     if res <= target:
-        if stats is not None:
-            stats["iterations"] = it
-            stats["residual"] = float(res)
-        return x
+        return done(x, it, r_true, res)
     raise CgError(
         f"CG stalled at residual {res:.3e} after {it} iterations "
         f"(target {target:.3e})",

@@ -24,11 +24,18 @@ at n = 1, -1/2 on S v and +1/2 f(0) on the source; without it the scheme
 drops to first order for nonzero initial values.
 
 One core, ``_march``, solves every scheme. It hands the step pair
-(a, b) = (k^M_0, k^S_0) to ``sys.step_system``, keeps the one
-(N+1) x n_dof trajectory, forms each history sum sum_{j>=1} k_j D^(n-j) as
-one product of the stored rows with a slice of the kernel reversed once,
-and the loads of step n as one product of a coefficient row with the
-stacked load vectors; after the last step it adds v to every row in place.
+(a, b) = (k^M_0, k^S_0) to ``sys.step_system``, whose solver picks its own
+start, and keeps the one (N+1) x n_dof trajectory. The steps run in
+blocks of ``BLOCK``. The history sum sum_{j>=1} k_j D^(n-j) of a long mass
+kernel splits at the block's first step n0: the far part, rows before n0,
+comes for the whole block from one product of a Toeplitz window of the
+kernel with those rows (block convolution, Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985), and each step adds the near part, at
+most ``BLOCK`` rows of its own block. Every product is that of the direct
+sum; only the order of summation moves. A short kernel, and GL-I's
+stiffness kernel, is summed over all its rows at each step. The loads of
+step n are one product of a coefficient row with the stacked load
+vectors, and after the last step v is added to every row in place.
 The system passed in fixes the coordinates and the solver (see
 :mod:`meshfem`): nodal with CG on ``fem_system(M)``, or its modal view,
 where every scheme is one scalar recursion per mode.
@@ -42,6 +49,9 @@ import numpy as np
 
 from . import meshfem
 from .cq import cq_apply, cq_weights, get_rule
+
+# steps per block of the history sum: its far part is one product per block
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,9 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
 
     ``loads`` lists pairs (c, F) of a coefficient sequence c[0..N] and a
     load F in the system's coordinates; F = None weighs S start itself. A
-    CG solve starts from D^(n-1). Returns the trajectory U^n = D^n + start.
+    block with a far part stores it in its own rows before they are solved;
+    a step's near product then reads its own row with weight 1. Returns
+    the trajectory U^n = D^n + start.
     """
     N = grid.N
     S_start = sys.stiffness.matvec(start)
@@ -136,23 +148,46 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
     loads = [(-np.cumsum(stiff_kernel)[steps], None), *loads]
     C = np.column_stack([c for c, _ in loads])
     B = np.array([S_start if F is None else F for _, F in loads])
-    # rev[L-1-j] = kernel[j] weighs D^(n-j) at step n; L is N+1, N or 2
-    hist = [(np.ascontiguousarray(k[::-1]), len(k), A)
-            for k, A in ((mass_kernel, sys.mass), (stiff_kernel, sys.stiffness)) if len(k) > 1]
+    # per kernel longer than 1: rev, with rev[L-1-j] = kernel[j] weighing
+    # D^(n-j) at step n and rev[L-1] = 1 weighing a row that holds the far
+    # part; L is N+1, N or 2; A; the first row a step reads; and 1 when a
+    # step also reads its own row
+    hist = []
+    for k, A in ((mass_kernel, sys.mass), (stiff_kernel, sys.stiffness)):
+        if len(k) > 1:
+            rev = k[::-1].copy()
+            rev[-1] = 1.0
+            hist.append((rev, len(k), A, 1, 0))
+    L = len(mass_kernel)
+    # padded[BLOCK + L-1-j] = mass_kernel[j] for 1 <= j < L; its leading
+    # zeros stand for j >= L
+    padded = np.concatenate([np.zeros(BLOCK), hist[0][0]]) if min(L, N) > BLOCK else None
     solver = sys.step_system(mass_kernel[0], stiff_kernel[0])
     U = np.zeros((N + 1, sys.n_dof))
     stats = []
-    # ndarray.dot runs the same BLAS product as @ (bit for bit with numpy 2.4
-    # and OpenBLAS) at about 1 us less call overhead, which modal steps feel
-    for n in range(1, N + 1):
-        rhs = C[n].dot(B)
-        for rev, L, A in hist:
-            m = min(n, L)
-            if m > 1:
-                rhs -= A.matvec(rev[L - m : L - 1].dot(U[n - m + 1 : n]))
-        info = {}
-        U[n] = solver.solve(rhs, x0=U[n - 1], stats=info)
-        stats.append((n, info["iterations"], info["residual"]))
+    for n0 in range(1, N + 1, BLOCK):
+        n1 = min(n0 + BLOCK, N + 1)
+        lo = max(1, n0 - L + 1)
+        spans = hist
+        if padded is not None and lo < n0:
+            # the Toeplitz view window[i, c] = padded[s0 - i + c]
+            # = mass_kernel[n0 + i - (lo + c)] weighs row lo + c at step n0 + i
+            s0 = BLOCK + L - 1 - n0 + lo
+            size = padded.itemsize
+            window = np.ndarray((n1 - n0, n0 - lo), float, padded, size * s0, (-size, size))
+            np.matmul(window, U[lo:n0], out=U[n0:n1])
+            spans = [(*hist[0][:3], n0, 1), *hist[1:]]
+        # ndarray.dot runs the same BLAS product as @ (bit for bit with numpy
+        # 2.4 and OpenBLAS) at about 1 us less call overhead, which modal steps feel
+        for n in range(n0, n1):
+            rhs = C[n].dot(B)
+            for rev, L_k, A, first, own in spans:
+                r0 = max(first, n - L_k + 1)
+                if r0 < n + own:
+                    rhs -= A.matvec(rev[L_k - 1 - n + r0 : L_k - 1 + own].dot(U[r0 : n + own]))
+            info = {}
+            U[n] = solver.solve(rhs, stats=info)
+            stats.append((n, info["iterations"], info["residual"]))
     U += start
     return SolutionHistory(U, grid, stats, solver.backend)
 

@@ -201,3 +201,58 @@ class TestStepTolerance:
         mf.l2_project(sys_, case.v)
         mf.ritz_project(sys_, case.v_grad)
         assert tolerances == [mf.STEP_RTOL, mf.STEP_RTOL]
+
+
+class TestSelfStartedCg:
+    """The CG step solver picks its own start: the last solution, then the
+    extrapolation 2 D^(n-1) - D^(n-2), with the start's residual formed from
+    the products of its last two solves (nodal SBD, case e, M=16)."""
+
+    N = 120
+
+    def march(self, monkeypatch, restart=False):
+        """The march's step solves as (matrix, rhs, x0, r0, x, stats);
+        ``restart`` starts every solve from the last solution instead, with
+        the residual of that start taken by a product."""
+        calls, last = [], {}
+
+        def spy(A, b, x0=None, r0=None, stats=None, **kwargs):
+            if restart:
+                x0, r0 = last.get(id(A)), None
+            stats = {} if stats is None else stats
+            x = cg_solve(A, b, x0=x0, r0=r0, stats=stats, **kwargs)
+            calls.append((A, b, x0, r0, x, dict(stats)))
+            last[id(A)] = x
+            return x
+
+        monkeypatch.setattr(mf, "cg_solve", spy)
+        case = reference.get_case("e", 1.5)
+        cfg = schemes.SchemeConfig("SBD", "diffusion_wave")
+        schemes.solve(mf.fem_system(16), case, cfg, schemes.TimeGrid(0.1, self.N))
+        monkeypatch.undo()
+        # the projection of v comes first; the march solves last
+        return calls[-self.N:]
+
+    def test_start_and_residual(self, monkeypatch):
+        calls = self.march(monkeypatch)
+        eps = np.finfo(float).eps
+        assert calls[0][2] is None and calls[0][3] is None
+        for n, (A, b, x0, r0, x, stats) in enumerate(calls, start=1):
+            if n == 2:
+                assert np.array_equal(x0, calls[0][4])
+            elif n > 2:
+                assert np.array_equal(x0, 2.0 * calls[n - 2][4] - calls[n - 3][4])
+            if n > 1:
+                # the residual formed from stored products is the true one
+                # up to round-off: no drift builds up over the steps
+                drift = np.linalg.norm(r0 - (b - A.matvec(x0)))
+                bound = eps * (np.linalg.norm(b) + np.linalg.norm(A.values) * np.linalg.norm(x0))
+                assert drift <= 4.0 * bound, (n, drift / bound)
+            # the reported residual is the true one, within the tolerance
+            assert stats["residual"] == np.linalg.norm(b - A.matvec(x))
+            assert stats["residual"] <= mf.STEP_RTOL * np.linalg.norm(b), n
+
+    def test_fewer_iterations_than_last_solution_start(self, monkeypatch):
+        extrapolated = sum(c[5]["iterations"] for c in self.march(monkeypatch))
+        last = sum(c[5]["iterations"] for c in self.march(monkeypatch, restart=True))
+        assert extrapolated < last, (extrapolated, last)

@@ -191,23 +191,60 @@ class TestConfigValidation:
         assert all(iters >= 0 for _, iters, _ in hist.solve_stats)
 
 
-def direct_march(lam, mass_kernel, stiff_kernel, loads, start, N):
-    """U^0..U^N of the two-kernel march on a modal view, mode by mode: for
-    n >= 1, sum_{j=0..n} (k^M_j + lam k^S_j) D^(n-j) = sum_i c_i[n] F_i
-    - (sum_{j<=n} k^S_j) lam start, each sum a math.fsum and one division
-    per mode; F = None stands for lam start."""
+def direct_march(mass_matrix, stiff_matrix, mass_kernel, stiff_kernel, loads, start, N):
+    """U^0..U^N of the two-kernel march with dense mass and stiffness: for
+    n >= 1, sum_{j=0..n} (k^M_j M + k^S_j S) D^(n-j) = sum_i c_i[n] F_i
+    - (sum_{j<=n} k^S_j) S start, each entry of the right side a math.fsum
+    over the products M D^m and S D^m, each taken once, and one dense
+    solve (one division per mode on a modal view); F = None stands for
+    S start."""
 
     def k(kernel, j):
         return float(kernel[j]) if j < len(kernel) else 0.0
 
-    D = np.zeros((N + 1, len(lam)))
+    n_dof = len(start)
+    D, MD, SD = (np.zeros((N + 1, n_dof)) for _ in range(3))
+    S_start = stiff_matrix @ start
+    step = mass_kernel[0] * mass_matrix + stiff_kernel[0] * stiff_matrix
     for n in range(1, N + 1):
-        for i, li in enumerate(lam):
-            terms = [c[n] * (li * start[i] if F is None else F[i]) for c, F in loads]
-            terms.append(-math.fsum(k(stiff_kernel, j) for j in range(n + 1)) * li * start[i])
-            terms += [-(k(mass_kernel, j) + li * k(stiff_kernel, j)) * D[n - j, i] for j in range(1, n)]
-            D[n, i] = math.fsum(terms) / (mass_kernel[0] + li * stiff_kernel[0])
+        rhs = np.empty(n_dof)
+        for i in range(n_dof):
+            terms = [c[n] * (S_start[i] if F is None else F[i]) for c, F in loads]
+            terms.append(-math.fsum(k(stiff_kernel, j) for j in range(n + 1)) * S_start[i])
+            terms += [-(k(mass_kernel, j) * MD[n - j, i] + k(stiff_kernel, j) * SD[n - j, i])
+                      for j in range(1, n)]
+            rhs[i] = math.fsum(terms)
+        D[n] = np.linalg.solve(step, rhs)
+        MD[n], SD[n] = mass_matrix @ D[n], stiff_matrix @ D[n]
     return D + start
+
+
+def dense(sys_):
+    """The mass and stiffness of a modal view or a nodal system as dense arrays."""
+    if isinstance(sys_, mf.ModalSystem):
+        return np.eye(sys_.n_dof), np.diag(sys_.lam)
+    return sys_.mass.to_dense(), sys_.stiffness.to_dense()
+
+
+class DenseSteps:
+    """A nodal system whose step solves are exact dense solves, so that its
+    march differs from the direct sum by round-off alone while its history
+    sums still run through the sparse ``matvec``."""
+
+    backend = "dense"
+
+    def __init__(self, fem):
+        self.n_dof, self.mass, self.stiffness = fem.n_dof, fem.mass, fem.stiffness
+
+    def step_system(self, a, b):
+        self.matrix = a * self.mass.to_dense() + b * self.stiffness.to_dense()
+        return self
+
+    def solve(self, rhs, stats=None):
+        x = np.linalg.solve(self.matrix, rhs)
+        if stats is not None:
+            stats["iterations"], stats["residual"] = 0, float(np.linalg.norm(self.matrix @ x - rhs))
+        return x
 
 
 def assert_rows_match(U, expect):
@@ -236,31 +273,52 @@ def run_scheme(sys_, case, scheme, grid):
 
 class TestHistorySum:
     """The core ``_march`` against the direct double loop, every step, on the
-    modal view of fem_system(8), where each solve is one exact division."""
+    modal view of fem_system(8), where each solve is one exact division, and
+    on fem_system(4) with exact dense step solves."""
 
     @pytest.fixture(scope="class")
     def view8(self):
         return ref.modal_view(mf.fem_system(8))
 
-    @pytest.mark.parametrize("mass_len", ["N+1", "N", "2"])
-    @pytest.mark.parametrize("stiff_len", ["N+1", "N", "2"])
-    def test_random_kernels(self, view8, mass_len, stiff_len):
-        N = 24
-        lengths = {"N+1": N + 1, "N": N, "2": 2}
+    @staticmethod
+    def march_random(sys_, N, mass_len, stiff_len, decay):
+        """The core and the direct loop on random kernels of the named
+        lengths, entry j scaled by decay(j), two random loads and an S start
+        load. With sum_{j>=1} decay(j) <= 1, less than the leads 2 and 1,
+        the march stays well conditioned."""
+        lengths = {"N+1": N + 1, "N": N, "2": 2, "B+8": schemes.BLOCK + 8}
         rng = np.random.default_rng([lengths[mass_len], lengths[stiff_len]])
 
         def kernel(length, lead):
-            # decaying history, so that the march stays well conditioned
-            k = rng.uniform(-1.0, 1.0, length) * 0.5 ** np.arange(length)
+            k = rng.uniform(-1.0, 1.0, length) * decay(np.arange(length))
             k[0] = lead
             return k
 
         mass, stiff = kernel(lengths[mass_len], 2.0), kernel(lengths[stiff_len], 1.0)
-        start = rng.standard_normal(view8.n_dof)
-        loads = [(rng.standard_normal(N + 1), rng.standard_normal(view8.n_dof)) for _ in range(2)]
+        start = rng.standard_normal(sys_.n_dof)
+        loads = [(rng.standard_normal(N + 1), rng.standard_normal(sys_.n_dof)) for _ in range(2)]
         loads.append((rng.standard_normal(N + 1), None))
-        hist = schemes._march(view8, TimeGrid(0.1, N), mass, stiff, loads, start)
-        assert_rows_match(hist.U, direct_march(view8.lam, mass, stiff, loads, start, N))
+        hist = schemes._march(sys_, TimeGrid(0.1, N), mass, stiff, loads, start)
+        assert_rows_match(hist.U, direct_march(*dense(sys_), mass, stiff, loads, start, N))
+
+    @pytest.mark.parametrize("mass_len", ["N+1", "N", "2"])
+    @pytest.mark.parametrize("stiff_len", ["N+1", "N", "2"])
+    def test_random_kernels(self, view8, mass_len, stiff_len):
+        self.march_random(view8, 24, mass_len, stiff_len, lambda j: 0.5 ** j)
+
+    @pytest.mark.parametrize("mass_len", ["N+1", "N", "2", "B+8"])
+    @pytest.mark.parametrize("stiff_len", ["N+1", "N", "2"])
+    @pytest.mark.parametrize("system", ["modal", "nodal"])
+    def test_random_kernels_blocked(self, view8, system, mass_len, stiff_len):
+        # three full blocks and a ragged fourth, so that far parts reach back
+        # over more than one block; a mass kernel of BLOCK + 8 entries stops
+        # short of the first row, so its windows start inside the trajectory
+        # and end in zero padding. Nodal, the sums run through the sparse
+        # matvec. Entries decay as 0.5 / j^2, so that the oldest rows still
+        # weigh far above round-off.
+        sys_ = view8 if system == "modal" else DenseSteps(mf.fem_system(4))
+        self.march_random(sys_, 3 * schemes.BLOCK + 5, mass_len, stiff_len,
+                          lambda j: 0.5 / np.maximum(j, 1) ** 2)
 
     @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
     def test_matches_direct_sum(self, scheme, view8, monkeypatch):
@@ -279,7 +337,7 @@ class TestHistorySum:
         lengths = {"be": (N + 1, 1), "sbd": (N + 1, 1), "l1": (N, 1),
                    "zeng1": (N + 1, N + 1), "zeng2": (N + 1, 2), "cn": (N, 2)}
         assert (len(mass), len(stiff)) == lengths[scheme]
-        assert_rows_match(hist.U, direct_march(view8.lam, mass, stiff, loads, start, N))
+        assert_rows_match(hist.U, direct_march(*dense(view8), mass, stiff, loads, start, N))
 
 
 class TestGeneratingFunction:
