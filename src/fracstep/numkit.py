@@ -1,8 +1,8 @@
 """Minimal dense/sparse linear algebra used by the whole solver stack.
 
-Matrices are plain numpy arrays; sparse matrices use compressed-row storage
-and are multiplied by their diagonals: a product is one contiguous
-multiply-add per distinct offset col - row, seven for the mesh's matrices.
+Matrices are plain numpy arrays; a sparse matrix is stored as its
+diagonals: one band per distinct offset col - row, seven for the mesh's
+matrices, and a product is one contiguous multiply-add per band.
 Everything here depends on numpy alone and is sized for desk-scale problems:
 preconditioned CG (Jacobi by default, or any caller-supplied SPD
 preconditioner such as the sine-transform one of ``meshfem``), and a dense
@@ -45,86 +45,93 @@ _ROUNDOFF = 100.0
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Sparse matrix in compressed-row layout, multiplied by its diagonals.
+    """Sparse matrix stored by its diagonals.
 
-    ``row_offsets`` has length ``n_rows + 1`` and runs from 0 to nnz without
-    decreasing; ``col_indices`` are strictly increasing within each row.
+    ``offsets`` are the sorted distinct diagonals o_k = col - row, integers
+    in (-n_rows, n_cols); ``bands`` is an (n_offsets, n_rows) array holding
+    entry (i, i + o_k) at [k, i], zero where row i lacks diagonal k or where
+    column i + o_k lies outside the matrix. The matrices of the criss-cross
+    mesh have 7 diagonals.
 
-    Construction also derives a diagonal layout: the sorted distinct offsets
-    o_k = col - row and an (n_offsets, n_rows) array holding each entry on
-    its offset's row, zero where a row lacks that diagonal. ``matvec`` forms
-    y = sum_k D[k] * x[i + o_k] over a zero-padded copy of x, in increasing
-    k. Along each row that is the order of increasing column, so for finite
-    x every y_i is bit-identical to adding the row's stored products one by
-    one from 0. The matrices of the criss-cross mesh have 7 diagonals.
+    ``from_coo`` adds each triplet into its band slot, from 0 and in input
+    order, so a stored value has the bits of summing its entry's triplets
+    one by one, as an element loop does. ``matvec`` forms
+    y = sum_k bands[k] * x[i + o_k] over a zero-padded copy of x, in
+    increasing k. Along each row that is the order of increasing column, so
+    for finite x every y_i is bit-identical to adding the row's stored
+    products one by one from 0.
     """
 
     n_rows: int
     n_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    offsets: np.ndarray
+    bands: np.ndarray
 
     def __post_init__(self):
-        for name in ("row_offsets", "col_indices", "values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
-        # before np.repeat, which would fail with numpy's own message
-        self._check_layout()
-        # per-entry row index, for the layout below, to_dense and diagonal
-        rows = np.repeat(
-            np.arange(self.n_rows), np.diff(self.row_offsets)
-        ).astype(np.intp)
-        object.__setattr__(self, "_entry_rows", rows)
-        # one flag per possible offset col - row; np.unique would import
-        # numpy.ma. The nnz-sized temporaries are few and updated in place:
-        # each one freed can leave the heap holding its pages, and two more
-        # of them raised long_solve's peak RSS by 2.5 MiB.
-        slots = self.col_indices - rows
-        slots += self.n_rows - 1
-        flags = np.zeros(max(self.n_rows + self.n_cols - 1, 0), dtype=bool)
-        flags[slots] = True
-        offsets = np.flatnonzero(flags) - (self.n_rows - 1)
-        # each entry's flat index into diags: its offset's band, then its row
-        band_start = np.zeros(len(flags), dtype=np.intp)
-        band_start[offsets + (self.n_rows - 1)] = np.arange(len(offsets)) * self.n_rows
-        diags = np.zeros((len(offsets), self.n_rows))
-        slots = band_start[slots]
-        slots += rows
-        diags.ravel()[slots] = self.values
+        offsets, bands = np.asarray(self.offsets), np.asarray(self.bands, dtype=float)
+        if offsets.size == 0:
+            offsets = offsets.astype(np.intp)
+        if not (
+            offsets.ndim == 1
+            and np.issubdtype(offsets.dtype, np.integer)
+            and np.all(np.diff(offsets) > 0)
+            and np.all((offsets > -self.n_rows) & (offsets < self.n_cols))
+        ):
+            raise ValueError(
+                f"offsets must be strictly increasing integers in "
+                f"(-{self.n_rows}, {self.n_cols}), not {offsets.tolist()}"
+            )
+        if bands.shape != (len(offsets), self.n_rows):
+            raise ValueError(
+                f"bands must have shape ({len(offsets)}, {self.n_rows}), not {bands.shape}"
+            )
+        for o, band in zip(offsets.tolist(), bands):
+            # the rows above and below the diagonal's part of the matrix
+            if band[: max(0, -o)].any() or band[max(0, self.n_cols - o) :].any():
+                raise ValueError(f"column index out of range: nonzero on diagonal {o}")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "bands", bands)
         pad = max(0, -int(offsets.min(initial=0)))
         width = max(self.n_cols, self.n_rows + int(offsets.max(initial=0)))
         object.__setattr__(self, "_pad", pad)
         object.__setattr__(self, "_padded_len", pad + width)
-        object.__setattr__(
-            self, "_bands", tuple(zip((pad + offsets).tolist(), diags))
-        )
+        # (start in the padded x, band) per diagonal, for matvec
+        object.__setattr__(self, "_bands", tuple(zip((pad + offsets).tolist(), bands)))
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
-        """Build CSR from coordinate triplets; duplicate entries are summed.
-
-        Explicit zeros are kept, so matrices assembled from the same
-        connectivity share a sparsity pattern even if entries cancel.
+        """Build from coordinate triplets; duplicate entries are summed (see
+        the class docstring). Explicit zeros keep their diagonal, so matrices
+        assembled from the same connectivity share their offsets even if
+        entries cancel.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
         vals = np.asarray(vals, dtype=float)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        keep = np.ones(len(rows), dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        idx = np.cumsum(keep) - 1
-        merged = np.zeros(keep.sum())
-        np.add.at(merged, idx, vals)
-        rows, cols = rows[keep], cols[keep]
-        offsets = np.zeros(n_rows + 1, dtype=np.intp)
-        np.add.at(offsets, rows + 1, 1)
-        offsets = np.cumsum(offsets)
-        return cls(n_rows, n_cols, offsets, cols, merged)
-
-    @property
-    def nnz(self):
-        return len(self.values)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+            raise ValueError(
+                f"triplets of unequal length: rows {rows.shape}, cols {cols.shape}, vals {vals.shape}"
+            )
+        if np.any((rows < 0) | (rows >= n_rows)):
+            raise ValueError(f"row index out of range [0, {n_rows})")
+        if np.any((cols < 0) | (cols >= n_cols)):
+            raise ValueError(f"column index out of range [0, {n_cols})")
+        # one flag per possible offset col - row; np.unique would import
+        # numpy.ma. The triplet-sized temporaries are few and updated in
+        # place: each one freed can leave the heap holding its pages.
+        slots = cols - rows
+        slots += n_rows - 1
+        flags = np.zeros(max(n_rows + n_cols - 1, 0), dtype=bool)
+        flags[slots] = True
+        offsets = np.flatnonzero(flags) - (n_rows - 1)
+        # each triplet's flat index into bands: its offset's band, then its row
+        band_start = np.zeros(len(flags), dtype=np.intp)
+        band_start[offsets + (n_rows - 1)] = np.arange(len(offsets)) * n_rows
+        slots = band_start[slots]
+        slots += rows
+        bands = np.zeros((len(offsets), n_rows))
+        np.add.at(bands.reshape(-1), slots, vals)
+        return cls(n_rows, n_cols, offsets, bands)
 
     def matvec(self, x):
         """A x for x of shape (n_cols,), as float64 (see the class docstring)."""
@@ -139,50 +146,26 @@ class SparseMatrix:
         return y
 
     def diagonal(self):
-        d = np.zeros(self.n_rows)
-        on_diag = self._entry_rows == self.col_indices
-        d[self._entry_rows[on_diag]] = self.values[on_diag]
-        return d
+        k = np.flatnonzero(self.offsets == 0)
+        return self.bands[k[0]].copy() if len(k) else np.zeros(self.n_rows)
 
     def to_dense(self):
         a = np.zeros((self.n_rows, self.n_cols))
-        a[self._entry_rows, self.col_indices] = self.values
+        for o, band in zip(self.offsets.tolist(), self.bands):
+            # entry (i, i + o) lies at flat index i (n_cols + 1) + o
+            lo, hi = max(0, -o), min(self.n_rows, self.n_cols - o)
+            a.reshape(-1)[lo * (self.n_cols + 1) + o :: self.n_cols + 1][: hi - lo] = band[lo:hi]
         return a
 
     def scaled_add(self, coeff, other, other_coeff):
-        """Return coeff*self + other_coeff*other; patterns must match."""
-        if not (
-            np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
+        """Return coeff*self + other_coeff*other; shapes and offsets must match."""
+        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols) or not np.array_equal(
+            self.offsets, other.offsets
         ):
             raise ValueError("sparsity patterns differ")
         return SparseMatrix(
-            self.n_rows,
-            self.n_cols,
-            self.row_offsets,
-            self.col_indices,
-            coeff * self.values + other_coeff * other.values,
+            self.n_rows, self.n_cols, self.offsets, coeff * self.bands + other_coeff * other.bands
         )
-
-    def _check_layout(self):
-        """The invariants the diagonal layout relies on: a repeated column
-        would leave one of its entries out of the layout."""
-        if len(self.row_offsets) != self.n_rows + 1:
-            raise ValueError("row_offsets must have n_rows + 1 entries")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets decrease")
-        if self.row_offsets[0] != 0 or self.row_offsets[-1] != self.nnz:
-            raise ValueError("row_offsets must run from 0 to nnz")
-        if np.any(self.col_indices < 0) or np.any(self.col_indices >= self.n_cols):
-            raise ValueError("column index out of range")
-        # columns increase along each row; a row's first entry may lie
-        # left of the previous row's last
-        stalls = self.col_indices[1:] <= self.col_indices[:-1]
-        starts = np.asarray(self.row_offsets[1:-1])
-        stalls[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
-        if stalls.any():
-            row = np.searchsorted(self.row_offsets, np.argmax(stalls) + 1, side="right") - 1
-            raise ValueError(f"row {row} columns not increasing")
 
 
 def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=None, r0=None):
@@ -245,7 +228,7 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
         pAp = p @ Ap
         if pAp <= 0.0:
             res = np.linalg.norm(b - A.matvec(x))
-            roundoff = np.finfo(float).eps * (np.linalg.norm(A.values) * np.linalg.norm(x) + bnorm)
+            roundoff = np.finfo(float).eps * (np.linalg.norm(A.bands) * np.linalg.norm(x) + bnorm)
             if res > target and res > _ROUNDOFF * roundoff:
                 raise CgError("matrix is not positive definite", res, it)
             break

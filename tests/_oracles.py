@@ -248,30 +248,26 @@ def loop_assembly(nodes, triangles, interior_map):
     return rows, cols, np.array([mass[k] for k in keys]), np.array([stiff[k] for k in keys]), grads
 
 
-def bincount_matvec(A, x):
-    """A x from the compressed-row fields alone: gather x at every stored
-    column and add each row's products in storage order, starting from 0."""
-    rows = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-    prod = A.values * np.asarray(x)[A.col_indices]
+def merged_triplets(rows, cols, vals):
+    """Duplicates summed one by one from 0 in input order, through a dict;
+    returns rows, cols and values sorted by (row, col)."""
+    merged = {}
+    for key, v in zip(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()), vals):
+        merged[key] = merged.get(key, 0.0) + float(v)
+    keys = sorted(merged)
+    return (
+        np.array([r for r, _ in keys], dtype=np.intp),
+        np.array([c for _, c in keys], dtype=np.intp),
+        np.array([merged[k] for k in keys], dtype=float),
+    )
+
+
+def bincount_matvec(n_rows, rows, cols, vals, x):
+    """A x from merged triplets sorted by (row, col): gather x at every
+    entry's column and add each row's products in column order, from 0."""
+    prod = vals * np.asarray(x)[cols]
     # float even without entries, where bincount returns int64 zeros
-    return np.bincount(rows, weights=prod, minlength=A.n_rows).astype(float, copy=False)
-
-
-def check(A):
-    """Raise ValueError unless the compressed-row invariants of the sparse
-    matrix A hold."""
-    if len(A.row_offsets) != A.n_rows + 1:
-        raise ValueError("row_offsets must have n_rows + 1 entries")
-    if np.any(np.diff(A.row_offsets) < 0):
-        raise ValueError("row_offsets decrease")
-    if A.row_offsets[0] != 0 or A.row_offsets[-1] != A.nnz:
-        raise ValueError("row_offsets must run from 0 to nnz")
-    if np.any(A.col_indices < 0) or np.any(A.col_indices >= A.n_cols):
-        raise ValueError("column index out of range")
-    for i in range(A.n_rows):
-        cols = A.col_indices[A.row_offsets[i] : A.row_offsets[i + 1]]
-        if np.any(np.diff(cols) <= 0):
-            raise ValueError(f"row {i} columns not increasing")
+    return np.bincount(rows, weights=prod, minlength=n_rows).astype(float, copy=False)
 
 
 def row_dot_series(sol, x, y):

@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from _oracles import bincount_matvec, check
+from _oracles import bincount_matvec, loop_assembly, loop_mesh, merged_triplets
 from fracstep.numkit import (
     CgError,
     NotPositiveDefiniteError,
@@ -32,13 +37,13 @@ def assert_same_bits(got, want):
 class TestSparseMatrix:
     def test_from_coo_sums_duplicates(self):
         A = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [1.0, 2.0, 5.0])
-        assert A.nnz == 2
-        assert A.to_dense()[0, 1] == 3.0
-        check(A)
+        assert np.array_equal(A.offsets, [-1, 1])
+        assert np.array_equal(A.to_dense(), [[0.0, 3.0], [5.0, 0.0]])
 
     def test_explicit_zeros_kept(self):
         A = SparseMatrix.from_coo(2, 2, [0, 0], [0, 1], [1.0, 0.0])
-        assert A.nnz == 2
+        assert np.array_equal(A.offsets, [0, 1])
+        assert np.array_equal(A.bands, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_matvec_against_scipy(self):
         import scipy.sparse as sp
@@ -47,47 +52,61 @@ class TestSparseMatrix:
         D = rng.standard_normal((40, 40))
         D[rng.random((40, 40)) < 0.7] = 0.0
         A = sparse_from_dense(D)
-        check(A)
+        assert np.array_equal(A.to_dense(), D)
         x = rng.standard_normal(40)
         ref = sp.csr_matrix(D) @ x
         assert np.allclose(A.matvec(x), ref, atol=1e-14)
 
-    def test_check_rejects_unsorted_row(self):
-        # decreasing, then repeated columns; rows may restart their columns
-        with pytest.raises(ValueError, match="row 0 columns not increasing"):
-            SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([2, 1, 0]), np.ones(3))
-        with pytest.raises(ValueError, match="row 0 columns not increasing"):
-            SparseMatrix(1, 2, np.array([0, 2]), np.array([1, 1]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="row 2 columns not increasing"):
-            SparseMatrix(4, 3, np.array([0, 1, 1, 3, 4]), np.array([2, 1, 1, 0]), np.ones(4))
-        A = SparseMatrix(3, 3, np.array([0, 2, 2, 4]), np.array([1, 2, 0, 1]), np.ones(4))
-        check(A)
-        assert np.array_equal(A.matvec(np.array([1.0, 2.0, 4.0])), [6.0, 0.0, 3.0])
-
-    def test_decreasing_offsets_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="row_offsets decrease"):
-            SparseMatrix(2, 2, [0, 2, 1], np.array([0, 1]), np.ones(2))
+    @pytest.mark.parametrize(
+        "rows,cols,vals,message",
+        [
+            ([-1], [0], [1.0], "row index out of range"),
+            ([0, 2], [0, 1], [1.0, 2.0], "row index out of range"),
+            ([0], [2], [1.0], "column index out of range"),
+            ([0], [-1], [1.0], "column index out of range"),
+            ([0, 1], [0, 1], [1.0], "triplets of unequal length"),
+            ([0, 1], [0], [1.0, 2.0], "triplets of unequal length"),
+        ],
+    )
+    def test_from_coo_rejects_bad_triplets(self, rows, cols, vals, message):
+        with pytest.raises(ValueError, match=message):
+            SparseMatrix.from_coo(2, 2, rows, cols, vals)
 
     @pytest.mark.parametrize(
         "offsets,cols,message",
         [
-            ([0, 1, 2], [0, 2], "column index out of range"),
-            ([0, 1, 2], [0, -1], "column index out of range"),
-            ([0, 1, 3], [0, 1], "row_offsets must run from 0 to nnz"),
-            ([1, 1, 2], [0, 1], "row_offsets must run from 0 to nnz"),
+            # one nonzero per band, at column cols[k] of row cols[k] - offsets[k]
+            ([1], [2], "column index out of range"),
+            ([-1], [-1], "column index out of range"),
+            ([1, 0], [1, 0], "offsets must be strictly increasing integers"),
+            ([0, 0], [0, 1], "offsets must be strictly increasing integers"),
+            ([2], [2], "offsets must be strictly increasing integers"),
+            ([-2], [-2], "offsets must be strictly increasing integers"),
+            (np.array([0.0]), [0], "offsets must be strictly increasing integers"),
         ],
     )
     def test_bad_layout_rejected_at_construction(self, offsets, cols, message):
+        bands = np.zeros((len(offsets), 2))
+        for k, (o, c) in enumerate(zip(offsets, cols)):
+            bands[k, int(c - o)] = 1.0
         with pytest.raises(ValueError, match=message):
-            SparseMatrix(2, 2, np.array(offsets), np.array(cols), np.ones(2))
+            SparseMatrix(2, 2, offsets, bands)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2,)])
+    def test_bands_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"bands must have shape \(1, 2\)"):
+            SparseMatrix(2, 2, [0], np.ones(shape))
 
     def test_list_inputs(self):
-        A = SparseMatrix(1, 2, [0, 2], [0, 1], [1.0, 2.0])
-        check(A)
-        assert all(isinstance(a, np.ndarray) for a in (A.row_offsets, A.col_indices, A.values))
+        A = SparseMatrix(1, 2, [0, 1], [[1.0], [2.0]])
+        assert all(isinstance(a, np.ndarray) for a in (A.offsets, A.bands))
         assert np.array_equal(A.matvec(np.array([3.0, 5.0])), [13.0])
+        # zeros may lie outside the matrix, nonzeros may not
+        assert np.array_equal(SparseMatrix(2, 2, [1], [[4.0, 0.0]]).to_dense(), [[0.0, 4.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="column index out of range"):
-            SparseMatrix(1, 2, [0, 2], [0, 2], [1.0, 2.0])
+            SparseMatrix(2, 2, [1], [[4.0, 1.0]])
+        B = SparseMatrix.from_coo(1, 2, [0, 0], [1, 0], [2.0, 1.0])
+        assert np.array_equal(B.bands, A.bands) and np.array_equal(B.offsets, A.offsets)
 
     def test_matvec_rejects_wrong_length(self):
         A = fem_system(4).mass
@@ -102,10 +121,15 @@ class TestSparseMatrix:
     @pytest.mark.parametrize("M", [2, 6, 16, 64])
     def test_matvec_bit_identical_on_mesh(self, M):
         sys_ = fem_system(M)
+        rows, cols, mass, stiffness, _ = loop_assembly(*loop_mesh(M))
         rng = np.random.default_rng(M)
-        for A in (sys_.mass, sys_.stiffness, sys_.mass.scaled_add(1.7, sys_.stiffness, 0.3)):
+        for A, vals in (
+            (sys_.mass, mass),
+            (sys_.stiffness, stiffness),
+            (sys_.mass.scaled_add(1.7, sys_.stiffness, 0.3), 1.7 * mass + 0.3 * stiffness),
+        ):
             for x in (rng.standard_normal(A.n_cols), np.ones(A.n_cols)):
-                assert_same_bits(A.matvec(x), bincount_matvec(A, x))
+                assert_same_bits(A.matvec(x), bincount_matvec(A.n_rows, rows, cols, vals, x))
 
     @pytest.mark.parametrize(
         "shape", [(40, 40), (25, 60), (60, 25), (1, 1), (5, 0), (0, 5), (0, 0)]
@@ -121,10 +145,13 @@ class TestSparseMatrix:
         vals = rng.standard_normal(nnz)
         vals[rng.random(nnz) < 0.2] = 0.0
         A = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
-        check(A)
+        rows, cols, vals = merged_triplets(rows, cols, vals)
+        dense = np.zeros(shape)
+        dense[rows, cols] = vals
+        assert_same_bits(A.to_dense(), dense)
         x = rng.standard_normal(n_cols)
         x[rng.random(n_cols) < 0.2] = -0.0
-        assert_same_bits(A.matvec(x), bincount_matvec(A, x))
+        assert_same_bits(A.matvec(x), bincount_matvec(n_rows, rows, cols, vals, x))
 
     def test_scaled_add(self):
         D1 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -133,6 +160,32 @@ class TestSparseMatrix:
         B = sparse_from_dense(D2)
         C = A.scaled_add(2.0, B, 3.0)
         assert np.allclose(C.to_dense(), 2 * D1 + 3 * D2)
+        with pytest.raises(ValueError, match="sparsity patterns differ"):
+            A.scaled_add(1.0, sparse_from_dense(np.eye(2)), 1.0)
+        with pytest.raises(ValueError, match="sparsity patterns differ"):
+            sparse_from_dense(np.eye(2)).scaled_add(1.0, sparse_from_dense(np.eye(2, 3)), 1.0)
+
+    def test_runtime_imports_numpy_alone(self):
+        # numpy is the only runtime dependency, and np.unique would pull in
+        # numpy.ma: assemble, step once with CG and build from triplets
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import fracstep\n"
+            "from fracstep.meshfem import fem_system\n"
+            "from fracstep.numkit import SparseMatrix\n"
+            "sys_ = fem_system(16)\n"
+            "sys_.step_system(1.0, 0.5).solve(np.ones(sys_.n_dof))\n"
+            "SparseMatrix.from_coo(2, 2, [0, 1, 1], [0, 0, 1], [1.0, 2.0, 3.0])\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.ma'\n"
+            "             or m.startswith('numpy.ma.') or m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCg:

@@ -246,7 +246,7 @@ class TestSelfStartedCg:
                 # the residual formed from stored products is the true one
                 # up to round-off: no drift builds up over the steps
                 drift = np.linalg.norm(r0 - (b - A.matvec(x0)))
-                bound = eps * (np.linalg.norm(b) + np.linalg.norm(A.values) * np.linalg.norm(x0))
+                bound = eps * (np.linalg.norm(b) + np.linalg.norm(A.bands) * np.linalg.norm(x0))
                 assert drift <= 4.0 * bound, (n, drift / bound)
             # the reported residual is the true one, within the tolerance
             assert stats["residual"] == np.linalg.norm(b - A.matvec(x))
