@@ -16,7 +16,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import harness, meshfem, reference, schemes
+from . import harness, meshfem, reference
 from .cq import cq_weights, get_rule
 from .harness import ConfigError
 from .mlf import MlfAccuracyError, mlf_neg
@@ -65,18 +65,19 @@ def _cmd_mlf(args):
 
 
 def _cmd_solve(args):
+    # the one-cell temporal study of this run, measured as a study measures it
+    cfg = harness.StudyConfig(
+        args.case, (args.alpha,), (args.scheme,), "temporal", M=args.M, N_list=(args.N,),
+        t=args.t, reference=args.reference, corrected=args.corrected, K_max=args.K_max,
+    )
     case = reference.get_case(args.case, args.alpha)
-    # the system a study of this cell steps on
-    sys_ = harness._stepping_system(args, meshfem.fem_system(args.M))
-    scheme = args.scheme.lower()
-    grid = schemes.TimeGrid(args.t, args.N)
-    hist = harness._run_scheme(sys_, case, scheme, grid, args.corrected)
+    sys_, hist, (l2, h1) = harness.run_cell(cfg, case, args.scheme, args.M, args.t, args.N, {})
     iterations = [its for _, its, _ in hist.solve_stats]
 
     metrics = {
         "case": args.case,
         "alpha": args.alpha,
-        "scheme": scheme,
+        "scheme": args.scheme,
         "M": args.M,
         "N": args.N,
         "t": args.t,
@@ -85,21 +86,9 @@ def _cmd_solve(args):
         "backend": hist.backend,
         "cg_iterations_mean": float(np.mean(iterations)),
         "cg_iterations_max": max(iterations),
+        "error_l2": l2,
+        "error_h1": h1,
     }
-    if args.reference == "continuous_modal":
-        exp = reference.modal_coefficients(case, args.K_max)
-        sol = reference.exact_solution(case, exp, args.t)
-        l2, h1 = meshfem.error_norms(sys_, hist.final, sol, sol.grad)
-    else:
-        if args.reference == "discrete_modal":
-            ref = reference.discrete_reference(sys_, case, args.t)
-        else:
-            fine = schemes.TimeGrid(args.t, 4 * args.N)
-            ref = harness._run_scheme(sys_, case, scheme, fine, args.corrected).final
-        l2 = meshfem.l2_norm(sys_, hist.final - ref)
-        h1 = meshfem.h1_seminorm(sys_, hist.final - ref)
-    metrics["error_l2"] = l2
-    metrics["error_h1"] = h1
     if metrics["normalized"]:
         metrics["error_l2_normalized"] = metrics["error_l2"] / case.v_l2_norm
     if args.dump_solution:

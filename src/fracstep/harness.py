@@ -4,17 +4,23 @@ estimate rates, and emit CSV/markdown reports.
 Study kinds:
 
 * ``temporal``: fix the mesh and evaluation time, double the step count;
-  errors are measured against the semidiscrete (discrete-modal) reference so
-  the mesh never pollutes the temporal rate.
+  errors are measured against the semidiscrete (discrete-modal) reference by
+  default, so the mesh never pollutes the temporal rate.
 * ``spatial``: fix a fine step count, refine the mesh; errors are measured
   against the truncated continuous series solution in L2 and H1.
 * ``decay``: fix the step count and walk the evaluation time down by decades
   to expose the data-regularity exponent of the error constant.
 
-Temporal and decay studies against the discrete-modal reference hold the
-eigensystem of the mesh's pencil anyway, so they step, take the reference and
-measure errors in the modal view of the system (see :mod:`meshfem`), with no
-basis product and no CG. All other runs work in nodal coordinates with CG.
+Every cell of a ladder, and ``fracstep solve`` as a one-cell temporal study,
+goes through :func:`run_cell`: one run of one scheme, measured by
+:func:`measure` against the reference :func:`_reference` builds: the
+continuous series, the discrete-modal solution or the scheme's own finer run
+(self-convergence). Studies report H1 errors against the series only.
+
+Runs against the discrete-modal reference hold the eigensystem of the mesh's
+pencil anyway, so they step, take the reference and measure errors in the
+modal view of the system (see :mod:`meshfem`), with no basis product and no
+CG. All other runs work in nodal coordinates with CG.
 
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import baselines, meshfem, reference, schemes
 
@@ -172,10 +178,9 @@ class ConvergenceReport:
     reference: str
     normalized: bool
     blocks: list
-    metadata: dict = field(default_factory=dict)
 
 
-def theoretical_rate(kind, scheme, case, alpha, norm="l2"):
+def theoretical_rate(kind, scheme, case, alpha):
     """The rate each method is expected to show, paper-table style."""
     scheme = scheme.lower()
     if kind == "temporal":
@@ -188,7 +193,7 @@ def theoretical_rate(kind, scheme, case, alpha, norm="l2"):
             "cn": 3.0 - alpha,
         }[scheme]
     if kind == "spatial":
-        return 2.0 if norm == "l2" else 1.0
+        return 2.0
     # decay exponent of the fixed-N error as t -> 0
     if case.v is not None:
         return case.q * alpha / 2.0
@@ -234,110 +239,88 @@ def _run_scheme(sys, case, scheme, grid, corrected):
     return baselines.solve_baseline(sys, case, scheme, grid)
 
 
-def _temporal_block(cfg, case, sys, scheme, ref):
-    """Errors at cfg.t over N_list; a ``ref`` of None means self-convergence."""
-    t = cfg.t
-    if ref is None:
-        grid = schemes.TimeGrid(t, 4 * max(cfg.N_list))
-        ref = _run_scheme(sys, case, scheme, grid, cfg.corrected).final
-
-    def one(N):
-        hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, N), cfg.corrected)
-        return meshfem.l2_norm(sys, hist.final - ref)
-
-    return list(cfg.N_list), [one(N) for N in cfg.N_list]
-
-
-def _decay_block(cfg, case, sys, scheme, ts, refs):
-    """Errors at fixed N over the times ts; a ``refs`` entry of None means
-    self-convergence."""
-
-    def one(t, ref):
-        hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, cfg.N), cfg.corrected)
-        if ref is None:
-            grid = schemes.TimeGrid(t, 16 * cfg.N)
-            ref = _run_scheme(sys, case, scheme, grid, cfg.corrected).final
-        return meshfem.l2_norm(sys, hist.final - ref)
-
-    return ts, [one(t, ref) for t, ref in zip(ts, refs)]
-
-
-def _spatial_block(cfg, case, sol, scheme):
-    def one(M):
-        sys = meshfem.fem_system(M)
-        hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(cfg.t, cfg.N), cfg.corrected)
-        return meshfem.error_norms(sys, hist.final, sol, sol.grad)
-
-    l2, h1 = zip(*[one(M) for M in cfg.M_list])
-    return list(cfg.M_list), list(l2), h1
-
-
 def _stepping_system(cfg, sys):
-    """The system a temporal or decay study steps on: its modal view against
-    the discrete-modal reference, else ``sys`` itself."""
+    """The system a study steps on: its modal view against the discrete-modal
+    reference, else ``sys`` itself."""
     return reference.modal_view(sys) if cfg.reference == "discrete_modal" else sys
+
+
+def _cells(cfg):
+    """(label, rate abscissa, M, t, N) of each cell of a ladder, in report order."""
+    if cfg.kind == "temporal":
+        return [(f"N={n}", float(n), cfg.M, cfg.t, n) for n in cfg.N_list]
+    if cfg.kind == "decay":
+        return [(f"t={t:g}", t, cfg.M, t, cfg.N) for t in sorted(cfg.t_list, reverse=True)]
+    return [(f"M={m}", float(m), m, cfg.t, cfg.N) for m in cfg.M_list]
+
+
+def _reference(cfg, sys, case, scheme, t):
+    """What a cell at time t is measured against: the truncated series, the
+    semidiscrete solution on ``sys``, or the scheme's own run on 4 max(N_list)
+    steps (temporal) or 16 N steps (decay)."""
+    if cfg.reference == "continuous_modal":
+        return reference.exact_solution(case, reference.modal_coefficients(case, cfg.K_max), t)
+    if cfg.reference == "discrete_modal":
+        return reference.discrete_reference(sys, case, t)
+    fine = 4 * max(cfg.N_list) if cfg.kind == "temporal" else 16 * cfg.N
+    return _run_scheme(sys, case, scheme, schemes.TimeGrid(t, fine), cfg.corrected).final
+
+
+def measure(sys, final, ref):
+    """(L2, H1-seminorm) error of the coefficients ``final`` on ``sys``:
+    by quadrature against a series solution, else of the difference."""
+    if isinstance(ref, reference.ExactSolution):
+        return meshfem.error_norms(sys, final, ref, ref.grad)
+    return meshfem.l2_norm(sys, final - ref), meshfem.h1_seminorm(sys, final - ref)
+
+
+def run_cell(cfg, case, scheme, M, t, N, refs):
+    """One cell: ``scheme``'s run on N steps to t on mesh M, and its error.
+
+    ``refs`` keeps the references across cells: a series or semidiscrete one
+    per t serves every scheme (only spatial studies vary M, and they measure
+    against the series), a self-convergence one is the scheme's own.
+    Returns the stepping system, the run's history and (L2, H1).
+    """
+    sys = _stepping_system(cfg, meshfem.fem_system(M))
+    key = (scheme, t) if cfg.reference == "self_convergence" else t
+    if key not in refs:
+        refs[key] = _reference(cfg, sys, case, scheme, t)
+    hist = _run_scheme(sys, case, scheme, schemes.TimeGrid(t, N), cfg.corrected)
+    return sys, hist, measure(sys, hist.final, refs[key])
 
 
 def run_study(cfg):
     """Execute the configured study; one report with a block per combo."""
     blocks = []
     normalized = None
-    sys = None
-    if cfg.kind in ("temporal", "decay"):
-        sys = _stepping_system(cfg, meshfem.fem_system(cfg.M))
+    cells = _cells(cfg)
+    labels, xs = [c[0] for c in cells], [c[1] for c in cells]
     for alpha in cfg.alphas:
         case = reference.get_case(cfg.case, alpha)
-        norm = case.v_l2_norm if case.v is not None else 0.0
-        normalized = norm > 0.0
-        # one reference per alpha (and t) serves every scheme
-        if cfg.kind == "spatial":
-            exp = reference.modal_coefficients(case, cfg.K_max)
-            sol = reference.exact_solution(case, exp, cfg.t)
-        else:
-            # None: each scheme converges against its own finer run
-            discrete = cfg.reference == "discrete_modal"
-            ts = [cfg.t] if cfg.kind == "temporal" else sorted(cfg.t_list, reverse=True)
-            refs = [reference.discrete_reference(sys, case, t) if discrete else None for t in ts]
+        normalized = case.v_l2_norm > 0.0
+        scale = case.v_l2_norm if normalized else 1.0
+        refs = {}
         for scheme in cfg.schemes:
-            if cfg.kind == "temporal":
-                xs, errs = _temporal_block(cfg, case, sys, scheme, refs[0])
-                labels = [f"N={n}" for n in xs]
-                h1 = [None] * len(errs)
-            elif cfg.kind == "decay":
-                xs, errs = _decay_block(cfg, case, sys, scheme, ts, refs)
-                labels = [f"t={t:g}" for t in xs]
-                h1 = [None] * len(errs)
-            else:
-                xs, errs, h1 = _spatial_block(cfg, case, sol, scheme)
-                labels = [f"M={m}" for m in xs]
-            if normalized:
-                errs = [e / norm for e in errs]
-                h1 = [None if e is None else e / norm for e in h1]
-            rate_xs = xs if cfg.kind == "decay" else [float(x) for x in xs]
-            rates = _stepwise_rates(errs, cfg.kind, rate_xs)
+            errs, h1 = [], []
+            for _, _, M, t, N in cells:
+                e2, e1 = run_cell(cfg, case, scheme, M, t, N, refs)[2]
+                errs.append(e2 / scale)
+                h1.append(e1 / scale if cfg.reference == "continuous_modal" else None)
+            rates = _stepwise_rates(errs, cfg.kind, xs)
             blocks.append(
                 ReportBlock(
                     alpha,
                     scheme,
-                    labels,
+                    list(labels),
                     errs,
-                    list(h1),
+                    h1,
                     rates,
                     _summary(rates),
                     theoretical_rate(cfg.kind, scheme, case, alpha),
                 )
             )
-    meta = {
-        "case": cfg.case,
-        "kind": cfg.kind,
-        "reference": cfg.reference,
-        "corrected": cfg.corrected,
-        "M": cfg.M if cfg.kind != "spatial" else list(cfg.M_list),
-        "N": cfg.N if cfg.kind != "temporal" else list(cfg.N_list),
-        "t": cfg.t if cfg.kind != "decay" else list(cfg.t_list),
-        "normalized": bool(normalized),
-    }
-    return ConvergenceReport(cfg.kind, cfg.case, cfg.reference, bool(normalized), blocks, meta)
+    return ConvergenceReport(cfg.kind, cfg.case, cfg.reference, bool(normalized), blocks)
 
 
 def _fmt(x):

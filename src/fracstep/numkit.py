@@ -103,10 +103,14 @@ class SparseMatrix:
         """Build from coordinate triplets; duplicate entries are summed (see
         the class docstring). Explicit zeros keep their diagonal, so matrices
         assembled from the same connectivity share their offsets even if
-        entries cancel.
+        entries cancel. Indices of a non-integer dtype are rejected.
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        for name, index in (("row", rows), ("column", cols)):
+            # an empty list arrives as float64
+            if index.size and not np.issubdtype(index.dtype, np.integer):
+                raise ValueError(f"{name} indices must be integers, not {index.dtype}")
+        rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
         vals = np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
             raise ValueError(

@@ -92,7 +92,7 @@ class SolutionHistory:
     U: np.ndarray                 # (N+1, n_dof), in the coordinates of the system
     grid: TimeGrid
     # one (step index, CG iterations, final residual ||A x - rhs||) triple per
-    # time step; steps of the modal backend report 0 iterations
+    # time step; steps of the modal backend report 0 iterations and None
     solve_stats: list = field(default_factory=list)
     backend: str = "cg"           # the step solver that answered: "cg" or "modal"
 

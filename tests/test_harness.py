@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from _oracles import parse_csv
 
 from fracstep import cli, harness, meshfem as mf, reference as ref, schemes
-from fracstep.harness import ConfigError, StudyConfig, emit, run_study
+from fracstep.harness import REFERENCES, ConfigError, StudyConfig, emit, run_study
 
 
 class TestRates:
@@ -180,7 +181,6 @@ class TestRunStudy:
 
     def test_normalization_flag(self, small_temporal_report):
         assert small_temporal_report.normalized is True
-        assert small_temporal_report.metadata["normalized"] is True
 
     def test_raw_error_for_zero_data(self):
         cfg = StudyConfig("c", (0.5,), ("be",), "temporal", M=4, N_list=(8, 16), t=0.1)
@@ -451,22 +451,43 @@ class TestCli:
         metrics = json.loads(out.stdout)
         assert 0 < metrics["cg_iterations_mean"] <= metrics["cg_iterations_max"] <= 20
 
-    def test_solve_steps_as_the_study_does(self, tmp_path):
-        # one path per cell: the solve and the decay study step on the same
-        # system, so they report the same error to the last bit
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_solve_steps_as_the_study_does(self, reference, tmp_path):
+        # one path per cell: the solve and the matching study step on the same
+        # system against the same reference, so they report the same error to
+        # the last bit
+        if reference == "discrete_modal":
+            cid, alpha, scheme, M, N, t = "d", 1.5, "sbd", 16, 10, 1e-8
+            study = StudyConfig(cid, (alpha,), (scheme,), "decay", M=M, N=N)
+        else:
+            # against itself the solve is a one-cell study, whose finer run
+            # also takes 4 N steps; against the series any ladder with N does
+            cid, alpha, scheme, M, N, t = "b", 0.5, "be", 8, 20, 0.1
+            n_list = (N,) if reference == "self_convergence" else (10, N, 40)
+            study = StudyConfig(cid, (alpha,), (scheme,), "temporal", M=M, N_list=n_list, t=t,
+                                reference=reference)
         out, dump = tmp_path / "m.json", tmp_path / "u.txt"
-        args = ["solve", "--case", "d", "--alpha", "1.5", "--scheme", "sbd",
-                "--M", "16", "--N", "10", "--t", "1e-8"]
+        args = ["solve", "--case", cid, "--alpha", str(alpha), "--scheme", scheme, "--M", str(M),
+                "--N", str(N), "--t", str(t), "--reference", reference]
         assert cli.main(args + ["--out", str(out), "--dump-solution", str(dump)]) == 0
         metrics = json.loads(out.read_text())
-        assert metrics["backend"] == "modal"
-        blk = run_study(StudyConfig("d", (1.5,), ("sbd",), "decay", M=16, N=10)).blocks[0]
-        assert metrics["error_l2_normalized"] == blk.err_l2[blk.labels.index("t=1e-08")]
+        assert metrics["backend"] == ("modal" if reference == "discrete_modal" else "cg")
+        blk = run_study(study).blocks[0]
+        k = blk.labels.index(f"t={t:g}" if study.kind == "decay" else f"N={N}")
+        assert metrics["error_l2_normalized"] == blk.err_l2[k]
+        case = ref.get_case(cid, alpha)
+        if reference == "continuous_modal":
+            # the study measures against the series too, not against a finer run
+            assert metrics["error_h1"] / case.v_l2_norm == blk.err_h1[k]
+            self_conv = run_study(replace(study, reference="self_convergence")).blocks[0]
+            assert self_conv.err_l2[k] != blk.err_l2[k]
+        else:
+            assert blk.err_h1[k] is None
         # the dump holds interior nodal coefficients, as a CG solve gives them
-        base = mf.fem_system(16)
-        case = ref.get_case("d", 1.5)
-        cfg = schemes.SchemeConfig("SBD", "diffusion_wave")
-        nodal = schemes.solve(base, case, cfg, schemes.TimeGrid(1e-8, 10)).final
+        cfg = schemes.SchemeConfig(
+            scheme.upper(), "subdiffusion" if case.is_subdiffusion else "diffusion_wave"
+        )
+        nodal = schemes.solve(mf.fem_system(M), case, cfg, schemes.TimeGrid(t, N)).final
         dumped = np.loadtxt(dump)
         assert np.linalg.norm(dumped - nodal) <= 1e-10 * np.linalg.norm(nodal)
 

@@ -465,8 +465,7 @@ class TestStepSolvers:
             # in the view's own coordinates the solve is one division per mode
             res = np.linalg.norm((a + b * view.lam) * c - rhs)
             assert res <= 2e-15 * np.linalg.norm(rhs)
-            assert stats["iterations"] == 0
-            assert stats["residual"] == pytest.approx(res, rel=1e-3, abs=1e-15 * np.linalg.norm(rhs))
+            assert stats["iterations"] == 0 and stats["residual"] is None
             # mapped back, Phi c solves the nodal system with the load itself
             nodal = np.linalg.norm(A @ (view.basis @ c) - load)
             assert nodal <= 5e-14 * np.linalg.norm(load)

@@ -66,6 +66,10 @@ class TestSparseMatrix:
             ([0], [-1], [1.0], "column index out of range"),
             ([0, 1], [0, 1], [1.0], "triplets of unequal length"),
             ([0, 1], [0], [1.0, 2.0], "triplets of unequal length"),
+            # truncated to intp, the first would read as diag(1, 2)
+            ([0.7, 1.9], [0, 1], [1.0, 2.0], "row indices must be integers"),
+            ([0, 1], np.array([0.0, 1.0]), [1.0, 2.0], "column indices must be integers"),
+            ([True, False], [0, 1], [1.0, 2.0], "row indices must be integers"),
         ],
     )
     def test_from_coo_rejects_bad_triplets(self, rows, cols, vals, message):
