@@ -106,6 +106,7 @@ def _solve_cn(sys, case, grid):
                           initial_coefficients(sys, case))
 
 
+@schemes.in_sine_view
 def solve_baseline(sys, case, kind, grid):
     """Run one of the comparison schemes; kind in {'l1','zeng1','zeng2','cn'}.
 

@@ -9,23 +9,30 @@ systems act on the (M-1)^2 interior degrees of freedom.
 Every linear system here has the form a M + b S with the interior mass M and
 stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
 ``solve(rhs, stats)``. A solver answers the steps of one march in order
-and chooses the start of each solve itself. Two kinds of system share this
-interface:
+and chooses the start of each solve itself. Three kinds of system share
+it:
 
-* ``FemSystem`` (``fem_system(M)``), in nodal coordinates, solves by CG
-  (backend ``cg``) to the relative residual ``STEP_RTOL``. The first solve
-  starts from zero and the second from the last solution x1; from the
-  third on CG starts from the extrapolation 2 x1 - x2 of the last two.
-  The start's residual is formed from the products A x = rhs - r of those
-  solves, with r the true residual that CG confirmed, so it costs no
-  product. CG is preconditioned with P = a M~ + b S, where M~ is the mass
-  stencil with its diagonal coupling spread evenly over both diagonals.
-  M~ and S are both diagonal in the 2-D sine basis of the interior grid,
-  so P is inverted by four dense products with the DST-I matrix (fast
-  diagonalization: Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson
-  1970). The spectrum of P^-1 (a M + b S) lies in [0.63, 1.37] for every
-  h and every a, b >= 0, so the iteration count does not grow as the mesh
-  is refined.
+* ``FemSystem`` (``fem_system(M)``) holds the nodal matrices and assembles
+  every load. Schemes on it march in its sine view, and its
+  ``step_system`` (a projection is one solve) is the view's solver with the
+  right-hand side mapped in and the solution mapped back.
+* ``SineSystem`` (``fem.sine``) works in the coordinates Q u of the
+  orthonormal sine basis Q = Phi (x) Phi of the interior grid (Phi the
+  DST-I matrix; Q is its own inverse, so ``coords`` maps both ways). With
+  c_k = cos(pi k/M) the stiffness is diag(4 - 2 c_k - 2 c_l), and the mass
+  is diag(mu) + (h^2/24) G (x) G: mu are the eigenvalues of M~, the mass
+  stencil with its diagonal coupling spread over both diagonals, and
+  G = Phi D Phi for the central difference D, as M - M~ = (h^2/24) D (x) D.
+  CG (backend ``cg``) solves each step system d + a (h^2/24) G (x) G,
+  d = a mu + b lam, to the relative residual ``STEP_RTOL``, preconditioned
+  by division by d, the fast-diagonalization preconditioner a M~ + b S
+  (Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970). The
+  preconditioned spectrum lies in [0.63, 1.37] for every h and a, b >= 0,
+  so iterations do not grow with the mesh; Q is orthogonal, so they are
+  those of the same CG in nodal coordinates. The first solve starts from
+  zero, the second from the last solution x1, later ones from 2 x1 - x2;
+  the start's residual comes from the products A x = rhs - r of those
+  solves, r the true residual CG confirmed, at no product.
 * ``ModalSystem``, the modal view of a ``FemSystem``, works in the
   coordinates c = Phi^T M u of the M-orthonormal eigensystem (lam, Phi) of
   the pencil (S, M): the mass is the identity, the stiffness diag(lam), an
@@ -37,7 +44,7 @@ interface:
 Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per
 (nodal system, function): the nodal load is cached read-only, and so are
-its coordinates in a modal view, per (view, function). Error norms
+its coordinates in a view, per (view, function). Error norms
 use a denser collapsed-Gauss rule because modal reference solutions carry
 high sine modes that a degree-4 rule would misresolve on coarse cells. Its
 points form one tensor grid over the cells per triangle half and rule
@@ -150,11 +157,14 @@ class FemSystem:
         return load
 
     def step_system(self, a, b):
-        """The CG solver of (a*mass + b*stiffness) x = rhs to ``STEP_RTOL``;
+        """The solver of (a*mass + b*stiffness) x = rhs to ``STEP_RTOL``;
         a, b >= 0, not both 0 (see the module docstring)."""
-        _check_step(a, b)
-        matrix = self.mass.scaled_add(a, self.stiffness, b)
-        return CgSolver(matrix, sine_preconditioner(self.mesh.M, a, b))
+        return NodalSolver(self.sine, self.sine.step_system(a, b))
+
+    @functools.cached_property
+    def sine(self):
+        """The sine view of this system, built on first use."""
+        return SineSystem(self)
 
     def quad_points(self, order=4):
         """Quadrature points (nel, nq, 2) on every element, the weights (nq,)
@@ -184,8 +194,8 @@ class FemSystem:
 
 
 class CgSolver:
-    """Backend ``cg``: sine-preconditioned CG to ``STEP_RTOL``, from a start
-    of its own choosing (see the module docstring)."""
+    """Backend ``cg``: preconditioned CG to ``STEP_RTOL``, from a start of
+    its own choosing (see the module docstring)."""
 
     backend = "cg"
 
@@ -216,6 +226,89 @@ class CgSolver:
         if stats is not None:
             stats["iterations"], stats["residual"] = info["iterations"], info["residual"]
         return x
+
+
+class NodalSolver:
+    """``FemSystem.step_system``: a sine-view solver, nodal in and out."""
+
+    def __init__(self, view, solver):
+        self.view, self.solver = view, solver
+        self.backend = solver.backend
+
+    def solve(self, rhs, stats=None):
+        return self.view.coords(self.solver.solve(self.view.coords(rhs), stats))
+
+
+class SineSystem:
+    """The sine view of ``fem`` (see the module docstring)."""
+
+    def __init__(self, fem):
+        M = fem.mesh.M
+        n = M - 1
+        self.fem, self.n_dof = fem, fem.n_dof
+        self._phi = phi = sine_basis(n)
+        # eigenvalues of M~ and S on the sine mode (k, l), c_k = cos(pi k/M)
+        c = np.cos(np.pi * np.arange(1, n + 1) / M)
+        ck, cl = c[:, None], c[None, :]
+        mu = (0.5 + (ck + cl + ck * cl) / 6.0) / M ** 2
+        lam = 4.0 - 2.0 * ck - 2.0 * cl
+        # D takes sine mode k to a cosine orthogonal to the sine modes l with
+        # k + l even: G is zero there, its diagonal too. Zeros and G^T = -G
+        # are set exactly
+        G = phi @ (np.eye(n, k=1) - np.eye(n, k=-1)) @ phi
+        k = np.arange(n)
+        G[(k[:, None] + k) % 2 == 0] = 0.0
+        G = 0.5 * (G - G.T)
+        self.mass = DiagPlusKron(mu.ravel(), 1.0 / (24.0 * M ** 2), G)
+        self.stiffness = DiagPlusKron(lam.ravel(), 0.0, G)
+
+    def coords(self, x):
+        """Q x: sine coordinates of a nodal load, or nodal values of sine
+        coordinates."""
+        phi = self._phi
+        return (phi @ np.reshape(x, phi.shape) @ phi).ravel()
+
+    def to_nodal(self, U):
+        """Map the rows of U to nodal coordinates in place, one at a time."""
+        phi = self._phi
+        tmp = np.empty(phi.shape)
+        for row in U:
+            X = row.reshape(phi.shape)
+            np.matmul(phi, X, out=tmp)
+            np.matmul(tmp, phi, out=X)
+
+    def step_system(self, a, b):
+        _check_step(a, b)
+        matrix = self.mass.scaled_add(a, self.stiffness, b)
+        return CgSolver(matrix, lambda r: r / matrix.d)
+
+
+class DiagPlusKron:
+    """diag(d) + c G (x) G on the row-major (n, n) grid, G antisymmetric
+    with zero diagonal: the sine view's matrices. A product is two n x n
+    matrix products, none if c = 0."""
+
+    def __init__(self, d, c, G):
+        self.d, self.c, self.G = d, c, G
+        self.n_rows = len(d)
+        # (G (x) G) x is G X G^T = -G X G for the grid X of x
+        self._minus_cG = -c * G if c else None
+
+    def matvec(self, x):
+        y = self.d * x
+        if self.c:
+            y += (self._minus_cG @ np.reshape(x, self.G.shape) @ self.G).ravel()
+        return y
+
+    def scaled_add(self, coeff, other, other_coeff):
+        """coeff*self + other_coeff*other, for the same G."""
+        return DiagPlusKron(
+            coeff * self.d + other_coeff * other.d, coeff * self.c + other_coeff * other.c, self.G
+        )
+
+    def frobenius_norm(self):
+        # ||G (x) G||_F = ||G||_F^2, and the cross term d_i c (G (x) G)_ii is 0
+        return math.sqrt(self.d @ self.d + (self.c * np.sum(self.G * self.G)) ** 2)
 
 
 class ModalSystem:
@@ -280,29 +373,6 @@ def sine_basis(n):
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
 
 
-def sine_preconditioner(M, a, b):
-    """r -> P^-1 r for P = a M~ + b S on the interior grid of build_mesh(M).
-
-    S is the 5-point stiffness; M~ has the mass stencil's centre h^2/2 and
-    E/W/N/S entries h^2/12, and h^2/24 on all four diagonals in place of
-    h^2/12 on NE/SW. With c_k = cos(pi k/M), P has the eigenvalue
-    a h^2 (1/2 + (c_k + c_l + c_k c_l)/6) + b (4 - 2 c_k - 2 c_l) on the
-    sine mode (k, l). The interior dof order (i-1)(M-1) + (j-1) is the
-    row-major (M-1, M-1) grid the basis acts on.
-    """
-    n = M - 1
-    phi = sine_basis(n)
-    c = np.cos(np.pi * np.arange(1, n + 1) / M)
-    ck, cl = c[:, None], c[None, :]
-    lam = a * (0.5 + (ck + cl + ck * cl) / 6.0) / M ** 2 + b * (4.0 - 2.0 * ck - 2.0 * cl)
-
-    def apply(r):
-        coef = phi @ r.reshape(n, n) @ phi
-        return (phi @ (coef / lam) @ phi).ravel()
-
-    return apply
-
-
 def element_matrices(coords):
     """Exact P1 mass (..., 3, 3), stiffness (..., 3, 3), area (...) and
     gradients (..., 2, 3) of the triangles ``coords`` (..., 3, 2)."""
@@ -357,8 +427,8 @@ def _nodal_load(fem, g):
 
 
 @functools.lru_cache(maxsize=64)
-def _modal_load(view, g):
-    """The coordinates Phi^T F of the cached nodal load F in a modal view,
+def _view_load(view, g):
+    """The coordinates of the cached nodal load F in a modal or sine view,
     cached read-only per (view, function), as ladders repeat them."""
     load = view.coords(_nodal_load(view.fem, g))
     load.flags.writeable = False
@@ -367,8 +437,8 @@ def _modal_load(view, g):
 
 def load_vector(sys, g):
     """Load vector (g, phi_i) in sys's coordinates, read-only: the cached
-    nodal load, or its cached modal coordinates."""
-    return _nodal_load(sys, g) if sys.fem is sys else _modal_load(sys, g)
+    nodal load, or its cached coordinates in a view."""
+    return _nodal_load(sys, g) if sys.fem is sys else _view_load(sys, g)
 
 
 def l2_project(sys, g):

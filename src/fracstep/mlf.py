@@ -83,7 +83,11 @@ def _try_series(alpha, beta, y):
     The estimate tracks the accumulated magnitude of the terms so catastrophic
     cancellation is detected rather than silently returned. An element whose
     terms overflow or pass 1e40 gets an infinite estimate; every other element
-    stops on its own, after two terms in a row below 1e-17 of its sum.
+    stops on its own, after two terms in a row below 1e-17 of its sum, or
+    leaves with one once its certificate must miss: the terms alternate, and
+    after a ratio |t_k / t_(k-1)| < 1 they shrink for good (Gamma(z) /
+    Gamma(z + alpha) falls with z), so |S| stays below |S_k| + |t_k| while
+    4e-16 sum |t| only grows.
 
     Terms are formed _BLOCK indices at a time: the products, running sums
     and maxima go down the block as sequential accumulations, the
@@ -126,7 +130,11 @@ def _try_series(alpha, beta, y):
             j, i = first[ok], at[ok]
             val[live[ok]] = sums[j, i]
             err[live[ok]] = 4.0e-16 * s_abs_run[j, i] + mags[j, i]
-            go = ~stopped
+            # rejection is certain (see the docstring)
+            doomed = (ratio[-1] < 1.0) & (
+                4e-16 * s_abs_run[-1] > 4.0 * DEFAULT_TOL * (np.abs(sums[-1]) + mags[-1])
+            )
+            go = ~stopped & ~doomed
             live, ys, comp = live[go], ys[go], comp[go]
             term, s, s_abs, max_abs, tiny_last = (
                 a[-1, go] for a in (terms, sums, s_abs_run, max_run, tiny)

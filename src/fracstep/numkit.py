@@ -5,10 +5,12 @@ diagonals: one band per distinct offset col - row, seven for the mesh's
 matrices, and a product is one contiguous multiply-add per band.
 Everything here depends on numpy alone and is sized for desk-scale problems:
 preconditioned CG (Jacobi by default, or any caller-supplied SPD
-preconditioner such as the sine-transform one of ``meshfem``), and a dense
-generalized symmetric eigensolve (built on ``numpy.linalg``). CG is the
-``cg`` backend of ``meshfem``'s step solver and answers every step solve in
-nodal coordinates, always to the one tolerance ``meshfem.STEP_RTOL``;
+preconditioner), and a dense generalized symmetric eigensolve (built on
+``numpy.linalg``). CG takes any operator with ``n_rows``, ``matvec`` and
+``frobenius_norm`` (and ``diagonal`` for Jacobi): a ``SparseMatrix``, or
+the sine view's step matrices of ``meshfem``, where CG is the ``cg``
+backend of the step solver and answers every step solve and nodal
+projection, always to the one tolerance ``meshfem.STEP_RTOL``;
 ``cg_solve`` itself takes any ``rel_tol``. The eigensolve backs the discrete
 modal reference, and its eigenpairs define the modal view
 (``meshfem.ModalSystem``) in which discrete-modal studies step without CG.
@@ -149,6 +151,9 @@ class SparseMatrix:
             y += diag * xp[start : start + self.n_rows]
         return y
 
+    def frobenius_norm(self):
+        return float(np.linalg.norm(self.bands))
+
     def diagonal(self):
         k = np.flatnonzero(self.offsets == 0)
         return self.bands[k[0]].copy() if len(k) else np.zeros(self.n_rows)
@@ -232,7 +237,7 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
         pAp = p @ Ap
         if pAp <= 0.0:
             res = np.linalg.norm(b - A.matvec(x))
-            roundoff = np.finfo(float).eps * (np.linalg.norm(A.bands) * np.linalg.norm(x) + bnorm)
+            roundoff = np.finfo(float).eps * (A.frobenius_norm() * np.linalg.norm(x) + bnorm)
             if res > target and res > _ROUNDOFF * roundoff:
                 raise CgError("matrix is not positive definite", res, it)
             break

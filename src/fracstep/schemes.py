@@ -37,12 +37,16 @@ stiffness kernel, is summed over all its rows at each step. The loads of
 step n are one product of a coefficient row with the stacked load
 vectors, and after the last step v is added to every row in place.
 The system passed in fixes the coordinates and the solver (see
-:mod:`meshfem`): nodal with CG on ``fem_system(M)``, or its modal view,
-where every scheme is one scalar recursion per mode.
+:mod:`meshfem`): the modal view, where every scheme is one scalar
+recursion per mode, or ``fem_system(M)``, whose schemes ``in_sine_view``
+marches in its sine view (CG with a diagonal preconditioner), returning
+the trajectory mapped back to nodal coordinates.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,8 +64,10 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.N < 1 or self.T <= 0.0:
-            raise ValueError("time grid needs T > 0 and N >= 1")
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise ValueError(f"time grid needs an integer N, not {self.N!r}")
+        if self.N < 1 or not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError("time grid needs a finite T > 0 and N >= 1")
 
     @property
     def tau(self):
@@ -192,6 +198,22 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
     return SolutionHistory(U, grid, stats, solver.backend)
 
 
+def in_sine_view(solve):
+    """``solve(sys, ...)``, on a ``FemSystem`` run in its sine view with the
+    trajectory mapped back to nodal coordinates in place."""
+
+    @functools.wraps(solve)
+    def run(sys, *args, **kwargs):
+        if not isinstance(sys, meshfem.FemSystem):
+            return solve(sys, *args, **kwargs)
+        hist = solve(sys.sine, *args, **kwargs)
+        sys.sine.to_nodal(hist.U)
+        return hist
+
+    return run
+
+
+@in_sine_view
 def solve(sys, case, cfg, grid):
     """Run the configured stepper over the grid; returns the full history."""
     _check_compat(case, cfg)

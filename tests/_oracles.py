@@ -3,11 +3,15 @@
 Everything here is deliberately written from the scheme displays and the
 P1 element formulas with plain loops and mpmath-generated weights, so it
 shares no code path with the package. Agreement with these oracles is what
-certifies the solvers and the assembly.
+certifies the solvers and the assembly. The one exception is ``NodalCg``,
+which replays the package's CG step solver in nodal coordinates, where the
+package no longer steps.
 """
 
 import mpmath as mp
 import numpy as np
+
+from fracstep import meshfem
 
 
 def mp_weights(kind, alpha, tau, N):
@@ -307,3 +311,45 @@ def pointwise_error_norms(sys, c, u_exact, grad_exact=None, order=10):
     dx = np.einsum("ea,ea->e", sys._grads[:, 0, :], local)[:, None] - gex
     dy = np.einsum("ea,ea->e", sys._grads[:, 1, :], local)[:, None] - gey
     return l2, float(np.sqrt(np.sum((dx * dx + dy * dy) @ w)))
+
+
+def sine_preconditioner(M, a, b):
+    """r -> P^-1 r for P = a M~ + b S on the interior grid of build_mesh(M),
+    by four dense products with the DST-I matrix: the nodal CG
+    preconditioner that the sine view replaced.
+
+    S is the 5-point stiffness; M~ has the mass stencil's centre h^2/2 and
+    E/W/N/S entries h^2/12, and h^2/24 on all four diagonals in place of
+    h^2/12 on NE/SW. With c_k = cos(pi k/M), P has the eigenvalue
+    a h^2 (1/2 + (c_k + c_l + c_k c_l)/6) + b (4 - 2 c_k - 2 c_l) on the
+    sine mode (k, l) of the row-major (M-1, M-1) grid.
+    """
+    n = M - 1
+    phi = meshfem.sine_basis(n)
+    c = np.cos(np.pi * np.arange(1, n + 1) / M)
+    ck, cl = c[:, None], c[None, :]
+    lam = a * (0.5 + (ck + cl + ck * cl) / 6.0) / M ** 2 + b * (4.0 - 2.0 * ck - 2.0 * cl)
+
+    def apply(r):
+        coef = phi @ r.reshape(n, n) @ phi
+        return (phi @ (coef / lam) @ phi).ravel()
+
+    return apply
+
+
+class NodalCg:
+    """``fem`` stepped in nodal coordinates: loads, projections and steps
+    stay nodal, and each step system is the sparse a M + b S solved by the
+    package's ``CgSolver`` (its tolerance and start) with
+    ``sine_preconditioner``. Not a ``FemSystem``, so schemes do not route
+    it into the sine view."""
+
+    def __init__(self, fem):
+        self.fem, self.n_dof, self.mass, self.stiffness = fem, fem.n_dof, fem.mass, fem.stiffness
+
+    def coords(self, load):
+        return load
+
+    def step_system(self, a, b):
+        matrix = self.mass.scaled_add(a, self.stiffness, b)
+        return meshfem.CgSolver(matrix, sine_preconditioner(self.fem.mesh.M, a, b))

@@ -157,7 +157,7 @@ class TestRunStudy:
         monkeypatch.setattr(mf, "load_vector", load)
         monkeypatch.setattr(mf.FemSystem, "quad_points", quad)
         mf._nodal_load.cache_clear()
-        mf._modal_load.cache_clear()
+        mf._view_load.cache_clear()
         for case, alpha, names in [("c", 0.5, ("be", "sbd", "l1")), ("d", 1.5, ("be", "sbd"))]:
             run_study(StudyConfig(case, (alpha,), names, "temporal", M=16, N_list=(10, 20, 40)))
         run_study(StudyConfig("b", (0.5,), ("be",), "decay", M=8, N=10, reference="self_convergence"))

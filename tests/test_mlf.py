@@ -218,12 +218,16 @@ class TestContracts:
             mlf_neg(2.0, 1.0, math.inf)
 
 
-def _series_one_at_a_time(alpha, beta, y):
-    """The power-series route for one argument, one term per loop step."""
+def _series_one_at_a_time(alpha, beta, y, full=False):
+    """The power-series route for one argument, one term per loop step. At
+    the end of each block of ``mlf._BLOCK`` terms it leaves with an infinite
+    estimate once the terms shrink and its certificate must miss, unless
+    ``full``, which runs the loop to its own stop."""
     term = mlf._recip_gamma(beta)
     s, comp, s_abs, max_abs, small = term, 0.0, abs(term), abs(term), 0
     for k in range(1, 20001):
-        term = -term * (y * mlf._gamma_ratio(alpha * (k - 1) + beta, alpha * k + beta))
+        ratio = y * mlf._gamma_ratio(alpha * (k - 1) + beta, alpha * k + beta)
+        term = -term * ratio
         if not math.isfinite(term):
             return 0.0, math.inf
         t = s + (term - comp)
@@ -236,6 +240,9 @@ def _series_one_at_a_time(alpha, beta, y):
         small = small + 1 if abs(term) <= 1e-17 * max(abs(s), 1e-300) else 0
         if small >= 2:
             break
+        doomed = ratio < 1.0 and 4e-16 * s_abs > 4.0 * mlf.DEFAULT_TOL * (abs(s) + abs(term))
+        if not full and k % mlf._BLOCK == 0 and doomed:
+            return 0.0, math.inf
     return s, 4.0e-16 * s_abs + abs(term)
 
 
@@ -283,6 +290,33 @@ class TestArrayCalls:
         val, err = mlf._try_series(alpha, beta, ys)
         for i, y in enumerate(ys):
             assert (val[i], err[i]) == _series_one_at_a_time(alpha, beta, float(y)), y
+
+    def test_leaving_the_series_early_changes_no_output(self, monkeypatch):
+        # an element that leaves the series once its certificate must miss
+        # goes on to the same route as after the full loop
+        ys = np.concatenate([_ROUTE_GRID, np.geomspace(1e-3, 3e2, 30)])
+        pairs = [(0.1, 1.0), (0.5, 1.7), (0.9, 0.6), (1.0, 2.5), (1.5, 1.0), (1.9, 2.7), (2.0, 2.0)]
+
+        def full_series(alpha, beta, y):
+            out = [_series_one_at_a_time(alpha, beta, float(v), full=True) for v in y]
+            return np.array([v for v, _ in out]), np.array([e for _, e in out])
+
+        accepted_seen = left_seen = 0
+        got = {}
+        for alpha, beta in pairs:
+            val, err = mlf._try_series(alpha, beta, ys[1:])
+            full_val, full_err = full_series(alpha, beta, ys[1:])
+            accepted = full_err <= mlf.DEFAULT_TOL * np.abs(full_val)
+            assert np.array_equal(err <= mlf.DEFAULT_TOL * np.abs(val), accepted)
+            assert np.array_equal(val[accepted], full_val[accepted])
+            assert np.array_equal(err[accepted], full_err[accepted])
+            accepted_seen += accepted.sum()
+            left_seen += (np.isinf(err) & np.isfinite(full_err)).sum()
+            got[alpha, beta] = mlf_neg(alpha, beta, ys)
+        assert accepted_seen and left_seen
+        monkeypatch.setattr(mlf, "_try_series", full_series)
+        for alpha, beta in pairs:
+            assert np.array_equal(mlf_neg(alpha, beta, ys), got[alpha, beta]), (alpha, beta)
 
     def test_oracle_one_call_per_pair(self, monkeypatch):
         # each route spied on, so the grid is known to reach every one

@@ -1,4 +1,5 @@
-"""The sine-transform preconditioner of the step systems a M + b S.
+"""The sine-transform preconditioner of the step systems a M + b S, and the
+sine view in which it is a division by the diagonal.
 
 scipy serves as the oracle: its orthonormal DST-I, its dense SPD solve and
 its generalized symmetric eigensolve. The stencil matrices below are built
@@ -10,6 +11,7 @@ import pytest
 import scipy.fft
 import scipy.linalg as sla
 
+from _oracles import NodalCg, sine_preconditioner
 from fracstep import baselines, meshfem as mf, reference, schemes
 from fracstep.cq import BE, cq_weights
 from fracstep.numkit import CgError, cg_solve
@@ -57,10 +59,72 @@ class TestStencil:
     def test_inverts_its_twin(self, M, a, b):
         _, mass_tilde, stiffness = stencil_matrices(M)
         P = a * mass_tilde + b * stiffness
-        apply = mf.sine_preconditioner(M, a, b)
+        apply = sine_preconditioner(M, a, b)
         X = np.random.default_rng(M).standard_normal(((M - 1) ** 2, 3))
         for x in X.T:
             assert np.linalg.norm(apply(P @ x) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def dst2(X, M):
+    """Q applied to each row of X, Q = Phi (x) Phi: scipy's orthonormal 2-D DST-I."""
+    grids = np.reshape(X, (-1, M - 1, M - 1))
+    return scipy.fft.dstn(grids, type=1, norm="ortho", axes=(1, 2)).reshape(len(grids), -1)
+
+
+class TestSineView:
+    """The sine view of fem_system(M) against the stencils and a march in
+    nodal coordinates."""
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 16])
+    def test_products_are_the_stencils_in_sine_coordinates(self, M):
+        view = mf.fem_system(M).sine
+        mass, _, stiffness = stencil_matrices(M)
+        eye = np.eye(view.n_dof)
+        eps = np.finfo(float).eps
+        for A, op in ((mass, view.mass), (stiffness, view.stiffness)):
+            want = dst2(dst2(eye, M) @ A, M)   # row j: Q A Q e_j, as Q A Q is symmetric
+            got = np.array([op.matvec(x) for x in eye])
+            assert np.max(np.abs(got - want)) <= 4.0 * eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("M", [2, 8, 16])
+    def test_coords_is_its_own_inverse(self, M):
+        view = mf.fem_system(M).sine
+        x = np.random.default_rng(M).standard_normal(view.n_dof)
+        assert np.linalg.norm(view.coords(x) - dst2(x, M)[0]) <= 1e-15 * np.linalg.norm(x)
+        assert np.linalg.norm(view.coords(view.coords(x)) - x) <= 1e-15 * np.linalg.norm(x)
+        U = np.array([x, 2.0 * x, -x])
+        view.to_nodal(U)
+        assert np.array_equal(U[0], view.coords(x))
+        assert np.linalg.norm(U[1:] - [[2.0], [-1.0]] * U[0]) <= 1e-15 * np.linalg.norm(U)
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_frobenius_norm_is_the_nodal_one(self, a, b):
+        sys_ = mf.fem_system(16)
+        got = sys_.sine.mass.scaled_add(a, sys_.sine.stiffness, b).frobenius_norm()
+        want = sys_.mass.scaled_add(a, sys_.stiffness, b).frobenius_norm()
+        assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
+    def test_schemes_match_nodal_cg(self, scheme):
+        # the same CG in exact arithmetic: the same iterations every step
+        fem = mf.fem_system(8)
+        grid = schemes.TimeGrid(0.1, 20)
+        cases = [("e", 1.5), ("g", 1.5)] if scheme == "cn" else [("b", 0.5), ("c", 0.5)]
+        if scheme in ("be", "sbd"):
+            cases.append(("e", 1.5))
+        for cid, alpha in cases:
+            case = reference.get_case(cid, alpha)
+            if scheme in ("be", "sbd"):
+                eq = "subdiffusion" if alpha < 1.0 else "diffusion_wave"
+                cfg = schemes.SchemeConfig(scheme.upper(), eq)
+                sine, nodal = (schemes.solve(s, case, cfg, grid) for s in (fem, NodalCg(fem)))
+            else:
+                sine, nodal = (baselines.solve_baseline(s, case, scheme, grid)
+                               for s in (fem, NodalCg(fem)))
+            its = [[its for _, its, _ in h.solve_stats] for h in (sine, nodal)]
+            assert its[0] == its[1], cid
+            for n, (got, want) in enumerate(zip(sine.U, nodal.U)):
+                assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want), (cid, n)
 
 
 class TestSpectrum:
@@ -84,7 +148,8 @@ class TestPreconditionedCg:
         stats = {}
         x = solver.solve(b, stats=stats)
         assert stats["iterations"] <= 20
-        assert np.linalg.norm(b - solver.matrix.matvec(x)) <= 1e-12 * np.linalg.norm(b)
+        matrix = sys_.mass.scaled_add(w0, sys_.stiffness, 1.0)
+        assert np.linalg.norm(b - matrix.matvec(x)) <= 1e-12 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_agrees_with_dense_solve(self, a, b):
@@ -92,12 +157,13 @@ class TestPreconditionedCg:
         solver = sys_.step_system(a, b)
         rhs = np.random.default_rng(5).standard_normal(sys_.n_dof)
         x = solver.solve(rhs)
-        ref = sla.solve(solver.matrix.to_dense(), rhs, assume_a="pos")
+        matrix = sys_.mass.scaled_add(a, sys_.stiffness, b)
+        ref = sla.solve(matrix.to_dense(), rhs, assume_a="pos")
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_default_is_jacobi(self):
         sys_ = mf.fem_system(8)
-        A = sys_.step_system(1e2, 1.0).matrix
+        A = sys_.mass.scaled_add(1e2, sys_.stiffness, 1.0)
         rhs = np.random.default_rng(6).standard_normal(sys_.n_dof)
         inv_diag = 1.0 / A.diagonal()
         x = cg_solve(A, rhs, precond=lambda r: inv_diag * r)
@@ -105,7 +171,7 @@ class TestPreconditionedCg:
 
     def test_cg_error_still_raised(self):
         sys_ = mf.fem_system(16)
-        solver = sys_.step_system(1e6, 1.0)
+        solver = sys_.sine.step_system(1e6, 1.0)
         rhs = np.random.default_rng(7).standard_normal(sys_.n_dof)
         with pytest.raises(CgError) as exc:
             cg_solve(solver.matrix, rhs, rel_tol=1e-14, max_iter=1, precond=solver.precond)
@@ -115,8 +181,9 @@ class TestPreconditionedCg:
     def test_round_off_stall_reported_as_stall(self):
         # the first BE step of case (a), alpha = 0.1, t = 0.1, N = 10 from
         # x0 = v: the matrix is SPD, but 1e-14 asks for more than round-off
-        # allows, and CG breaks down near 6e-14 ||rhs||
-        sys_ = mf.fem_system(16)
+        # allows, and CG breaks down near 6e-14 ||rhs||. In nodal coordinates:
+        # the sine view's products round less, and it reaches 3.6e-15 ||rhs||
+        sys_ = NodalCg(mf.fem_system(16))
         case = reference.get_case("a", 0.1)
         w0 = cq_weights(BE, case.alpha, schemes.TimeGrid(0.1, 10).tau, 10)[0]
         solver = sys_.step_system(w0, 1.0)
@@ -246,7 +313,7 @@ class TestSelfStartedCg:
                 # the residual formed from stored products is the true one
                 # up to round-off: no drift builds up over the steps
                 drift = np.linalg.norm(r0 - (b - A.matvec(x0)))
-                bound = eps * (np.linalg.norm(b) + np.linalg.norm(A.bands) * np.linalg.norm(x0))
+                bound = eps * (np.linalg.norm(b) + A.frobenius_norm() * np.linalg.norm(x0))
                 assert drift <= 4.0 * bound, (n, drift / bound)
             # the reported residual is the true one, within the tolerance
             assert stats["residual"] == np.linalg.norm(b - A.matvec(x))

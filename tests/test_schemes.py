@@ -182,6 +182,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TimeGrid(0.1, 0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_end_time(self, T):
+        # NaN passed the old T <= 0 test and marched a silent NaN solve
+        with pytest.raises(ValueError, match="finite T"):
+            TimeGrid(T, 10)
+
+    @pytest.mark.parametrize("N", [2.5, 10.0, True, "10"])
+    def test_non_integer_step_count(self, N):
+        # N = 2.5 built times ending at 0.12, not at T = 0.1
+        with pytest.raises(ValueError, match="integer N"):
+            TimeGrid(0.1, N)
+
+    def test_numpy_integer_step_count(self):
+        assert TimeGrid(0.1, np.int64(4)).times()[-1] == TimeGrid(0.1, 4).times()[-1]
+
     def test_solve_stats_recorded(self, sys2):
         hist = schemes.solve(
             sys2, ref.get_case("b", 0.5), SchemeConfig("BE", "subdiffusion"), TimeGrid(0.1, 5)
