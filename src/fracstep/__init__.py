@@ -24,13 +24,7 @@ from .meshfem import (
     ritz_project,
 )
 from .mlf import MlfAccuracyError, mlf_neg
-from .numkit import (
-    CgError,
-    NotPositiveDefiniteError,
-    SparseMatrix,
-    cg_solve,
-    gen_sym_eig,
-)
+from .numkit import CgError, SparseMatrix, cg_solve
 from .reference import (
     CaseSpec,
     ModalExpansion,

@@ -107,6 +107,10 @@ class StudyConfig:
             ladder = getattr(self, key)
             if len(set(ladder)) != len(ladder):
                 raise ConfigError(f"{key} repeats an entry: {list(ladder)}")
+        # the reference is built before any TimeGrid checks its time
+        for t in (self.t, *self.t_list):
+            if not (math.isfinite(t) and t > 0.0):
+                raise ConfigError(f"times must be finite and positive, not {t!r}")
 
     @classmethod
     def from_json(cls, path, overrides=None):

@@ -39,7 +39,8 @@ it:
   assembled nodal load F becomes Phi^T F (``coords``), and a step solve is
   one division per mode (backend ``modal``). So ``l2_project`` gives
   Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
-  norm. ``reference.modal_view`` builds it from the reference's eigensolve.
+  norm. ``reference.modal_view`` builds it from the reference's eigensolve,
+  one ``eigh`` of the sine view's mass scaled by S^(-1/2) on both sides.
 
 Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per

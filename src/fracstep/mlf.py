@@ -420,7 +420,7 @@ def mlf_neg(alpha, beta, y):
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0.0):

@@ -1,19 +1,16 @@
-"""Minimal dense/sparse linear algebra used by the whole solver stack.
+"""Minimal sparse linear algebra used by the whole solver stack.
 
 Matrices are plain numpy arrays; a sparse matrix is stored as its
 diagonals: one band per distinct offset col - row, seven for the mesh's
 matrices, and a product is one contiguous multiply-add per band.
 Everything here depends on numpy alone and is sized for desk-scale problems:
-preconditioned CG (Jacobi by default, or any caller-supplied SPD
-preconditioner), and a dense generalized symmetric eigensolve (built on
-``numpy.linalg``). CG takes any operator with ``n_rows``, ``matvec`` and
-``frobenius_norm`` (and ``diagonal`` for Jacobi): a ``SparseMatrix``, or
-the sine view's step matrices of ``meshfem``, where CG is the ``cg``
-backend of the step solver and answers every step solve and nodal
-projection, always to the one tolerance ``meshfem.STEP_RTOL``;
-``cg_solve`` itself takes any ``rel_tol``. The eigensolve backs the discrete
-modal reference, and its eigenpairs define the modal view
-(``meshfem.ModalSystem``) in which discrete-modal studies step without CG.
+the ``SparseMatrix`` store and preconditioned CG (Jacobi by default, or any
+caller-supplied SPD preconditioner). CG takes any operator with ``n_rows``,
+``matvec`` and ``frobenius_norm`` (and ``diagonal`` for Jacobi): a
+``SparseMatrix``, or the sine view's step matrices of ``meshfem``, where CG
+is the ``cg`` backend of the step solver and answers every step solve and
+nodal projection, always to the one tolerance ``meshfem.STEP_RTOL``;
+``cg_solve`` itself takes any ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ class CgError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class NotPositiveDefiniteError(ValueError):
-    pass
 
 
 # A CG breakdown with the true residual within this factor of the round-off
@@ -261,25 +254,3 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
         it,
     )
 
-
-def gen_sym_eig(S, M):
-    """Solve S phi = lambda M phi for symmetric S and SPD M.
-
-    Reduces to a standard symmetric problem through the Cholesky factor L of
-    M, C = L^-1 S L^-T, diagonalizes C with ``numpy.linalg.eigh``, and
-    returns eigenvalues in ascending order together with M-orthonormal
-    eigenvector columns.
-    """
-    S = np.asarray(S, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if S.shape != M.shape or S.shape[0] != S.shape[1]:
-        raise ValueError("matrices must be square and of equal size")
-    if not np.allclose(S, S.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(S).max())):
-        raise ValueError("S is not symmetric")
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("mass matrix not PD") from None
-    C = np.linalg.solve(L, np.linalg.solve(L, S).T)
-    w, Q = np.linalg.eigh(0.5 * (C + C.T))
-    return w, np.linalg.solve(L.T, Q)

@@ -274,6 +274,21 @@ def bincount_matvec(n_rows, rows, cols, vals, x):
     return np.bincount(rows, weights=prod, minlength=n_rows).astype(float, copy=False)
 
 
+def gen_sym_eig(S, M):
+    """Eigenpairs of S phi = lam M phi for symmetric S and SPD M, from dense
+    matrices: C = L^-1 S L^-T for the Cholesky factor L of M, then
+    ``numpy.linalg.eigh``. Returns ascending eigenvalues and M-orthonormal
+    eigenvector columns; a mass without a Cholesky factor is a ValueError.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("mass matrix not PD") from None
+    C = np.linalg.solve(L, np.linalg.solve(L, S).T)
+    w, Q = np.linalg.eigh(0.5 * (C + C.T))
+    return w, np.linalg.solve(L.T, Q)
+
+
 def row_dot_series(sol, x, y):
     """Value and gradient (u, (du/dx, du/dy)) of the series of a
     ``reference.ExactSolution`` at broadcast points x, y, one point at a

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,12 @@ class TestConfig:
             ("t", False, "'t' must be of type number"),
             ("t_list", [1e-3, "1e-4"], "'t_list' must be of type number"),
             ("corrected", 1, "'corrected' must be of type boolean"),
+            # the reference at a time t <= 0 would raise lam t^alpha to a complex power
+            ("t", -0.1, "times must be finite and positive"),
+            ("t", 0, "times must be finite and positive"),
+            ("t", float("nan"), "times must be finite and positive"),
+            ("t_list", [0.1, -0.1], "times must be finite and positive"),
+            ("t_list", [1e-3, float("inf")], "times must be finite and positive"),
         ],
     )
     def test_from_json_enforces_schema_types(self, tmp_path, key, value, message):
@@ -579,6 +586,16 @@ class TestCli:
         assert out.returncode == 2
         assert "unrecognized arguments: --format markdown" in out.stderr
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("solve", "--N", "10", "--t", "-0.1"),
+        ("study", "--kind", "decay", "--N", "10", "--t-list", "0.1,-0.1"),
+    ])
+    def test_nonpositive_time_exit_code(self, args, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*args, "--case", "a", "--alpha", "0.5", "--M", "8"]) == 2
+        assert "times must be finite and positive" in capsys.readouterr().err
 
     def test_mlf_negative_argument_exit_code(self):
         out = self.run_cli("mlf", "--alpha", "0.5", "--x-min", "-1")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from _oracles import gen_sym_eig
 from fracstep import meshfem as mf
 from fracstep import reference as ref
 from fracstep.mlf import mlf_neg
@@ -311,6 +312,20 @@ class TestDiscreteReference:
         big = mf.assemble(mf.build_mesh(66))
         with pytest.raises(ValueError, match="self-convergence"):
             ref.discrete_reference(big, ref.get_case("a", 0.5), 0.1)
+
+    @pytest.mark.parametrize("M", [8, 16, 32])
+    def test_eigensystem_matches_dense_oracle(self, M):
+        # the sine-view eigensolve against Cholesky on the dense nodal pencil;
+        # M-orthonormality loses about eps lam_max / lam_min to the S^(-1/2)
+        # scaling, 2.3e-13 at M=32
+        fem = mf.fem_system(M)
+        S, Mass = fem.stiffness.to_dense(), fem.mass.to_dense()
+        lam, basis = ref._eigensystem(fem)
+        lam_ref, _ = gen_sym_eig(S, Mass)
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - lam_ref) / lam_ref) <= 1e-12
+        assert np.max(np.abs(basis.T @ Mass @ basis - np.eye(fem.n_dof))) <= 1e-12
+        assert np.max(np.abs(S @ basis - (Mass @ basis) * lam)) <= 1e-14 * lam[-1]
 
     def test_be_solution_approaches_reference(self, sys8):
         # independent cross-check of the two solution paths
