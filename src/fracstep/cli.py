@@ -4,7 +4,7 @@ Subcommands: ``solve`` (single run with error metrics), ``study``
 (convergence/decay ladders), ``weights`` (quadrature weight tables),
 ``mlf`` (special-function tabulation), ``mesh-info``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 bad configuration or output path, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -201,6 +201,9 @@ def main(argv=None):
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=_sys.stderr)
         return 2
     except (CgError, MlfAccuracyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)

@@ -17,10 +17,10 @@ goes through :func:`run_cell`: one run of one scheme, measured by
 continuous series, the discrete-modal solution or the scheme's own finer run
 (self-convergence). Studies report H1 errors against the series only.
 
-Runs against the discrete-modal reference hold the eigensystem of the mesh's
+Runs against the discrete-modal reference need the eigensystem of the mesh's
 pencil anyway, so they step, take the reference and measure errors in the
-modal view of the system (see :mod:`meshfem`), with no basis product and no
-CG. All other runs work in nodal coordinates with CG.
+modal view ``fem.modal`` that holds it (see :mod:`meshfem`), with no basis
+product and no CG. All other runs work in nodal coordinates with CG.
 
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
@@ -246,7 +246,7 @@ def _run_scheme(sys, case, scheme, grid, corrected):
 def _stepping_system(cfg, sys):
     """The system a study steps on: its modal view against the discrete-modal
     reference, else ``sys`` itself."""
-    return reference.modal_view(sys) if cfg.reference == "discrete_modal" else sys
+    return sys.modal if cfg.reference == "discrete_modal" else sys
 
 
 def _cells(cfg):

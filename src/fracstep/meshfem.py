@@ -39,8 +39,8 @@ it:
   assembled nodal load F becomes Phi^T F (``coords``), and a step solve is
   one division per mode (backend ``modal``). So ``l2_project`` gives
   Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
-  norm. ``reference.modal_view`` builds it from the reference's eigensolve,
-  one ``eigh`` of the sine view's mass scaled by S^(-1/2) on both sides.
+  norm. ``fem.modal`` builds it once, by one ``eigh`` of the sine view's
+  mass scaled by S^(-1/2) on both sides; the discrete reference reads it.
 
 Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per
@@ -166,6 +166,11 @@ class FemSystem:
     def sine(self):
         """The sine view of this system, built on first use."""
         return SineSystem(self)
+
+    @functools.cached_property
+    def modal(self):
+        """The modal view of this system, built on first use."""
+        return ModalSystem(self)
 
     def quad_points(self, order=4):
         """Quadrature points (nel, nq, 2) on every element, the weights (nq,)
@@ -313,13 +318,38 @@ class DiagPlusKron:
 
 
 class ModalSystem:
-    """The modal view of ``fem`` (see the module docstring)."""
+    """The modal view of ``fem`` (see the module docstring).
 
-    def __init__(self, fem, lam, basis):
+    ``lam`` holds the ascending eigenvalues of the pencil (S, M) of ``fem``
+    and ``basis`` its M-orthonormal eigenvector columns, solved in the sine
+    view. There S = diag(d) and M = diag(mu) + c G (x) G. With s = d^(-1/2),
+    the SPD matrix C = s M s has the eigenpairs (1/lam, z), and the pencil's
+    M-orthonormal vectors are sqrt(lam) s z, mapped to nodal coordinates.
+    """
+
+    def __init__(self, fem):
         n = fem.n_dof
-        if np.shape(lam) != (n,) or np.shape(basis) != (n, n):
-            raise ValueError(f"eigensystem must be (lam ({n},), Phi ({n}, {n}))")
-        self.fem, self.lam, self.basis = fem, lam, basis
+        if n > 4000:
+            raise ValueError(
+                "dense eigensolve guard exceeded; use the temporal "
+                "self-convergence reference instead"
+            )
+        sine = fem.sine
+        mass = sine.mass
+        s = 1.0 / np.sqrt(sine.stiffness.d)
+        C = np.kron(mass.G, mass.G)
+        C *= mass.c
+        C.reshape(-1)[:: n + 1] += mass.d
+        C *= s
+        C *= s[:, None]
+        w, Z = np.linalg.eigh(C)
+        lam = 1.0 / w[::-1]
+        # one contiguous row per eigenvector, as to_nodal maps rows in place
+        rows = np.ascontiguousarray(Z.T[::-1])
+        rows *= s
+        rows *= np.sqrt(lam)[:, None]
+        sine.to_nodal(rows)
+        self.fem, self.lam, self.basis = fem, lam, rows.T
         self.n_dof = n
         self.mass, self.stiffness = Identity(np.ones(n)), Diagonal(lam)
 
@@ -405,7 +435,7 @@ def assemble(mesh):
 @functools.lru_cache(maxsize=16)
 def fem_system(M):
     """Assembled system for mesh parameter M; cached so that repeated studies
-    share one instance (and with it the eigendecomposition cache)."""
+    share one instance (and with it its sine and modal views)."""
     return assemble(build_mesh(M))
 
 

@@ -420,8 +420,8 @@ def mlf_neg(alpha, beta, y):
     """
     if not (0.0 < alpha <= 2.0):
         raise ValueError("alpha must lie in (0, 2]")
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0.0):
         raise ValueError("y must be nonnegative and not NaN")

@@ -7,10 +7,11 @@ Two reference paths:
   measure spatial errors;
 * a semidiscrete reference that is exact in time, built from the eigenpairs
   of the interior FEM matrix pair, used to isolate temporal errors without
-  needing an excessively fine mesh. The pair is solved in its sine view,
-  where the stiffness is diagonal, by one ``numpy.linalg.eigh`` of the
-  stiffness-scaled mass (the fast-diagonalization structure of Lynch, Rice
-  & Thomas 1964).
+  needing an excessively fine mesh. It reads them from the system's modal
+  view ``fem.modal`` (``meshfem.ModalSystem``), which solves the pair once
+  in its sine view, where the stiffness is diagonal, by one
+  ``numpy.linalg.eigh`` of the stiffness-scaled mass (the
+  fast-diagonalization structure of Lynch, Rice & Thomas 1964).
 
 Sources of the form (c1 t^g1 + c2 t^g2 + ...) * chi(x, y) admit a closed-form
 Duhamel term: convolving t^(a-1) E_{a,a}(-lam t^a) with t^g gives
@@ -175,16 +176,14 @@ def get_case(case_id, alpha):
 
 @dataclass(frozen=True, eq=False)
 class ModalExpansion:
-    """Truncated eigen-expansion; continuous (sine basis) or discrete (FEM)."""
+    """Truncated eigen-expansion: continuous (sine modes ks x ls) or discrete (no ks)."""
 
-    kind: str
     lam: np.ndarray     # continuous: (Ka, La); discrete: (n,)
     vcoef: np.ndarray
     bcoef: np.ndarray
     fcoef: np.ndarray
     ks: np.ndarray = None
     ls: np.ndarray = None
-    basis: np.ndarray = None  # discrete: M-orthonormal eigenvector columns
 
 
 def modal_coefficients(case, K_max=255):
@@ -208,7 +207,6 @@ def modal_coefficients(case, K_max=255):
     KK, LL = np.meshgrid(ks, ls, indexing="ij")
     lam = PI ** 2 * (KK ** 2 + LL ** 2)
     return ModalExpansion(
-        "continuous",
         lam,
         case.vhat(KK, LL),
         case.bhat(KK, LL),
@@ -236,13 +234,13 @@ def _homogeneous_factor(alpha, beta, lam_flat, t):
 
 @functools.lru_cache(maxsize=128)
 def _discrete_factor(fem, alpha, t, beta):
-    """``_homogeneous_factor`` on the spectrum of ``modal_view(fem)``, read-only.
+    """``_homogeneous_factor`` on the spectrum of ``fem.modal``, read-only.
 
     Every case on one system shares the spectrum, so cases a and b share
     E_{alpha,1}, and a decay ladder's t = 0.1 repeats the temporal
     reference's factors.
     """
-    out = _homogeneous_factor(alpha, beta, modal_view(fem).lam, t)
+    out = _homogeneous_factor(alpha, beta, fem.modal.lam, t)
     out.flags.writeable = False
     return out
 
@@ -292,7 +290,7 @@ class ExactSolution:
     """
 
     def __init__(self, case, expansion, t):
-        if expansion.kind != "continuous":
+        if expansion.ks is None:
             raise ValueError("pointwise evaluation needs a continuous expansion")
         self.case = case
         self.expansion = expansion
@@ -370,47 +368,14 @@ def exact_solution(case, expansion, t):
     return ExactSolution(case, expansion, t)
 
 
-@functools.lru_cache(maxsize=8)
 def _eigensystem(sys):
-    """Ascending eigenvalues lam and M-orthonormal eigenvector columns of the
-    pencil (S, M) of ``sys``, solved in its sine view.
-
-    There S = diag(d) and M = diag(mu) + c G (x) G. With s = d^(-1/2), the
-    SPD matrix C = s M s has the eigenpairs (1/lam, z), and the pencil's
-    M-orthonormal vectors are sqrt(lam) s z, mapped to nodal coordinates.
-    """
-    if sys.n_dof > 4000:
-        raise ValueError(
-            "dense eigensolve guard exceeded; use the temporal "
-            "self-convergence reference instead"
-        )
-    sine = sys.sine
-    mass = sine.mass
-    s = 1.0 / np.sqrt(sine.stiffness.d)
-    C = np.kron(mass.G, mass.G)
-    C *= mass.c
-    C.reshape(-1)[:: sys.n_dof + 1] += mass.d
-    C *= s
-    C *= s[:, None]
-    w, Z = np.linalg.eigh(C)
-    lam = 1.0 / w[::-1]
-    # one contiguous row per eigenvector, as to_nodal maps rows in place
-    rows = np.ascontiguousarray(Z.T[::-1])
-    rows *= s
-    rows *= np.sqrt(lam)[:, None]
-    sine.to_nodal(rows)
-    return lam, rows.T
+    """(lam, basis) of the modal view ``sys.modal`` (see ``meshfem.ModalSystem``)."""
+    return sys.modal.lam, sys.modal.basis
 
 
-@functools.lru_cache(maxsize=8)
-def modal_view(sys):
-    """``meshfem.ModalSystem`` of ``sys`` on the discrete reference's eigensystem."""
-    return meshfem.ModalSystem(sys, *_eigensystem(sys))
-
-
-@functools.lru_cache(maxsize=64)
-def _discrete_expansion(sys, case):
-    """Eigen-expansion of the projected case data on a FEM system.
+def discrete_reference(sys, case, t):
+    """The semidiscrete solution, exact in time, in the coordinates of ``sys``
+    (nodal, or the modal amplitudes Phi^T M u on its modal view).
 
     The L2 projection c = M^-1 F of a load vector F has the modal
     coefficients Phi^T M c = Phi^T F, the load in the modal view's
@@ -419,28 +384,15 @@ def _discrete_expansion(sys, case):
     would leave an error floor of about 1e-12 ||v|| against a scheme that
     projects exactly, as every scheme on the modal view does.
     """
-    view = modal_view(sys)
+    view = sys.fem.modal
 
     def coeffs(func):
         if func is None:
             return np.zeros(view.n_dof)
         return meshfem.load_vector(view, func)
 
-    return ModalExpansion(
-        "discrete",
-        view.lam,
-        coeffs(case.v),
-        coeffs(case.b),
-        coeffs(case.source_space),
-        basis=view.basis,
-    )
-
-
-def discrete_reference(sys, case, t):
-    """The semidiscrete solution, exact in time, in the coordinates of ``sys``
-    (nodal, or the modal amplitudes Phi^T M u on its modal view)."""
-    exp = _discrete_expansion(sys.fem, case)
+    exp = ModalExpansion(view.lam, coeffs(case.v), coeffs(case.b), coeffs(case.source_space))
     amp = modal_amplitudes(
         case, exp, t, functools.partial(_discrete_factor, sys.fem, case.alpha, t)
     )
-    return amp if isinstance(sys, meshfem.ModalSystem) else exp.basis @ amp
+    return amp if sys is view else view.basis @ amp

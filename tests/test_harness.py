@@ -259,7 +259,7 @@ class TestModalStepping:
         cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=8)
         view = harness._stepping_system(cfg, base)
         assert isinstance(view, mf.ModalSystem) and view.fem is base
-        assert view is ref.modal_view(base)
+        assert view is base.modal
         assert view.lam is ref._eigensystem(base)[0]
         self_conv = StudyConfig("b", (0.5,), ("be",), "decay", M=8, reference="self_convergence")
         assert harness._stepping_system(self_conv, base) is base
@@ -596,6 +596,19 @@ class TestCli:
             warnings.simplefilter("error")
             assert cli.main([*args, "--case", "a", "--alpha", "0.5", "--M", "8"]) == 2
         assert "times must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("weights", "--rule", "be", "--alpha", "0.5", "--N", "3", "--out"),
+        ("study", "--kind", "temporal", "--case", "b", "--alpha", "0.5", "--M", "4",
+         "--N-list", "4,8", "--reference", "continuous_modal", "--out"),
+        ("solve", "--case", "a", "--alpha", "0.5", "--M", "4", "--N", "4", "--dump-solution"),
+    ])
+    def test_unwritable_output_exit_code(self, args, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        assert cli.main([*args, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output") and str(path) in err
+        assert err.count("\n") == 1 and not path.parent.exists()
 
     def test_mlf_negative_argument_exit_code(self):
         out = self.run_cli("mlf", "--alpha", "0.5", "--x-min", "-1")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -402,7 +404,7 @@ class TestQuadratureRules:
 def modal_view(M):
     """fem_system(M) and its modal view."""
     base = mf.fem_system(M)
-    return base, ref.modal_view(base)
+    return base, base.modal
 
 
 # the backward Euler step weight tau^-alpha at tau = 1e-7, alpha = 1.5
@@ -429,7 +431,7 @@ class TestStepSolvers:
     def test_backend_follows_the_system(self):
         base, view = modal_view(8)
         assert base.fem is base and view.fem is base
-        assert view is ref.modal_view(base)
+        assert view is base.modal
         lam, basis = ref._eigensystem(base)
         assert view.lam is lam and view.basis is basis
         assert base.step_system(1.0, 1.0).backend == "cg"
@@ -509,10 +511,28 @@ class TestStepSolvers:
             with pytest.raises(ValueError, match="a, b >= 0"):
                 sys_.step_system(a, b)
 
-    def test_rejects_mismatched_eigensystem(self):
-        base = mf.fem_system(4)
-        lam, basis = ref._eigensystem(base)
-        with pytest.raises(ValueError, match="eigensystem"):
-            mf.ModalSystem(base, lam[:-1], basis)
-        with pytest.raises(ValueError, match="eigensystem"):
-            mf.ModalSystem(base, lam, basis[:, :-1])
+    def test_modal_view_solved_once(self, monkeypatch):
+        # the view belongs to its system: the views of other systems never
+        # evict its eigensystem, and the reference reads the same one
+        base, view = modal_view(8)
+        for M in (2, 4, 6) * 3:
+            assert mf.assemble(mf.build_mesh(M)).modal.n_dof == (M - 1) ** 2
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert base.modal is view
+        assert base.modal.lam is ref._eigensystem(base)[0]
+        assert calls == []
+
+    def test_throwaway_system_freed(self):
+        fem = mf.assemble(mf.build_mesh(8))
+        assert fem.modal.fem is fem
+        gone = weakref.ref(fem)
+        del fem
+        gc.collect()
+        assert gone() is None

@@ -180,7 +180,7 @@ class TestContracts:
         for alpha in (0.0, -0.5, 2.5):
             with pytest.raises(ValueError, match="alpha"):
                 mlf_neg(alpha, 1.0, 1.0)
-        for beta in (0.0, -1.0, math.nan):
+        for beta in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="beta"):
                 mlf_neg(0.5, beta, 1.0)
 

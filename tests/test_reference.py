@@ -273,9 +273,9 @@ class TestDiscreteReference:
 
     def test_expansion_reconstructs_data(self, sys8):
         c = ref.get_case("b", 0.5)
-        exp = ref._discrete_expansion(sys8, c)
+        view = sys8.modal
         vc = mf.l2_project(sys8, c.v)
-        recon = exp.basis @ exp.vcoef
+        recon = view.basis @ mf.load_vector(view, c.v)
         assert np.max(np.abs(recon - vc)) <= 1e-10
 
     def test_one_mlf_call_per_distinct_factor(self, monkeypatch, sys8):
@@ -290,7 +290,7 @@ class TestDiscreteReference:
 
         monkeypatch.setattr(ref, "mlf_neg", counted)
         ref._discrete_factor.cache_clear()
-        view = ref.modal_view(sys8)
+        view = sys8.modal
         calls = [(cid, t) for t in (0.1, 0.01) for cid in "abc"] + [("a", 0.1), ("b", 0.01)]
         for cid, t in calls:
             c = ref.get_case(cid, 0.5)
@@ -304,9 +304,14 @@ class TestDiscreteReference:
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
                     cached[0] = 0.0
-        e = ref._discrete_expansion(sys8, ref.get_case("a", 0.5))
-        alone = ref._homogeneous_factor(0.5, 1.0, e.lam, 0.1)
+        alone = ref._homogeneous_factor(0.5, 1.0, view.lam, 0.1)
         assert np.array_equal(ref._discrete_factor(sys8, 0.5, 0.1, 1.0), alone)
+
+    def test_exact_solution_needs_continuous_expansion(self, sys8):
+        view = sys8.modal
+        exp = ref.ModalExpansion(view.lam, *[np.zeros(view.n_dof)] * 3)
+        with pytest.raises(ValueError, match="continuous expansion"):
+            ref.exact_solution(ref.get_case("a", 0.5), exp, 0.1)
 
     def test_dof_guard(self):
         big = mf.assemble(mf.build_mesh(66))

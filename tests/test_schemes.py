@@ -293,7 +293,7 @@ class TestHistorySum:
 
     @pytest.fixture(scope="class")
     def view8(self):
-        return ref.modal_view(mf.fem_system(8))
+        return mf.fem_system(8).modal
 
     @staticmethod
     def march_random(sys_, N, mass_len, stiff_len, decay):
@@ -364,7 +364,7 @@ class TestGeneratingFunction:
                              + [("e", s) for s in ("be", "sbd", "cn")])
     def test_modal_march(self, cid, scheme):
         N, alpha = 32, 0.5 if cid == "b" else 1.5
-        view = ref.modal_view(mf.fem_system(4))
+        view = mf.fem_system(4).modal
         grid = TimeGrid(0.1, N)
         hist = run_scheme(view, ref.get_case(cid, alpha), scheme, grid)
         mass, stiff = scheme_kernels(scheme, alpha, grid.tau, N)
