@@ -45,11 +45,15 @@ it:
 Mesh and matrices are assembled over whole arrays, from exact closed-form
 element matrices. Loads use a 6-point degree-4 triangle rule, once per
 (nodal system, function): the nodal load is cached read-only, and so are
-its coordinates in a view, per (view, function). Error norms
+its coordinates in a view, per (view, function), each in its system or
+view (``system_cache``), so they are freed with it. Error norms
 use a denser collapsed-Gauss rule because modal reference solutions carry
 high sine modes that a degree-4 rule would misresolve on coarse cells. Its
 points form one tensor grid over the cells per triangle half and rule
-point, and the exact field is evaluated on those grids.
+point: the cell corners (i/M, j/M) shifted by the point's offset in its
+cell. The squared errors are summed one grid at a time, so no field over
+all points is held; a series solution (``reference.ExactSolution``) sums
+itself on each grid from sine tables of the corners and of the offsets.
 """
 
 from __future__ import annotations
@@ -446,7 +450,33 @@ def _scatter(fem, contrib):
     return np.bincount(dofs[ok], weights=contrib[ok], minlength=fem.n_dof)
 
 
-@functools.lru_cache(maxsize=64)
+def system_cache(maxsize):
+    """``functools.lru_cache(maxsize)`` for ``func(owner, *key)``, with each
+    owner's entries held in the owner itself, so they die with it; one
+    cache for all owners would keep every system it has seen alive.
+    ``entries(owner)`` is the owner's dict, least recently used first."""
+    def decorate(func):
+        name = f"_{func.__name__}_entries"
+
+        @functools.wraps(func)
+        def cached(owner, *key):
+            entries = vars(owner).setdefault(name, {})
+            if key in entries:
+                out = entries.pop(key)
+            else:
+                out = func(owner, *key)
+                if len(entries) >= maxsize:
+                    del entries[next(iter(entries))]
+            entries[key] = out
+            return out
+
+        cached.entries = lambda owner: vars(owner).get(name, {})
+        return cached
+
+    return decorate
+
+
+@system_cache(maxsize=64)
 def _nodal_load(fem, g):
     """The nodal load (g, phi_i) of ``fem`` by elementwise quadrature, for
     a pure function ``g``; cached read-only, as ladders repeat it."""
@@ -457,7 +487,7 @@ def _nodal_load(fem, g):
     return load
 
 
-@functools.lru_cache(maxsize=64)
+@system_cache(maxsize=64)
 def _view_load(view, g):
     """The coordinates of the cached nodal load F in a modal or sine view,
     cached read-only per (view, function), as ladders repeat them."""
@@ -513,33 +543,38 @@ def nodal_values(sys, c):
 def error_norms(sys, c, u_exact, grad_exact=None, order=10):
     """(L2, H1-seminorm) error between the FE function and a pointwise field.
 
-    ``u_exact(x, y)`` is called once, on the rule's grids (``grid_points``)
-    as broadcast arrays x (2 nq, M, 1) and y (2 nq, 1, M). The H1 part is
-    None unless ``grad_exact`` maps the same arguments to (du/dx, du/dy).
-    When ``grad_exact`` is ``u_exact.grad`` (``reference.ExactSolution``),
-    one call of ``u_exact.value_and_grad`` evaluates both.
+    The squared errors are summed one grid of ``grid_points`` at a time.
+    ``u_exact(x, y)`` is called per grid, with x (M, 1) and y (1, M). The
+    H1 part is None unless ``grad_exact`` maps the same arguments to
+    (du/dx, du/dy). When ``u_exact`` is a ``reference.ExactSolution`` and
+    ``grad_exact`` is None or its own ``grad``, the fields come from its
+    ``cell_grids`` instead, as each grid is the cell corners shifted by one
+    offset.
     """
     xs, ys, w, shape = sys.grid_points(order)
     M, nq = sys.mesh.M, len(w)
-    x, y = xs[:, :, None], ys[:, None, :]
-    if grad_exact is not None and grad_exact == getattr(u_exact, "grad", None):
-        ue, (gex, gey) = u_exact.value_and_grad(x, y)
+    with_grad = grad_exact is not None
+    if hasattr(u_exact, "cell_grids") and grad_exact in (None, u_exact.grad):
+        fields = u_exact.cell_grids(xs[:, 0], ys[:, 0], M, with_grad)
     else:
-        ue = u_exact(x, y)
-        if grad_exact is not None:
-            gex, gey = grad_exact(x, y)
+        fields = (
+            (g, u_exact(x, y), *(grad_exact(x, y) if with_grad else (None, None)))
+            for g, (x, y) in enumerate(zip(xs[:, :, None], ys[:, None, :]))
+        )
     local = nodal_values(sys, c)[sys.mesh.triangles]  # (nel, 3)
-
-    def sq_error(fe, exact):
-        """The rule's sum of (fe - exact)^2; fe is (nel,) or (nel, nq)."""
-        fe = np.broadcast_to(fe.reshape(len(fe), -1), (len(fe), nq))
-        d = fe.reshape(M, M, 2, nq).transpose(2, 3, 0, 1).reshape(2 * nq, M, M) - exact
-        d *= d
-        return float(np.tile(w, 2) @ d.sum(axis=(1, 2)))
-
-    l2 = math.sqrt(sq_error(local @ shape.T, ue))
-    if grad_exact is None:
-        return l2, None
-    # FE gradient is constant per element
-    ghx, ghy = (np.einsum("ea,ea->e", sys._grads[:, d, :], local) for d in (0, 1))
-    return l2, math.sqrt(sq_error(ghx, gex) + sq_error(ghy, gey))
+    if with_grad:
+        # the FE gradient is constant per element
+        fe_gx, fe_gy = (np.einsum("ea,ea->e", sys._grads[:, d, :], local).reshape(M, M, 2)
+                        for d in (0, 1))
+    # element (i M + j) 2 + t is [i, j, t]; grid t nq + q holds its point q
+    local = local.reshape(M, M, 2, 3)
+    sq = np.zeros((2 * nq, 2))  # per grid: squared L2 and H1 errors
+    for g, u, ux, uy in fields:
+        t, q = divmod(g, nq)
+        d = local[:, :, t] @ shape[q] - u
+        sq[g, 0] = np.vdot(d, d)
+        if with_grad:
+            dx, dy = fe_gx[:, :, t] - ux, fe_gy[:, :, t] - uy
+            sq[g, 1] = np.vdot(dx, dx) + np.vdot(dy, dy)
+    l2_sq, h1_sq = np.tile(w, 2) @ sq
+    return math.sqrt(l2_sq), (math.sqrt(h1_sq) if with_grad else None)

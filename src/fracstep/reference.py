@@ -224,17 +224,18 @@ def _homogeneous_factor(alpha, beta, lam_flat, t):
     more often where k^2 + l^2 has several representations.
 
     Nothing is cached here. The discrete reference reads its factors through
-    ``_discrete_factor``, which keeps them read-only per (nodal system,
-    alpha, t, beta), at most 128 of them; the continuous reference calls
+    ``_discrete_factor``, which keeps them read-only with the nodal system
+    per (alpha, t, beta), at most 128 of them; the continuous reference calls
     this once per factor of each ``ExactSolution``.
     """
     y_u, inv = np.unique(np.asarray(lam_flat, dtype=float) * t ** alpha, return_inverse=True)
     return mlf_neg(alpha, beta, y_u)[inv]
 
 
-@functools.lru_cache(maxsize=128)
+@meshfem.system_cache(maxsize=128)
 def _discrete_factor(fem, alpha, t, beta):
-    """``_homogeneous_factor`` on the spectrum of ``fem.modal``, read-only.
+    """``_homogeneous_factor`` on the spectrum of ``fem.modal``, read-only,
+    kept with ``fem``.
 
     Every case on one system shares the spectrum, so cases a and b share
     E_{alpha,1}, and a decay ladder's t = 0.1 repeats the temporal
@@ -276,17 +277,31 @@ def _distinct_phases(v, modes):
     return inv.reshape(v.shape), PI * np.outer(vals, modes)
 
 
+def _cell_tables(offsets, M, modes):
+    """sin and cos of m pi i/M at the cell corners i = 0..M-1, (M, K), then
+    of m pi d at the offsets d, (len(offsets), K), for the K modes m. The
+    corner phases are reduced modulo 2 pi exactly first, as in
+    ``meshfem.sine_basis``."""
+    corner = PI * (np.outer(np.arange(M), modes.astype(np.int64)) % (2 * M)) / M
+    phase = PI * np.outer(offsets, modes)
+    return np.sin(corner), np.cos(corner), np.sin(phase), np.cos(phase)
+
+
 class ExactSolution:
     """The truncated series solution at a fixed time, summed on tensor grids.
 
     u(x, y) = 2 sum_{k,l} A[k, l] sin(k pi x) sin(l pi y) over the K x L
     retained modes. On a grid (x_i, y_j) this is 2 (SX A) SY^T with the sine
     tables SX[i, k] = sin(k pi x_i), SY[j, l] = sin(l pi y_j); a gradient
-    component swaps one table for its derivative. Broadcast points x
-    (..., nx, 1) and y (..., 1, ny), as ``meshfem.error_norms`` passes them,
-    are one nx x ny grid per leading index; any other points are 1 x 1
-    grids. A call tabulates the distinct x and y once, then spends one
-    (nx x L) @ (L x ny) product per grid and field.
+    component swaps one table for its derivative.
+
+    ``cell_grids`` serves ``meshfem.error_norms``: its grids are the cell
+    corners (i/M, j/M) shifted by one offset each, so the tables hold only
+    the corners and the distinct offsets, and it yields one grid at a time.
+    A call or ``grad`` takes any points: broadcast x (..., nx, 1) and
+    y (..., 1, ny) are one nx x ny grid per leading index, any other points
+    1 x 1 grids. It tabulates the distinct x and y once, then spends one
+    (nx x L) @ (L x ny) product per grid.
     """
 
     def __init__(self, case, expansion, t):
@@ -301,8 +316,8 @@ class ExactSolution:
             lambda beta: _homogeneous_factor(case.alpha, beta, lam, self.t),
         )
 
-    def _fields(self, x, y, value, grad):
-        """[u][, (du/dx, du/dy)] at the points, from one set of tables."""
+    def _fields(self, x, y, grad):
+        """u, or (du/dx, du/dy) if grad, at the points."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)
         if min(x.ndim, y.ndim) < 2 or x.shape[-1] != 1 or y.shape[-2] != 1:
@@ -325,25 +340,50 @@ class ExactSolution:
             return out.reshape(shape)
 
         sx_a, sy = np.sin(px) @ A, np.sin(py)
-        out = [on_grids(sx_a, sy)] if value else []
-        if grad:
-            # the cosine tables overwrite the phases, which are not needed again
-            cx = np.cos(px, out=px)
-            cx *= PI * self.expansion.ks
-            cy = np.cos(py, out=py)
-            cy *= PI * self.expansion.ls
-            out.append((on_grids(cx @ A, sy), on_grids(sx_a, cy)))
-        return out
+        if not grad:
+            return on_grids(sx_a, sy)
+        # the cosine tables overwrite the phases, which are not needed again
+        cx = np.cos(px, out=px)
+        cx *= PI * self.expansion.ks
+        cy = np.cos(py, out=py)
+        cy *= PI * self.expansion.ls
+        return on_grids(cx @ A, sy), on_grids(sx_a, cy)
 
     def __call__(self, x, y):
-        return self._fields(x, y, True, False)[0]
+        return self._fields(x, y, False)
 
     def grad(self, x, y):
-        return self._fields(x, y, False, True)[0]
+        return self._fields(x, y, True)
 
-    def value_and_grad(self, x, y):
-        """(u, (du/dx, du/dy)): the two calls above from one set of tables."""
-        return tuple(self._fields(x, y, True, True))
+    def cell_grids(self, dx, dy, M, grad=False):
+        """Yield (g, u, du/dx, du/dy) on the grids of points
+        (i/M + dx[g], j/M + dy[g]), i, j = 0..M-1, as (M, M) arrays, the
+        gradient (None, None) unless ``grad``.
+
+        sin(k pi (i/M + d)) = sin(k pi i/M) cos(k pi d) + cos(k pi i/M)
+        sin(k pi d): one build of ``_cell_tables`` per axis serves every
+        grid. The grids of one x-offset come together, after one product
+        SX A (and one for du/dx) that they share. Nothing larger than an
+        (M, K) table is held.
+        """
+        ks, ls = self.expansion.ks, self.expansion.ls
+        ox, gx = np.unique(dx, return_inverse=True)
+        oy, gy = np.unique(dy, return_inverse=True)
+        sx, cx, sox, cox = _cell_tables(ox, M, ks)
+        sy, cy, soy, coy = _cell_tables(oy, M, ls)
+        A = 2.0 * self.amplitudes
+        for a in range(len(ox)):
+            xa = (sx * cox[a] + cx * sox[a]) @ A
+            if grad:
+                dxa = ((cx * cox[a] - sx * sox[a]) * (PI * ks)) @ A
+            for g in np.flatnonzero(gx == a):
+                b = gy[g]
+                syt = (sy * coy[b] + cy * soy[b]).T
+                if grad:
+                    cyt = ((cy * coy[b] - sy * soy[b]) * (PI * ls)).T
+                    yield g, xa @ syt, dxa @ syt, xa @ cyt
+                else:
+                    yield g, xa @ syt, None, None
 
     def l2_norm(self):
         return math.sqrt(float(np.sum(self.amplitudes ** 2)))

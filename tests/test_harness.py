@@ -163,15 +163,22 @@ class TestRunStudy:
 
         monkeypatch.setattr(mf, "load_vector", load)
         monkeypatch.setattr(mf.FemSystem, "quad_points", quad)
-        mf._nodal_load.cache_clear()
-        mf._view_load.cache_clear()
+        # fresh systems, whose caches start empty
+        fresh = {}
+
+        def fem_system(M):
+            if M not in fresh:
+                fresh[M] = mf.assemble(mf.build_mesh(M))
+            return fresh[M]
+
+        monkeypatch.setattr(mf, "fem_system", fem_system)
         for case, alpha, names in [("c", 0.5, ("be", "sbd", "l1")), ("d", 1.5, ("be", "sbd"))]:
             run_study(StudyConfig(case, (alpha,), names, "temporal", M=16, N_list=(10, 20, 40)))
         run_study(StudyConfig("b", (0.5,), ("be",), "decay", M=8, N=10, reference="self_convergence"))
         distinct = set(pairs)
         assert len(pairs) > 3 * len(distinct)
         assert len(quadratures) == len(distinct)
-        assert mf._nodal_load.cache_info().currsize == len(distinct)
+        assert sum(len(mf._nodal_load.entries(f)) for f in fresh.values()) == len(distinct)
         for fem, g in distinct:
             assert isinstance(fem, mf.FemSystem)
             cached = mf._nodal_load(fem, g)

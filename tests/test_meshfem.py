@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -294,21 +295,23 @@ class TestNorms:
         sol = ref.exact_solution(case, ref.modal_coefficients(case, 31), 0.1)
         c = mf.l2_project(sys8, case.v)
         builds = []
-        real = ref._distinct_phases
+        real = ref._cell_tables
 
-        def counted(v, modes):
-            # one table build tabulates the distinct x, then the distinct y
+        def counted(offsets, M, modes):
+            # one table build tabulates the x side, then the y side
             if modes is sol.expansion.ks:
                 builds.append(1)
-            return real(v, modes)
+            return real(offsets, M, modes)
 
-        monkeypatch.setattr(ref, "_distinct_phases", counted)
-        # a gradient that is not sol.grad itself is evaluated on its own
+        monkeypatch.setattr(ref, "_cell_tables", counted)
+        l2, h1 = mf.error_norms(sys8, c, sol, sol.grad)
+        assert len(builds) == 1 and h1 > 0.0
+        assert mf.error_norms(sys8, c, sol) == (l2, None)
+        assert len(builds) == 2
+        # a gradient that is not sol.grad itself is evaluated per grid
         apart = mf.error_norms(sys8, c, sol, lambda x, y: sol.grad(x, y))
         assert len(builds) == 2
-        together = mf.error_norms(sys8, c, sol, sol.grad)
-        assert len(builds) == 3
-        assert together == apart
+        assert apart == pytest.approx((l2, h1), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("M", [2, 8, 16])
     @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("b", 0.5), ("e", 1.5)])
@@ -340,6 +343,21 @@ class TestNorms:
                 assert got[1] is want[1] is None
             else:
                 assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
+
+    def test_series_norms_peak_allocation(self):
+        # the fields are summed grid by grid: no (2 nq, M, M) field and no
+        # table of every distinct point against every mode
+        case = ref.get_case("e", 1.5)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.1)
+        s = mf.fem_system(64)
+        c = mf.l2_project(s, case.v)
+        tracemalloc.start()
+        try:
+            mf.error_norms(s, c, sol, sol.grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, peak
 
     def test_discrete_poincare(self, sys8):
         rng = np.random.default_rng(9)
@@ -381,6 +399,15 @@ class TestQuadratureRules:
         assert np.array_equal(bits(grids[..., 0]), bits(np.broadcast_to(xs[:, :, None], full)))
         assert np.array_equal(bits(grids[..., 1]), bits(np.broadcast_to(ys[:, None, :], full)))
         assert np.array_equal(grid_w, w) and np.array_equal(grid_shape, shape)
+
+    @pytest.mark.parametrize("M", [2, 8, 64])
+    @pytest.mark.parametrize("order", [4, 10])
+    def test_grid_points_are_cell_corners_plus_offset(self, M, order):
+        # what ExactSolution.cell_grids assumes: x = i/M + xs[g, 0]
+        xs, ys, _, _ = mf.fem_system(M).grid_points(order)
+        corners = np.arange(M) / M
+        assert np.max(np.abs(xs - corners - xs[:, :1])) <= 2.3e-16
+        assert np.max(np.abs(ys - corners - ys[:, :1])) <= 2.3e-16
 
     def test_unknown_order_rejected(self, sys4):
         for call in (sys4.quad_points, sys4.grid_points,
@@ -536,3 +563,30 @@ class TestStepSolvers:
         del fem
         gc.collect()
         assert gone() is None
+
+    def test_throwaway_system_freed_with_its_caches(self):
+        # loads, view loads and reference factors are kept with their system
+        fem = mf.assemble(mf.build_mesh(4))
+        case = ref.get_case("c", 0.5)
+        ref.discrete_reference(fem, case, 0.1)
+        mf.l2_project(fem, case.source_space)
+        mf.load_vector(fem.sine, case.source_space)
+        assert mf._nodal_load.entries(fem) and ref._discrete_factor.entries(fem)
+        assert mf._view_load.entries(fem.modal) and mf._view_load.entries(fem.sine)
+        gone = [weakref.ref(x) for x in (fem, fem.modal, fem.sine)]
+        del fem
+        gc.collect()
+        assert [r() for r in gone] == [None] * 3
+
+    def test_system_cache_is_bounded_lru(self):
+        fem = mf.assemble(mf.build_mesh(2))
+        loads = [lambda x, y, k=k: x + k for k in range(65)]
+        first = mf.load_vector(fem, loads[0])
+        for g in loads[1:64]:
+            mf.load_vector(fem, g)
+        # 64 entries; loads[0], the oldest, is used again, so loads[1] goes
+        assert mf.load_vector(fem, loads[0]) is first
+        mf.load_vector(fem, loads[64])
+        kept = list(mf._nodal_load.entries(fem))
+        assert len(kept) == 64 and (loads[1],) not in kept
+        assert kept[-2:] == [(loads[0],), (loads[64],)]

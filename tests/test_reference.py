@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -207,6 +208,38 @@ class TestSeriesEvaluation:
         assert np.max(np.abs(got_gx - gx)) <= 1e-13 * gscale
         assert np.max(np.abs(got_gy - gy)) <= 1e-13 * gscale
 
+    @pytest.mark.parametrize("M", [2, 8])
+    @pytest.mark.parametrize("cid", "abefg")
+    def test_cell_grids_match_calls(self, cid, M):
+        # sin(k pi (i/M + d)) by the addition formula, at the rule's grids
+        case = ref.get_case(cid, 0.5 if cid in "abc" else 1.5)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 63), 0.1)
+        xs, ys, _, _ = mf.fem_system(M).grid_points(10)
+        full = sol.cell_grids(xs[:, 0], ys[:, 0], M, True)
+        plain = sol.cell_grids(xs[:, 0], ys[:, 0], M)
+        seen = []
+        for (g, u, ux, uy), (g_plain, *rest) in zip(full, plain):
+            x, y = xs[g][:, None], ys[g][None, :]
+            want, (want_x, want_y) = sol(x, y), sol.grad(x, y)
+            assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
+            gscale = max(np.max(np.abs(want_x)), np.max(np.abs(want_y)))
+            assert np.max(np.abs(ux - want_x)) <= 1e-14 * gscale
+            assert np.max(np.abs(uy - want_y)) <= 1e-14 * gscale
+            assert g_plain == g and np.array_equal(rest[0], u) and rest[1:] == [None, None]
+            seen.append(g)
+        assert sorted(seen) == list(range(len(xs)))
+
+    def test_cell_tables_reduce_corner_phases_exactly(self):
+        # k pi i/M reaches 790 at M=64, K=255, where rounding the phase
+        # itself would cost 8e-14; reduced modulo 2 pi first, every entry
+        # is within a few ulp of the exact sine and cosine
+        M, ks = 64, np.arange(1.0, 256.0)
+        sines, cosines, _, _ = ref._cell_tables(np.zeros(1), M, ks)
+        ki = [mp.mpf(i * k) / M for i in range(M) for k in range(1, 256)]
+        for table, exact in ((sines, mp.sinpi), (cosines, mp.cospi)):
+            want = np.array([float(exact(v)) for v in ki]).reshape(table.shape)
+            assert np.max(np.abs(table - want)) <= 1e-15
+
 
 class TestModeFactors:
     @pytest.fixture(scope="class", params=["continuous_e_K63", "discrete_M8"])
@@ -289,7 +322,7 @@ class TestDiscreteReference:
             return real(a, b, y)
 
         monkeypatch.setattr(ref, "mlf_neg", counted)
-        ref._discrete_factor.cache_clear()
+        ref._discrete_factor.entries(sys8).clear()
         view = sys8.modal
         calls = [(cid, t) for t in (0.1, 0.01) for cid in "abc"] + [("a", 0.1), ("b", 0.01)]
         for cid, t in calls:
@@ -297,7 +330,7 @@ class TestDiscreteReference:
             nodal = ref.discrete_reference(sys8, c, t)
             assert np.array_equal(nodal, view.basis @ ref.discrete_reference(view, c, t))
         assert sorted(received) == sorted([(0.5, 1.0), (0.5, 1.5), (0.5, 1.7)] * 2)
-        assert ref._discrete_factor.cache_info().currsize == len(received)
+        assert len(ref._discrete_factor.entries(sys8)) == len(received)
         for key_t in (0.1, 0.01):
             for beta in (1.0, 1.5, 1.7):
                 cached = ref._discrete_factor(sys8, 0.5, key_t, beta)
