@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -35,14 +36,18 @@ def erfcx_cf(x, terms=500):
     return f / math.sqrt(math.pi)
 
 
-def mp_mlf(alpha, beta, y):
-    """Adaptive-precision series oracle; digits sized to cover cancellation."""
+def mp_mlf(alpha, beta, y, max_lost=400):
+    """Adaptive-precision series oracle; digits sized to cover cancellation.
+
+    Raises ValueError where the cancellation would cost more than
+    ``max_lost`` digits; the cost of a point grows with them.
+    """
     af, bf, yf = float(alpha), float(beta), float(y)
     if yf == 0.0:
         return 1.0 / math.gamma(bf)
     kpeak = max(5, int(yf ** (1.0 / af) / af) + 2)
     lost = max(0.0, (kpeak * math.log(yf) - math.lgamma(af * kpeak + bf)) / math.log(10))
-    if lost > 400:
+    if lost > max_lost:
         raise ValueError("oracle would need too many digits")
     old = mp.mp.dps
     try:
@@ -59,6 +64,24 @@ def mp_mlf(alpha, beta, y):
         return float(s)
     finally:
         mp.mp.dps = old
+
+
+def talbot_mlf(alpha, beta, y):
+    """E_{alpha,beta}(-y) by numerical inversion of its Laplace transform.
+
+    t^(beta-1) E_{alpha,beta}(-y t^alpha) has the transform
+    s^(alpha-beta) / (s^alpha + y); mpmath inverts it at t = 1 on the fixed
+    Talbot contour at 40 digits. Unlike the series oracle, its cost does not
+    grow with y or 1/alpha.
+    """
+    with mp.workdps(40):
+        a, b, yy = (mp.mpf(repr(float(v))) for v in (alpha, beta, y))
+
+        def transform(s):
+            ln_s = mp.log(s)
+            return mp.exp((a - b) * ln_s) / (mp.exp(a * ln_s) + yy)
+
+        return float(mp.invertlaplace(transform, 1, method="talbot"))
 
 
 class TestClosedForms:
@@ -114,15 +137,25 @@ class TestClosedForms:
 class TestHighPrecisionOracle:
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9, 1.1, 1.5, 1.9])
     def test_grid(self, alpha):
+        # every cell against the Talbot oracle; the series oracle joins where
+        # it loses at most 40 digits (under about 0.1 s a point), and there
+        # the two oracles must agree first
+        ys = (0.5, 2.0, 7.0, 19.0, 45.0)
+        series_cells = 0
         for beta in (1.0, 2.0, alpha, alpha + 1.2):
-            for y in (0.5, 2.0, 7.0, 19.0, 45.0):
-                try:
-                    ref = mp_mlf(alpha, beta, y)
-                except ValueError:
-                    continue
-                got = mlf_neg(alpha, beta, y)
+            got = mlf_neg(alpha, beta, np.array(ys))
+            for y, g in zip(ys, got):
+                ref = talbot_mlf(alpha, beta, y)
                 scale = max(abs(ref), 1e-3 / (1.0 + y))
-                assert abs(got - ref) <= 1e-11 * scale, (alpha, beta, y)
+                try:
+                    series = mp_mlf(alpha, beta, y, max_lost=40)
+                except ValueError:
+                    pass
+                else:
+                    assert abs(series - ref) <= 1e-14 * scale, (alpha, beta, y)
+                    series_cells += 1
+                assert abs(g - ref) <= 1e-11 * scale, (alpha, beta, y)
+        assert series_cells >= (8 if alpha < 0.5 else 16)
 
 
 class TestRecurrenceIdentity:
@@ -282,6 +315,10 @@ class TestArrayCalls:
         # and in a reversed sub-batch
         sub = ys[::-3]
         assert np.array_equal(mlf_neg(alpha, beta, sub), got[::-3])
+        # and straddling the boundary between two chunks
+        pad = np.geomspace(1e-3, 1e3, mlf._CHUNK - len(ys) // 2)
+        long = mlf_neg(alpha, beta, np.concatenate([pad, ys]))
+        assert np.array_equal(long[len(pad):], got)
 
     @pytest.mark.parametrize("alpha,beta", [(0.1, 1.0), (0.5, 1.7), (1.0, 2.5), (1.5, 1.0), (1.9, 2.7)])
     def test_series_route_matches_term_by_term_loop(self, alpha, beta):
@@ -320,7 +357,8 @@ class TestArrayCalls:
 
     def test_oracle_one_call_per_pair(self, monkeypatch):
         # each route spied on, so the grid is known to reach every one
-        seen = {"series": 0, "asymptotic": 0, "mid_betas": [], "residue_betas": []}
+        seen = {"series": 0, "asymptotic": 0, "mid_betas": [], "cut_betas": [],
+                "residue_betas": []}
 
         def spy(name, record):
             real = getattr(mlf, name)
@@ -341,6 +379,7 @@ class TestArrayCalls:
         spy("_try_series", certified("series"))
         spy("_try_asymptotic", certified("asymptotic"))
         spy("_mid", lambda a, b, y, out: seen["mid_betas"].append((b, len(y))))
+        spy("_branch_cut_integral", lambda a, b, y, out: seen["cut_betas"].append((b, len(y))))
         spy("_residue_pair", lambda a, b, y, out: seen["residue_betas"].append((b, len(y))))
 
         pairs = [(0.7, 1.0), (0.7, 1.9), (1.5, 1.0), (1.5, 2.7), (1.9, 1.0)]
@@ -358,10 +397,10 @@ class TestArrayCalls:
             scale = np.maximum(np.abs(refs), 1e-3 / (1.0 + ys))
             assert np.all(np.abs(got - refs) <= 1e-11 * scale), (alpha, beta)
         assert seen["series"] > 0 and seen["asymptotic"] > 0
-        # the recurrence: _mid at beta = 2.7 calls itself at 2.7 - 1.5 = 1.2,
+        # the recurrence: _mid at beta = 2.7 lowers beta to 2.7 - 1.5 = 1.2,
         # where the residue pair joins the integral
         mids = {b for b, n in seen["mid_betas"] if n}
-        assert {1.9, 2.7}.issubset(mids) and 2.7 - 1.5 in mids
+        assert {1.9, 2.7}.issubset(mids) and 2.7 - 1.5 in {b for b, n in seen["cut_betas"] if n}
         assert (2.7 - 1.5) in {b for b, n in seen["residue_betas"] if n}
 
     def test_accuracy_error_reports_worst_element(self, monkeypatch):
@@ -369,9 +408,10 @@ class TestArrayCalls:
         ys = np.array([12.0, 19.0, 45.0, 80.0])  # all four reach the middle zone
 
         def mid_with(bounds):
+            # bounds per argument, so the fake serves any chunk of ys
             def fake(alpha, beta, y):
                 val, err = real(alpha, beta, y)
-                return val, np.maximum(err, bounds)
+                return val, np.maximum(err, bounds[np.searchsorted(ys, y)])
             return fake
 
         monkeypatch.setattr(mlf, "_mid", mid_with(np.array([0.0, 2e-3, 0.0, 5e-3])))
@@ -383,5 +423,113 @@ class TestArrayCalls:
         with pytest.raises(MlfAccuracyError) as info:
             mlf_neg(1.5, 1.0, ys)
         assert info.value.achieved == 2e-3
+        # misses in two chunks: the worst and the count span both
+        monkeypatch.setattr(mlf, "_CHUNK", 3)
+        for bounds, worst in (([0.0, 2e-3, 0.0, 5e-3], 80.0), ([0.0, 5e-3, 0.0, 2e-3], 19.0)):
+            monkeypatch.setattr(mlf, "_mid", mid_with(np.array(bounds)))
+            with pytest.raises(MlfAccuracyError) as info:
+                mlf_neg(1.5, 1.0, ys)
+            assert info.value.achieved == 5e-3
+            assert "2 of 4" in str(info.value) and f"(-{worst})" in str(info.value)
         monkeypatch.setattr(mlf, "_mid", real)
         assert np.array_equal(mlf_neg(1.5, 1.0, ys), [mlf_neg(1.5, 1.0, y) for y in ys])
+
+
+class TestSeriesScreen:
+    _ALPHAS = np.linspace(0.05, 2.0, 40)
+    _BETAS = (0.1, 0.3, 0.5, 0.9, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0)
+    _YS = np.geomspace(1e-4, 1e5, 400)
+
+    def test_skipped_arguments_fail_the_series(self):
+        # the screen only drops arguments whose series certificate must miss,
+        # so skipping them changes no value
+        skipped = 0
+        for alpha in self._ALPHAS.tolist():
+            for beta in self._BETAS:
+                skip = ~mlf._series_may_pass(alpha, beta, self._YS)
+                y = self._YS[skip]
+                val, err = mlf._try_series(alpha, beta, y)
+                assert not np.any(err <= mlf.DEFAULT_TOL * np.abs(val)), (alpha, beta)
+                # and its premise: a term near the peak exceeds 2600 B
+                k = np.floor((y ** (1.0 / alpha) - beta) / alpha)[:, None] + np.arange(-2.0, 4.0)
+                k = np.maximum(k, 0.0)
+                ln_t = k * np.log(y)[:, None] - special.gammaln(alpha * k + beta)
+                margin = ln_t.max(axis=1) - math.log(2600.0) - mlf._log_bound(alpha, beta, y)
+                assert np.all(margin > 0.0), (alpha, beta)
+                skipped += int(skip.sum())
+        assert skipped > 80_000
+
+    def test_bound_holds(self):
+        ys = self._YS[::10]
+        for alpha in self._ALPHAS.tolist():
+            for beta in self._BETAS:
+                got = np.abs(mlf_neg(alpha, beta, ys))
+                bound = np.exp(mlf._log_bound(alpha, beta, ys))
+                assert np.all(got <= bound), (alpha, beta, ys[np.argmax(got / bound)])
+
+
+class TestResidueSkip:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9, 2.0])
+    def test_residue_skip_changes_no_value(self, alpha, monkeypatch):
+        # a pair left out is under half an ulp of the expansion's value
+        real = mlf._residue_pair
+        given = []
+
+        def spy(a, b, y):
+            given.append(y)
+            return real(a, b, y)
+
+        monkeypatch.setattr(mlf, "_residue_pair", spy)
+        ys = np.geomspace(1.5, 1e6, 300)
+        left_out = 0
+        for beta in (0.5, 1.0, 1.7, 2.5):
+            given.clear()
+            val, _ = mlf._try_asymptotic(alpha, beta, ys)
+            out = ~np.isin(ys, np.concatenate(given))
+            pair = real(alpha, beta, ys[out])
+            assert np.array_equal(val[out] + pair, val[out]), beta
+            left_out += int(out.sum())
+        # at alpha = 2 the pair is undamped and never left out
+        assert (left_out > 0) == (alpha < 2.0)
+
+
+class TestChunks:
+    def test_peak_allocation(self):
+        # routes run a chunk at a time: their temporaries do not grow with
+        # the argument count
+        y = np.geomspace(1e-3, 4e4, 50_000)
+        tracemalloc.start()
+        try:
+            mlf_neg(1.5, 1.0, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
+
+def _mid_recursive(alpha, beta, y):
+    """The middle zone as one call per recurrence step, the reference for
+    the loop in ``mlf._mid``."""
+    if beta >= alpha + 0.75:
+        inner, err = _mid_recursive(alpha, beta - alpha, y)
+        return (mlf._recip_gamma(beta - alpha) - inner) / y, err / y + 4e-16
+    res = mlf._residue_pair(alpha, beta, y) if alpha > 1.0 else np.zeros(len(y))
+    integral, err = mlf._branch_cut_integral(alpha, beta, y, np.abs(res))
+    return res + integral, err + 2e-16 * np.abs(res)
+
+
+class TestMidRecurrence:
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 2.0), (0.5, 3.2), (1.1, 4.0), (1.5, 2.7)])
+    def test_loop_matches_recursion(self, alpha, beta):
+        ys = np.array([1.3, 4.0, 9.0, 17.0])
+        val, err = mlf._mid(alpha, beta, ys)
+        ref_val, ref_err = _mid_recursive(alpha, beta, ys)
+        assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
+
+    def test_small_alpha_large_beta(self):
+        # about 1,050 recurrence steps, more than the interpreter's stack allows
+        ys = np.array([1.02, 1.03])
+        got = mlf_neg(0.005, 6.0, ys)
+        for y, g in zip(ys, got):
+            ref = talbot_mlf(0.005, 6.0, y)
+            assert abs(g - ref) <= 1e-11 * abs(ref), y
