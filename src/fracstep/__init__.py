@@ -24,7 +24,7 @@ from .meshfem import (
     ritz_project,
 )
 from .mlf import MlfAccuracyError, mlf_neg
-from .numkit import CgError, SparseMatrix, cg_solve
+from .numkit import CgError, cg_solve
 from .reference import (
     CaseSpec,
     ModalExpansion,

@@ -4,7 +4,8 @@ Subcommands: ``solve`` (single run with error metrics), ``study``
 (convergence/decay ladders), ``weights`` (quadrature weight tables),
 ``mlf`` (special-function tabulation), ``mesh-info``.
 
-Exit codes: 0 success, 2 bad configuration or output path, 3 numerical failure.
+Exit codes: 0 success, 2 bad configuration or output path or a request too
+large for memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=_sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"request too large for memory: {str(exc) or 'allocation failed'}", file=_sys.stderr)
         return 2
     except (CgError, MlfAccuracyError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)

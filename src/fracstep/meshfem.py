@@ -12,8 +12,9 @@ stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
 and chooses the start of each solve itself. Three kinds of system share
 it:
 
-* ``FemSystem`` (``fem_system(M)``) holds the nodal matrices and assembles
-  every load. Schemes on it march in its sine view, and its
+* ``FemSystem`` (``fem_system(M)``) assembles every load. Its ``mass`` and
+  ``stiffness`` are the sine view's, seen in nodal coordinates: a product
+  maps x to Q (A (Q x)). Schemes on it march in its sine view, and its
   ``step_system`` (a projection is one solve) is the view's solver with the
   right-hand side mapped in and the solution mapped back.
 * ``SineSystem`` (``fem.sine``) works in the coordinates Q u of the
@@ -42,18 +43,19 @@ it:
   norm. ``fem.modal`` builds it once, by one ``eigh`` of the sine view's
   mass scaled by S^(-1/2) on both sides; the discrete reference reads it.
 
-Mesh and matrices are assembled over whole arrays, from exact closed-form
-element matrices. Loads use a 6-point degree-4 triangle rule, once per
-(nodal system, function): the nodal load is cached read-only, and so are
-its coordinates in a view, per (view, function), each in its system or
-view (``system_cache``), so they are freed with it. Error norms
-use a denser collapsed-Gauss rule because modal reference solutions carry
-high sine modes that a degree-4 rule would misresolve on coarse cells. Its
-points form one tensor grid over the cells per triangle half and rule
-point: the cell corners (i/M, j/M) shifted by the point's offset in its
-cell. The squared errors are summed one grid at a time, so no field over
-all points is held; a series solution (``reference.ExactSolution``) sums
-itself on each grid from sine tables of the corners and of the offsets.
+The mesh and the element gradients are built over whole arrays, the
+gradients from exact closed-form element matrices. Loads use a 6-point
+degree-4 triangle rule, once per (nodal system, function): the nodal load
+is cached read-only, and so are its coordinates in a view, per (view,
+function), each in its system or view (``system_cache``), so they are
+freed with it. Error norms use a denser collapsed-Gauss rule because modal
+reference solutions carry high sine modes that a degree-4 rule would
+misresolve on coarse cells. Its points form one tensor grid over the cells
+per triangle half and rule point: the cell corners (i/M, j/M) shifted by
+the point's offset in its cell. The squared errors are summed one grid at
+a time, so no field over all points is held; a series solution
+(``reference.ExactSolution``) sums itself on each grid from sine tables of
+the corners and of the offsets.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import SparseMatrix, cg_solve
+from .numkit import cg_solve
 
 # relative residual of every CG step solve and projection; the step errors
 # it leaves set the error floor of decay studies solved by CG
@@ -142,15 +144,23 @@ def build_mesh(M):
 @dataclass(frozen=True, eq=False)
 class FemSystem:
     mesh: Mesh
-    mass: SparseMatrix
-    stiffness: SparseMatrix
 
     # element gradients for vectorized quadrature, filled by assemble()
-    _grads: np.ndarray = field(default=None, repr=False)
+    _grads: np.ndarray = field(repr=False)
 
     @property
     def n_dof(self):
         return self.mesh.n_interior
+
+    @functools.cached_property
+    def mass(self):
+        """The mass matrix: the sine view's, in nodal coordinates."""
+        return NodalMatrix(self.sine, self.sine.mass)
+
+    @functools.cached_property
+    def stiffness(self):
+        """The stiffness matrix: the sine view's, in nodal coordinates."""
+        return NodalMatrix(self.sine, self.sine.stiffness)
 
     @property
     def fem(self):
@@ -321,6 +331,36 @@ class DiagPlusKron:
         return math.sqrt(self.d @ self.d + (self.c * np.sum(self.G * self.G)) ** 2)
 
 
+class NodalMatrix:
+    """Q A Q for a sine-view matrix A = diag(d) + c G (x) G: ``FemSystem.mass``,
+    ``.stiffness`` and their combinations, applied through the view."""
+
+    def __init__(self, view, matrix):
+        self.view, self.matrix = view, matrix
+        self.n_rows = matrix.n_rows
+
+    def matvec(self, x):
+        return self.view.coords(self.matrix.matvec(self.view.coords(x)))
+
+    def scaled_add(self, coeff, other, other_coeff):
+        """coeff*self + other_coeff*other, for the same view."""
+        return NodalMatrix(self.view, self.matrix.scaled_add(coeff, other.matrix, other_coeff))
+
+    def frobenius_norm(self):
+        # Q is orthogonal
+        return self.matrix.frobenius_norm()
+
+    def diagonal(self):
+        # Q (G (x) G) Q = D (x) D has a zero diagonal; Q diag(d) Q has
+        # (Phi^2 d Phi^2)_ij at grid point (i, j), squares taken entrywise
+        p2 = self.view._phi ** 2
+        return (p2 @ self.matrix.d.reshape(p2.shape) @ p2).ravel()
+
+    def to_dense(self):
+        """The dense matrix, one product per column."""
+        return np.column_stack([self.matvec(e) for e in np.eye(self.n_rows)])
+
+
 class ModalSystem:
     """The modal view of ``fem`` (see the module docstring).
 
@@ -423,22 +463,15 @@ def element_matrices(coords):
 
 
 def assemble(mesh):
-    """Interior-dof mass and stiffness matrices for the P1 space; entries
-    are summed in (element, a, b) order, as an element loop would."""
-    n = mesh.n_interior
-    Mloc, Kloc, _, grads = element_matrices(mesh.nodes[mesh.triangles])
-    dofs = mesh.interior_map[mesh.triangles]
-    rows = np.broadcast_to(dofs[:, :, None], Mloc.shape)
-    cols = np.broadcast_to(dofs[:, None, :], Mloc.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    mass = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], Mloc[keep])
-    stiffness = SparseMatrix.from_coo(n, n, rows[keep], cols[keep], Kloc[keep])
-    return FemSystem(mesh, mass, stiffness, grads)
+    """The P1 system on ``mesh``, with the element gradients of its loads
+    and norms; its mass and stiffness are the sine view's."""
+    *_, grads = element_matrices(mesh.nodes[mesh.triangles])
+    return FemSystem(mesh, grads)
 
 
 @functools.lru_cache(maxsize=16)
 def fem_system(M):
-    """Assembled system for mesh parameter M; cached so that repeated studies
+    """The system of mesh parameter M; cached so that repeated studies
     share one instance (and with it its sine and modal views)."""
     return assemble(build_mesh(M))
 

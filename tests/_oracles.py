@@ -252,23 +252,40 @@ def loop_assembly(nodes, triangles, interior_map):
     return rows, cols, np.array([mass[k] for k in keys]), np.array([stiff[k] for k in keys]), grads
 
 
-def merged_triplets(rows, cols, vals):
-    """Duplicates summed one by one from 0 in input order, through a dict;
-    returns rows, cols and values sorted by (row, col)."""
-    merged = {}
-    for key, v in zip(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()), vals):
-        merged[key] = merged.get(key, 0.0) + float(v)
-    keys = sorted(merged)
-    return (
-        np.array([r for r, _ in keys], dtype=np.intp),
-        np.array([c for _, c in keys], dtype=np.intp),
-        np.array([merged[k] for k in keys], dtype=float),
-    )
+def loop_matrices(M):
+    """The dense interior mass and stiffness of ``loop_assembly`` on the
+    mesh of ``loop_mesh(M)``."""
+    rows, cols, mass, stiffness, _ = loop_assembly(*loop_mesh(M))
+    n = (M - 1) ** 2
+    dense = np.zeros((2, n, n))
+    dense[:, rows, cols] = mass, stiffness
+    return dense[0], dense[1]
+
+
+class DenseOperator:
+    """A dense matrix with the operator interface of ``numkit.cg_solve``."""
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        self.n_rows = len(self.a)
+
+    def matvec(self, x):
+        return self.a @ x
+
+    def diagonal(self):
+        return np.diag(self.a).copy()
+
+    def frobenius_norm(self):
+        return float(np.linalg.norm(self.a))
+
+    def scaled_add(self, coeff, other, other_coeff):
+        return DenseOperator(coeff * self.a + other_coeff * other.a)
 
 
 def bincount_matvec(n_rows, rows, cols, vals, x):
-    """A x from merged triplets sorted by (row, col): gather x at every
-    entry's column and add each row's products in column order, from 0."""
+    """A x from triplets sorted by (row, col), one per entry, as
+    ``loop_assembly`` returns them: gather x at every entry's column and add
+    each row's products in column order, from 0."""
     prod = vals * np.asarray(x)[cols]
     # float even without entries, where bincount returns int64 zeros
     return np.bincount(rows, weights=prod, minlength=n_rows).astype(float, copy=False)
@@ -354,13 +371,14 @@ def sine_preconditioner(M, a, b):
 
 class NodalCg:
     """``fem`` stepped in nodal coordinates: loads, projections and steps
-    stay nodal, and each step system is the sparse a M + b S solved by the
-    package's ``CgSolver`` (its tolerance and start) with
-    ``sine_preconditioner``. Not a ``FemSystem``, so schemes do not route
-    it into the sine view."""
+    stay nodal, and each step system is the dense a M + b S of
+    ``loop_matrices``, solved by the package's ``CgSolver`` (its tolerance
+    and start) with ``sine_preconditioner``. Not a ``FemSystem``, so
+    schemes do not route it into the sine view."""
 
     def __init__(self, fem):
-        self.fem, self.n_dof, self.mass, self.stiffness = fem, fem.n_dof, fem.mass, fem.stiffness
+        self.fem, self.n_dof = fem, fem.n_dof
+        self.mass, self.stiffness = map(DenseOperator, loop_matrices(fem.mesh.M))
 
     def coords(self, load):
         return load

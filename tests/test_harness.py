@@ -640,6 +640,18 @@ class TestCli:
         out = self.run_cli("solve", "--case", "a", "--alpha", "1.5", "--N", "4", "--M", "4")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 298. GiB", "Unable to allocate 298. GiB"),
+        ("", "allocation failed"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_exit_code(self, monkeypatch, capsys, message, shown):
+        def too_large(M):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(mf, "build_mesh", too_large)
+        assert cli.main(["mesh-info", "--M", "200000"]) == 2
+        assert capsys.readouterr().err == f"request too large for memory: {shown}\n"
+
     def test_numerical_failure_exit_code(self, monkeypatch):
         # exit code 3 is reserved for solver breakdowns
         from fracstep import cli

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from _oracles import gen_sym_eig, loop_assembly, loop_mesh, pointwise_error_norms, row_dot_series
+from _oracles import (
+    bincount_matvec, gen_sym_eig, loop_assembly, loop_matrices, loop_mesh, pointwise_error_norms,
+    row_dot_series,
+)
 from fracstep import baselines, meshfem as mf, reference as ref, schemes
 
 
@@ -78,10 +81,6 @@ class TestAssembly:
                 dof = imap[i * (M + 1) + j]
                 assert row_sums[dof] == pytest.approx(h2, abs=1e-16)
 
-    def test_same_sparsity_pattern(self, sys8):
-        assert np.array_equal(sys8.mass.offsets, sys8.stiffness.offsets)
-        assert len(sys8.mass.offsets) == 7
-
     def test_mass_spd_stiffness_psd(self, sys4):
         Md = sys4.mass.to_dense()
         Kd = sys4.stiffness.to_dense()
@@ -105,25 +104,40 @@ class TestAssembly:
 
     @pytest.mark.parametrize("M", [2, 6, 16, 64])
     def test_matches_element_loop(self, M):
-        # bit for bit: the whole-array assembly sums each entry's element
-        # contributions in the order of the element loop
+        # bit for bit: the mesh and the element gradients of the loop
         nodes, triangles, interior_map = loop_mesh(M)
         mesh = mf.build_mesh(M)
         for got, want in [
             (mesh.nodes, nodes), (mesh.triangles, triangles), (mesh.interior_map, interior_map)
         ]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        rows, cols, mass, stiffness, grads = loop_assembly(nodes, triangles, interior_map)
-        sys_ = mf.assemble(mesh)
-        diagonals = np.array(sorted(set((cols - rows).tolist())))
-        for mat, vals in ((sys_.mass, mass), (sys_.stiffness, stiffness)):
-            assert np.array_equal(mat.offsets, diagonals)
-            band = np.searchsorted(mat.offsets, cols - rows)
-            assert np.array_equal(mat.bands[band, rows].view(np.uint64), vals.view(np.uint64))
-            dense = np.zeros((mat.n_rows, mat.n_cols))
-            dense[rows, cols] = vals
-            assert mat.to_dense().tobytes() == dense.tobytes()
-        assert np.array_equal(sys_._grads, grads)
+        *_, grads = loop_assembly(nodes, triangles, interior_map)
+        assert np.array_equal(mf.assemble(mesh)._grads, grads)
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 16])
+    def test_nodal_operators_match_element_loop(self, M):
+        # the sine view's matrices in nodal coordinates are the assembled ones
+        sys_ = mf.assemble(mf.build_mesh(M))
+        mass, stiffness = loop_matrices(M)
+        for op, want, tol in (
+            (sys_.mass, mass, 2e-15 * np.max(mass)),
+            (sys_.stiffness, stiffness, 1e-14),
+            (sys_.mass.scaled_add(1.7, sys_.stiffness, 0.3), 1.7 * mass + 0.3 * stiffness, 1e-14),
+        ):
+            assert np.max(np.abs(op.to_dense() - want)) <= tol
+            assert np.max(np.abs(op.diagonal() - np.diag(want))) <= tol
+            assert abs(op.frobenius_norm() - np.linalg.norm(want)) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("M", [8, 16, 32, 64])
+    def test_nodal_norms_match_element_loop(self, M):
+        # sqrt(c^T A c) with A the element loop's, by products of its entries
+        sys_ = mf.assemble(mf.build_mesh(M))
+        rows, cols, mass, stiffness, _ = loop_assembly(*loop_mesh(M))
+        rng = np.random.default_rng(M)
+        for c in (rng.standard_normal(sys_.n_dof), np.ones(sys_.n_dof)):
+            for norm, vals in ((mf.l2_norm, mass), (mf.h1_seminorm, stiffness)):
+                want = math.sqrt(c @ bincount_matvec(sys_.n_dof, rows, cols, vals, c))
+                assert abs(norm(sys_, c) - want) <= 1e-14 * want
 
     def test_assembly_against_quadrature_oracle(self):
         # brute-force element integrals of phi_i phi_j and grad phi_i . grad phi_j

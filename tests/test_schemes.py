@@ -244,7 +244,7 @@ def dense(sys_):
 class DenseSteps:
     """A nodal system whose step solves are exact dense solves, so that its
     march differs from the direct sum by round-off alone while its history
-    sums still run through the sparse ``matvec``."""
+    sums still run through the nodal ``matvec`` of ``fem``."""
 
     backend = "dense"
 
