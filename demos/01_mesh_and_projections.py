@@ -1,9 +1,9 @@
 """Mesh construction, the FEM matrices, and the two data projections.
 
-Builds the criss-cross triangulations, shows that the P1 stiffness matrix
-realizes the classical 5-point stencil (``fem.stiffness`` is the sine
-view's, seen in nodal coordinates; ``to_dense`` forms it column by column),
-and measures the O(h^2) convergence of the L2 and Ritz projections of a
+Builds the uniform triangulations (one lower-left-to-upper-right diagonal
+per cell), shows that the P1 stiffness matrix realizes the classical
+5-point stencil (``fem.stiffness`` is the sine view's, seen in nodal
+coordinates; ``to_dense`` forms it column by column), and measures the O(h^2) convergence of the L2 and Ritz projections of a
 smooth function.
 """
 

@@ -1,8 +1,9 @@
 """Solvers and convergence harness for Caputo-fractional subdiffusion and
 diffusion-wave equations on the unit square.
 
-Space: piecewise-linear Galerkin finite elements on a uniform criss-cross
-triangulation. Time: convolution quadrature generated by backward Euler
+Space: piecewise-linear Galerkin finite elements on the uniform
+triangulation of the square with one lower-left-to-upper-right diagonal per
+cell. Time: convolution quadrature generated by backward Euler
 (first order) or the second-order backward difference with initial
 correction, plus the common comparison schemes. Reference solutions come
 from Mittag-Leffler eigenfunction expansions, either continuous or built on

@@ -88,6 +88,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in ("temporal", "spatial", "decay"):
             raise ConfigError(f"unknown study kind {self.kind!r}")
+        if self.format not in ("csv", "markdown"):
+            raise ConfigError(f"unknown format {self.format!r}")
         for s in self.schemes:
             if s.lower() not in ALL_SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")

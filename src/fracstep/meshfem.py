@@ -43,26 +43,27 @@ it:
   norm. ``fem.modal`` builds it once, by one ``eigh`` of the sine view's
   mass scaled by S^(-1/2) on both sides; the discrete reference reads it.
 
-The mesh and the element gradients are built over whole arrays, the
-gradients from exact closed-form element matrices. Loads use a 6-point
-degree-4 triangle rule, once per (nodal system, function): the nodal load
-is cached read-only, and so are its coordinates in a view, per (view,
-function), each in its system or view (``system_cache``), so they are
-freed with it. Error norms use a denser collapsed-Gauss rule because modal
-reference solutions carry high sine modes that a degree-4 rule would
-misresolve on coarse cells. Its points form one tensor grid over the cells
-per triangle half and rule point: the cell corners (i/M, j/M) shifted by
-the point's offset in its cell. The squared errors are summed one grid at
-a time, so no field over all points is held; a series solution
-(``reference.ExactSolution``) sums itself on each grid from sine tables of
-the corners and of the offsets.
+The mesh is built over whole arrays. Every cell is the same two triangles,
+so the shape-function gradients are M times one constant integer (2, 3)
+matrix per triangle half (``FemSystem.grads``), exact for every M. Loads
+use a 6-point degree-4 triangle rule. ``load_vector`` keeps each load
+read-only per (system or view, function) in its owner (``system_cache``),
+so it is freed with it; a view's load is its coordinates of the cached
+nodal load, so a function is integrated once per nodal system. Error norms
+use a denser collapsed-Gauss rule because modal reference solutions carry
+high sine modes that a degree-4 rule would misresolve on coarse cells. Its
+points form one tensor grid over the cells per triangle half and rule
+point: the cell corners (i/M, j/M) shifted by the point's offset in its
+cell. The squared errors are summed one grid at a time, so no field over
+all points is held; a series solution (``reference.ExactSolution``) sums
+itself on each grid from sine tables of the corners and of the offsets.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,6 +105,10 @@ def _quad_rule_collapsed(n=6):
 
 _RULES = {4: _quad_rule_deg4(), 10: _quad_rule_collapsed(6)}
 
+# shape-function gradients on a cell's triangles (n00, n10, n11) and
+# (n00, n11, n01) for h = 1
+_UNIT_GRADS = np.array([[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]])
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -122,7 +127,8 @@ class Mesh:
 
 
 def build_mesh(M):
-    """Criss-cross triangulation with M subdivisions per side (M even)."""
+    """Uniform triangulation with M subdivisions per side (M even), each
+    cell split by its lower-left-to-upper-right diagonal."""
     if M < 2 or M % 2 != 0:
         raise ValueError("mesh divisions must be even and positive")
     M = int(M)
@@ -145,12 +151,15 @@ def build_mesh(M):
 class FemSystem:
     mesh: Mesh
 
-    # element gradients for vectorized quadrature, filled by assemble()
-    _grads: np.ndarray = field(repr=False)
-
     @property
     def n_dof(self):
         return self.mesh.n_interior
+
+    @property
+    def grads(self):
+        """The shape-function gradients (2, 2, 3) of a cell's lower (index 0)
+        and upper triangle: [t, d, a] is d/dx_d of its vertex a's function."""
+        return self.mesh.M * _UNIT_GRADS
 
     @functools.cached_property
     def mass(self):
@@ -448,25 +457,9 @@ def sine_basis(n):
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
 
 
-def element_matrices(coords):
-    """Exact P1 mass (..., 3, 3), stiffness (..., 3, 3), area (...) and
-    gradients (..., 2, 3) of the triangles ``coords`` (..., 3, 2)."""
-    (x0, y0), (x1, y1), (x2, y2) = np.moveaxis(coords, (-2, -1), (0, 1))
-    bmat = np.array([[y1 - y2, y2 - y0, y0 - y1], [x2 - x1, x0 - x2, x1 - x0]])
-    det = x1 * y2 - x2 * y1 - x0 * (y2 - y1) + y0 * (x2 - x1)
-    area = 0.5 * det
-    grads = np.ascontiguousarray(np.moveaxis(bmat / det, (0, 1), (-2, -1)))
-    a = area[..., None, None]
-    K = a * np.swapaxes(grads, -1, -2) @ grads
-    Mloc = a / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    return Mloc, K, area, grads
-
-
 def assemble(mesh):
-    """The P1 system on ``mesh``, with the element gradients of its loads
-    and norms; its mass and stiffness are the sine view's."""
-    *_, grads = element_matrices(mesh.nodes[mesh.triangles])
-    return FemSystem(mesh, grads)
+    """The P1 system on ``mesh``."""
+    return FemSystem(mesh)
 
 
 @functools.lru_cache(maxsize=16)
@@ -510,29 +503,19 @@ def system_cache(maxsize):
 
 
 @system_cache(maxsize=64)
-def _nodal_load(fem, g):
-    """The nodal load (g, phi_i) of ``fem`` by elementwise quadrature, for
-    a pure function ``g``; cached read-only, as ladders repeat it."""
-    pts, w, shape = fem.quad_points()
-    vals = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
-    load = _scatter(fem, np.einsum("eq,q,qa->ea", vals, w, shape))
-    load.flags.writeable = False
-    return load
-
-
-@system_cache(maxsize=64)
-def _view_load(view, g):
-    """The coordinates of the cached nodal load F in a modal or sine view,
-    cached read-only per (view, function), as ladders repeat them."""
-    load = view.coords(_nodal_load(view.fem, g))
-    load.flags.writeable = False
-    return load
-
-
 def load_vector(sys, g):
-    """Load vector (g, phi_i) in sys's coordinates, read-only: the cached
-    nodal load, or its cached coordinates in a view."""
-    return _nodal_load(sys, g) if sys.fem is sys else _view_load(sys, g)
+    """Load vector (g, phi_i) in sys's coordinates, for a pure function
+    ``g``, read-only: on a nodal system by elementwise quadrature, on a view
+    the coordinates of its system's load. Cached per (system or view,
+    function), as ladders repeat them."""
+    if sys.fem is sys:
+        pts, w, shape = sys.quad_points()
+        vals = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+        load = _scatter(sys, np.einsum("eq,q,qa->ea", vals, w, shape))
+    else:
+        load = sys.coords(load_vector(sys.fem, g))
+    load.flags.writeable = False
+    return load
 
 
 def l2_project(sys, g):
@@ -548,10 +531,11 @@ def ritz_project(sys, g_grad):
     gx = np.broadcast_to(np.asarray(gx, dtype=float), pts.shape[:2])
     gy = np.broadcast_to(np.asarray(gy, dtype=float), pts.shape[:2])
     # element gradients are constant: (grad g, grad phi_a) needs only the
-    # quadrature average of grad g per element
-    mean_gx = gx @ w
-    mean_gy = gy @ w
-    contrib = mean_gx[:, None] * fem._grads[:, 0, :] + mean_gy[:, None] * fem._grads[:, 1, :]
+    # quadrature average of grad g per element, (i M + j) 2 + t for half t
+    mean_gx = (gx @ w).reshape(-1, 2, 1)
+    mean_gy = (gy @ w).reshape(-1, 2, 1)
+    grads = fem.grads
+    contrib = (mean_gx * grads[:, 0] + mean_gy * grads[:, 1]).reshape(-1, 3)
     return sys.step_system(0.0, 1.0).solve(sys.coords(_scatter(fem, contrib)))
 
 
@@ -594,13 +578,11 @@ def error_norms(sys, c, u_exact, grad_exact=None, order=10):
             (g, u_exact(x, y), *(grad_exact(x, y) if with_grad else (None, None)))
             for g, (x, y) in enumerate(zip(xs[:, :, None], ys[:, None, :]))
         )
-    local = nodal_values(sys, c)[sys.mesh.triangles]  # (nel, 3)
+    # element (i M + j) 2 + t is [i, j, t]; grid t nq + q holds its point q
+    local = nodal_values(sys, c)[sys.mesh.triangles].reshape(M, M, 2, 3)
     if with_grad:
         # the FE gradient is constant per element
-        fe_gx, fe_gy = (np.einsum("ea,ea->e", sys._grads[:, d, :], local).reshape(M, M, 2)
-                        for d in (0, 1))
-    # element (i M + j) 2 + t is [i, j, t]; grid t nq + q holds its point q
-    local = local.reshape(M, M, 2, 3)
+        fe_gx, fe_gy = (np.einsum("ijta,ta->ijt", local, sys.grads[:, d]) for d in (0, 1))
     sq = np.zeros((2 * nq, 2))  # per grid: squared L2 and H1 errors
     for g, u, ux, uy in fields:
         t, q = divmod(g, nq)

@@ -176,14 +176,14 @@ def get_case(case_id, alpha):
 
 @dataclass(frozen=True, eq=False)
 class ModalExpansion:
-    """Truncated eigen-expansion: continuous (sine modes ks x ls) or discrete (no ks)."""
+    """Truncated sine-series expansion of the case data on the modes ks x ls."""
 
-    lam: np.ndarray     # continuous: (Ka, La); discrete: (n,)
+    lam: np.ndarray     # (K, L)
     vcoef: np.ndarray
     bcoef: np.ndarray
     fcoef: np.ndarray
-    ks: np.ndarray = None
-    ls: np.ndarray = None
+    ks: np.ndarray
+    ls: np.ndarray
 
 
 def modal_coefficients(case, K_max=255):
@@ -206,14 +206,7 @@ def modal_coefficients(case, K_max=255):
         ls = k[:1]
     KK, LL = np.meshgrid(ks, ls, indexing="ij")
     lam = PI ** 2 * (KK ** 2 + LL ** 2)
-    return ModalExpansion(
-        lam,
-        case.vhat(KK, LL),
-        case.bhat(KK, LL),
-        case.fhat(KK, LL),
-        ks=ks,
-        ls=ls,
-    )
+    return ModalExpansion(lam, case.vhat(KK, LL), case.bhat(KK, LL), case.fhat(KK, LL), ks, ls)
 
 
 def _homogeneous_factor(alpha, beta, lam_flat, t):
@@ -256,19 +249,20 @@ def duhamel_factor(alpha, source_powers, t, factor):
     return out
 
 
-def modal_amplitudes(case, exp, t, factor):
-    """Per-mode solution amplitude at time t of an expansion whose factors
-    E_{alpha,beta}(-lam t^alpha), flattened, are ``factor(beta)``."""
+def modal_amplitudes(case, vcoef, bcoef, fcoef, t, factor):
+    """Per-mode solution amplitude at time t from the modal coefficients of
+    v, b and the source, whose factors E_{alpha,beta}(-lam t^alpha),
+    flattened, are ``factor(beta)``."""
     if t == 0.0:
-        return exp.vcoef.copy()
-    amp = np.zeros(exp.lam.size)
-    if np.any(exp.vcoef):
-        amp += exp.vcoef.ravel() * factor(1.0)
-    if np.any(exp.bcoef):
-        amp += exp.bcoef.ravel() * t * factor(2.0)
-    if np.any(exp.fcoef) and case.source_powers:
-        amp += exp.fcoef.ravel() * duhamel_factor(case.alpha, case.source_powers, t, factor)
-    return amp.reshape(exp.lam.shape)
+        return vcoef.copy()
+    amp = np.zeros(vcoef.size)
+    if np.any(vcoef):
+        amp += vcoef.ravel() * factor(1.0)
+    if np.any(bcoef):
+        amp += bcoef.ravel() * t * factor(2.0)
+    if np.any(fcoef) and case.source_powers:
+        amp += fcoef.ravel() * duhamel_factor(case.alpha, case.source_powers, t, factor)
+    return amp.reshape(vcoef.shape)
 
 
 def _distinct_phases(v, modes):
@@ -305,14 +299,12 @@ class ExactSolution:
     """
 
     def __init__(self, case, expansion, t):
-        if expansion.ks is None:
-            raise ValueError("pointwise evaluation needs a continuous expansion")
         self.case = case
         self.expansion = expansion
         self.t = float(t)
         lam = expansion.lam.ravel()
         self.amplitudes = modal_amplitudes(
-            case, expansion, self.t,
+            case, expansion.vcoef, expansion.bcoef, expansion.fcoef, self.t,
             lambda beta: _homogeneous_factor(case.alpha, beta, lam, self.t),
         )
 
@@ -431,8 +423,8 @@ def discrete_reference(sys, case, t):
             return np.zeros(view.n_dof)
         return meshfem.load_vector(view, func)
 
-    exp = ModalExpansion(view.lam, coeffs(case.v), coeffs(case.b), coeffs(case.source_space))
     amp = modal_amplitudes(
-        case, exp, t, functools.partial(_discrete_factor, sys.fem, case.alpha, t)
+        case, coeffs(case.v), coeffs(case.b), coeffs(case.source_space), t,
+        functools.partial(_discrete_factor, sys.fem, case.alpha, t),
     )
     return amp if sys is view else view.basis @ amp

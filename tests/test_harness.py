@@ -178,10 +178,10 @@ class TestRunStudy:
         distinct = set(pairs)
         assert len(pairs) > 3 * len(distinct)
         assert len(quadratures) == len(distinct)
-        assert sum(len(mf._nodal_load.entries(f)) for f in fresh.values()) == len(distinct)
+        assert sum(len(real_load.entries(f)) for f in fresh.values()) == len(distinct)
         for fem, g in distinct:
             assert isinstance(fem, mf.FemSystem)
-            cached = mf._nodal_load(fem, g)
+            cached = real_load(fem, g)
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[0] = 0.0
@@ -512,6 +512,18 @@ class TestCli:
             out = self.run_cli("study", "--config", path)
             assert out.returncode == 2, out.stderr
             assert out.stderr.startswith("config error:")
+
+    def test_study_unknown_format_refused_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "case": "a", "alphas": [0.5], "schemes": ["be"], "kind": "temporal",
+            "M": 4, "N_list": [8, 16], "format": "html",
+        }))
+        assert cli.main(["study", "--config", str(path)]) == 2
+        assert cells == []
+        assert "unknown format 'html'" in capsys.readouterr().err
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"

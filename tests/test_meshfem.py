@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import dblquad
 
 from _oracles import (
-    bincount_matvec, gen_sym_eig, loop_assembly, loop_matrices, loop_mesh, pointwise_error_norms,
-    row_dot_series,
+    bincount_matvec, gen_sym_eig, loop_assembly, loop_element, loop_matrices, loop_mesh,
+    pointwise_error_norms, row_dot_series,
 )
 from fracstep import baselines, meshfem as mf, reference as ref, schemes
 
@@ -95,24 +95,41 @@ class TestAssembly:
         mesh = mf.build_mesh(4)
         rng = np.random.default_rng(0)
         a, bx, cy = rng.standard_normal(3)
+        area = 0.5 * mesh.h ** 2
         for tri in mesh.triangles[:8]:
             coords = mesh.nodes[tri]
-            Mloc, Kloc, area, grads = mf.element_matrices(coords)
+            Mloc, Kloc, grads = loop_element(coords)
             gvals = a + bx * coords[:, 0] + cy * coords[:, 1]
             expect = area * grads.T @ np.array([bx, cy])
             assert np.allclose(Kloc @ gvals, expect, atol=1e-14)
 
     @pytest.mark.parametrize("M", [2, 6, 16, 64])
     def test_matches_element_loop(self, M):
-        # bit for bit: the mesh and the element gradients of the loop
+        # bit for bit: the mesh of the loop, and the gradients of its
+        # elements where M is a power of two, so that the loop's coordinate
+        # differences and determinants are exact; else within a few ulp of M
+        # (the loop is 9 ulp off at M = 6)
         nodes, triangles, interior_map = loop_mesh(M)
         mesh = mf.build_mesh(M)
         for got, want in [
             (mesh.nodes, nodes), (mesh.triangles, triangles), (mesh.interior_map, interior_map)
         ]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        *_, grads = loop_assembly(nodes, triangles, interior_map)
-        assert np.array_equal(mf.assemble(mesh)._grads, grads)
+        grads = np.array([loop_element(nodes[tri])[2] for tri in triangles])
+        # element (i M + j) 2 + t has the gradients of triangle half t
+        closed = np.broadcast_to(mf.assemble(mesh).grads, (M * M, 2, 2, 3)).reshape(-1, 2, 3)
+        if M & (M - 1) == 0:
+            assert np.array_equal(closed, grads)
+        else:
+            assert np.max(np.abs(closed - grads)) <= 16 * np.spacing(float(M))
+
+    def test_gradients_exact_off_powers_of_two(self):
+        # M = 66: the gradients are +-1/h or 0 exactly, with no rounding of h
+        M = 66
+        grads = mf.assemble(mf.build_mesh(M)).grads
+        assert grads.shape == (2, 2, 3)
+        assert np.all((grads == M) | (grads == -M) | (grads == 0.0))
+        assert np.array_equal(np.abs(grads).sum(axis=2), np.full((2, 2), 2.0 * M))
 
     @pytest.mark.parametrize("M", [2, 4, 8, 16])
     def test_nodal_operators_match_element_loop(self, M):
@@ -144,7 +161,8 @@ class TestAssembly:
         mesh = mf.build_mesh(2)
         tri = mesh.triangles[0]
         coords = mesh.nodes[tri]
-        Mloc, Kloc, area, grads = mf.element_matrices(coords)
+        Mloc, Kloc, grads = loop_element(coords)
+        area = 0.5 * mesh.h ** 2
 
         def barycentric(x, y):
             T = np.array(
@@ -192,7 +210,8 @@ class TestProjections:
         M = mesh.M
 
         def hat(i0, j0, x, y):
-            # piecewise-linear hat at grid node (i0, j0) on the criss-cross mesh
+            # piecewise-linear hat at grid node (i0, j0): six triangles, two
+            # cells split by their lower-left-to-upper-right diagonal
             h = mesh.h
             s = (x - i0 * h) / h
             t = (y - j0 * h) / h
@@ -252,10 +271,8 @@ class TestProjections:
         gx, gy = gg(pts[..., 0], pts[..., 1])
         mean_gx = gx @ w
         mean_gy = gy @ w
-        contrib = (
-            mean_gx[:, None] * sys8._grads[:, 0, :]
-            + mean_gy[:, None] * sys8._grads[:, 1, :]
-        )
+        *_, grads = loop_assembly(*loop_mesh(8))
+        contrib = mean_gx[:, None] * grads[:, 0, :] + mean_gy[:, None] * grads[:, 1, :]
         rhs = np.zeros(sys8.n_dof)
         dofs = sys8.mesh.interior_map[sys8.mesh.triangles]
         ok = dofs >= 0
@@ -585,8 +602,8 @@ class TestStepSolvers:
         ref.discrete_reference(fem, case, 0.1)
         mf.l2_project(fem, case.source_space)
         mf.load_vector(fem.sine, case.source_space)
-        assert mf._nodal_load.entries(fem) and ref._discrete_factor.entries(fem)
-        assert mf._view_load.entries(fem.modal) and mf._view_load.entries(fem.sine)
+        assert mf.load_vector.entries(fem) and ref._discrete_factor.entries(fem)
+        assert mf.load_vector.entries(fem.modal) and mf.load_vector.entries(fem.sine)
         gone = [weakref.ref(x) for x in (fem, fem.modal, fem.sine)]
         del fem
         gc.collect()
@@ -601,6 +618,6 @@ class TestStepSolvers:
         # 64 entries; loads[0], the oldest, is used again, so loads[1] goes
         assert mf.load_vector(fem, loads[0]) is first
         mf.load_vector(fem, loads[64])
-        kept = list(mf._nodal_load.entries(fem))
+        kept = list(mf.load_vector.entries(fem))
         assert len(kept) == 64 and (loads[1],) not in kept
         assert kept[-2:] == [(loads[0],), (loads[64],)]

@@ -29,7 +29,7 @@ def stencil_matrices(M):
     axes = np.kron(side, eye) + np.kron(eye, side)
     stiffness = 4.0 * np.kron(eye, eye) - axes
     base = 0.5 * np.kron(eye, eye) + axes / 12.0
-    # the criss-cross mesh couples NE and SW only
+    # one diagonal per cell, lower-left to upper-right: NE and SW couple only
     mass = h2 * (base + (np.kron(up, up) + np.kron(up.T, up.T)) / 12.0)
     mass_tilde = h2 * (base + np.kron(side, side) / 24.0)
     return mass, mass_tilde, stiffness

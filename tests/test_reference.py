@@ -340,12 +340,6 @@ class TestDiscreteReference:
         alone = ref._homogeneous_factor(0.5, 1.0, view.lam, 0.1)
         assert np.array_equal(ref._discrete_factor(sys8, 0.5, 0.1, 1.0), alone)
 
-    def test_exact_solution_needs_continuous_expansion(self, sys8):
-        view = sys8.modal
-        exp = ref.ModalExpansion(view.lam, *[np.zeros(view.n_dof)] * 3)
-        with pytest.raises(ValueError, match="continuous expansion"):
-            ref.exact_solution(ref.get_case("a", 0.5), exp, 0.1)
-
     def test_dof_guard(self):
         big = mf.assemble(mf.build_mesh(66))
         with pytest.raises(ValueError, match="self-convergence"):
