@@ -95,7 +95,7 @@ def _cmd_solve(args):
     if args.dump_solution:
         # interior nodal coefficients: modal ones map back by Phi
         modal = hist.backend == "modal"
-        np.savetxt(args.dump_solution, sys_.basis @ hist.final if modal else hist.final)
+        np.savetxt(args.dump_solution, sys_.nodal(hist.final) if modal else hist.final)
     _emit_text(json.dumps(metrics, indent=2), args.out)
     return 0
 

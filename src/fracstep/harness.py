@@ -93,6 +93,12 @@ class StudyConfig:
         for s in self.schemes:
             if s.lower() not in ALL_SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+        # every alpha is checked against the case before any cell runs
+        for alpha in self.alphas:
+            try:
+                reference.get_case(self.case, alpha)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.reference is None:
             self.reference = (
                 "continuous_modal" if self.kind == "spatial" else "discrete_modal"

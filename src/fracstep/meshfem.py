@@ -40,8 +40,13 @@ it:
   assembled nodal load F becomes Phi^T F (``coords``), and a step solve is
   one division per mode (backend ``modal``). So ``l2_project`` gives
   Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
-  norm. ``fem.modal`` builds it once, by one ``eigh`` of the sine view's
-  mass scaled by S^(-1/2) on both sides; the discrete reference reads it.
+  norm. ``fem.modal`` builds it once from the sine view's mass scaled by
+  S^(-1/2) on both sides, which falls apart by the parity of k + l and by
+  the swap of k and l into four blocks, one ``eigh`` each. The view keeps
+  the blocks' eigenvectors in sine coordinates: ``coords`` and ``nodal``
+  (Phi c) go through the sine transform and the blocks, and the dense
+  nodal Phi (``basis``) is formed only when read. The discrete reference
+  reads the view.
 
 The mesh is built over whole arrays. Every cell is the same two triangles,
 so the shape-function gradients are M times one constant integer (2, 3)
@@ -373,11 +378,21 @@ class NodalMatrix:
 class ModalSystem:
     """The modal view of ``fem`` (see the module docstring).
 
-    ``lam`` holds the ascending eigenvalues of the pencil (S, M) of ``fem``
-    and ``basis`` its M-orthonormal eigenvector columns, solved in the sine
-    view. There S = diag(d) and M = diag(mu) + c G (x) G. With s = d^(-1/2),
-    the SPD matrix C = s M s has the eigenpairs (1/lam, z), and the pencil's
-    M-orthonormal vectors are sqrt(lam) s z, mapped to nodal coordinates.
+    ``lam`` holds the ascending eigenvalues of the pencil (S, M) of ``fem``,
+    solved in the sine view. There S = diag(d) and M = diag(mu) + c G (x) G,
+    and with s = d^(-1/2) the SPD matrix C = s M s has the eigenpairs
+    (1/lam, z); the pencil's M-orthonormal vectors are sqrt(lam) s z.
+
+    C falls apart into four blocks, each solved by its own ``eigh``. G is
+    zero where k + l is even, so G (x) G couples the sine mode (k, l) only
+    with modes whose two parities both flip: k + l keeps its parity. The
+    swap (k, l) <-> (l, k) commutes with mu, d and G (x) G, so each parity
+    class splits again into the combinations (e_kl + e_lk) / sqrt(2) and
+    (e_kl - e_lk) / sqrt(2), k < l, the diagonal modes e_kk joining the
+    symmetric block. A block (``_ModeBlock``) keeps its eigenvectors in
+    these combinations; ``coords`` and ``nodal`` apply them to sine
+    coordinates, and ``basis``, the dense nodal eigenvector matrix Phi, is
+    formed only when read.
     """
 
     def __init__(self, fem):
@@ -387,32 +402,99 @@ class ModalSystem:
                 "dense eigensolve guard exceeded; use the temporal "
                 "self-convergence reference instead"
             )
-        sine = fem.sine
-        mass = sine.mass
-        s = 1.0 / np.sqrt(sine.stiffness.d)
-        C = np.kron(mass.G, mass.G)
-        C *= mass.c
-        C.reshape(-1)[:: n + 1] += mass.d
-        C *= s
-        C *= s[:, None]
-        w, Z = np.linalg.eigh(C)
-        lam = 1.0 / w[::-1]
-        # one contiguous row per eigenvector, as to_nodal maps rows in place
-        rows = np.ascontiguousarray(Z.T[::-1])
-        rows *= s
-        rows *= np.sqrt(lam)[:, None]
-        sine.to_nodal(rows)
-        self.fem, self.lam, self.basis = fem, lam, rows.T
-        self.n_dof = n
-        self.mass, self.stiffness = Identity(np.ones(n)), Diagonal(lam)
+        self.fem, self.sine, self.n_dof = fem, fem.sine, n
+        k, l = np.triu_indices(fem.mesh.M - 1)
+        blocks = []
+        for parity in (0, 1):
+            sym = (k + l) % 2 == parity
+            anti = sym & (k < l)
+            blocks += [_ModeBlock(self.sine, k[sym], l[sym], 1.0),
+                       _ModeBlock(self.sine, k[anti], l[anti], -1.0)]
+        lam = np.concatenate([b.lam for b in blocks])
+        order = np.argsort(lam, kind="stable")
+        # each block's modes go to their places in the ascending order
+        where = np.empty(n, dtype=np.intp)
+        where[order] = np.arange(n)
+        first = np.cumsum([0] + [len(b.lam) for b in blocks])
+        for b, lo, hi in zip(blocks, first, first[1:]):
+            b.where = where[lo:hi]
+        self.lam, self._blocks = lam[order], blocks
+        self.mass, self.stiffness = Identity(np.ones(n)), Diagonal(self.lam)
 
     def coords(self, load):
         """The modal coordinates Phi^T F of an assembled nodal load F."""
-        return self.basis.T @ load
+        y = self.sine.coords(load)
+        out = np.empty(self.n_dof)
+        for b in self._blocks:
+            out[b.where] = b.vectors.T @ b.restrict(y)
+        return out
+
+    def nodal(self, c):
+        """The nodal coefficients Phi c of modal coordinates c."""
+        y = np.zeros(self.n_dof)
+        for b in self._blocks:
+            b.extend(b.vectors @ c[b.where], y)
+        return self.sine.coords(y)
+
+    @functools.cached_property
+    def basis(self):
+        """Phi, the dense nodal eigenvector matrix, one column per entry of
+        ``lam``: formed on first read, for callers that ask for it."""
+        # one contiguous row per eigenvector, as to_nodal maps rows in place
+        rows = np.empty((self.n_dof, self.n_dof))
+        for b in self._blocks:
+            cols = np.zeros((self.n_dof, len(b.lam)))
+            b.extend(b.vectors, cols)
+            rows[b.where] = cols.T
+        self.sine.to_nodal(rows)
+        return rows.T
 
     def step_system(self, a, b):
         _check_step(a, b)
         return Diagonal(a + b * self.lam)
+
+
+class _ModeBlock:
+    """One block of the modal view's eigenproblem (see ``ModalSystem``).
+
+    Its coordinates are the orthonormal combinations w (e_kl + sign e_lk) of
+    the sine modes (k, l), k <= l, of one parity of k + l (k < l if
+    sign < 0), w = 1/2 on the diagonal and 1/sqrt(2) off it; R is the
+    matrix of these columns. ``vectors`` holds the block's M-orthonormal
+    eigenvectors in them, one column per entry of ``lam``, and ``where``,
+    set by the view, the places of these modes in the view's ``lam``.
+    """
+
+    def __init__(self, sine, k, l, sign):
+        mass, G = sine.mass, sine.mass.G
+        self.ij, self.ji, self.sign = k * len(G) + l, l * len(G) + k, sign
+        self.w = np.where(k == l, 0.5, math.sqrt(0.5))
+        # R^T (G (x) G) R has the entries 2 w_p w_q (G_kk' G_ll' + sign G_kl' G_lk')
+        C = G[np.ix_(k, k)] * G[np.ix_(l, l)]
+        C += sign * (G[np.ix_(k, l)] * G[np.ix_(l, k)])
+        C *= 2.0 * mass.c
+        C *= self.w
+        C *= self.w[:, None]
+        # mu and d are symmetric in k and l, so R^T diag R is diagonal
+        C.reshape(-1)[:: len(k) + 1] += mass.d[self.ij]
+        s = 1.0 / np.sqrt(sine.stiffness.d[self.ij])
+        C *= s
+        C *= s[:, None]
+        w, Z = np.linalg.eigh(C)
+        self.lam = 1.0 / w
+        Z *= s[:, None]
+        Z *= np.sqrt(self.lam)
+        self.vectors = Z
+
+    def restrict(self, y):
+        """R^T y for sine coordinates y."""
+        return self.w * (y[self.ij] + self.sign * y[self.ji])
+
+    def extend(self, x, y):
+        """y += R x, into sine coordinates y; x may have trailing columns."""
+        x = (x.T * self.w).T
+        y[self.ij] += x
+        y[self.ji] += self.sign * x
 
 
 class Diagonal:

@@ -9,9 +9,12 @@ Two reference paths:
   of the interior FEM matrix pair, used to isolate temporal errors without
   needing an excessively fine mesh. It reads them from the system's modal
   view ``fem.modal`` (``meshfem.ModalSystem``), which solves the pair once
-  in its sine view, where the stiffness is diagonal, by one
-  ``numpy.linalg.eigh`` of the stiffness-scaled mass (the
-  fast-diagonalization structure of Lynch, Rice & Thomas 1964).
+  in its sine view, where the stiffness is diagonal (the
+  fast-diagonalization structure of Lynch, Rice & Thomas 1964), by four
+  ``numpy.linalg.eigh`` calls: the stiffness-scaled mass splits by the
+  parity of k + l and by the swap of the sine indices k and l. Nodal
+  values come back through the view's blocks and the sine transform
+  (``ModalSystem.nodal``), with no dense eigenvector matrix.
 
 Sources of the form (c1 t^g1 + c2 t^g2 + ...) * chi(x, y) admit a closed-form
 Duhamel term: convolving t^(a-1) E_{a,a}(-lam t^a) with t^g gives
@@ -401,7 +404,8 @@ def exact_solution(case, expansion, t):
 
 
 def _eigensystem(sys):
-    """(lam, basis) of the modal view ``sys.modal`` (see ``meshfem.ModalSystem``)."""
+    """(lam, basis) of the modal view ``sys.modal`` (see ``meshfem.ModalSystem``);
+    reading ``basis`` forms the dense nodal eigenvector matrix."""
     return sys.modal.lam, sys.modal.basis
 
 
@@ -427,4 +431,4 @@ def discrete_reference(sys, case, t):
         case, coeffs(case.v), coeffs(case.b), coeffs(case.source_space), t,
         functools.partial(_discrete_factor, sys.fem, case.alpha, t),
     )
-    return amp if sys is view else view.basis @ amp
+    return amp if sys is view else view.nodal(amp)

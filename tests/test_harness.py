@@ -41,6 +41,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             StudyConfig("a", (0.5,), ("be",), "decay", reference="continuous_modal")
 
+    def test_alpha_outside_case(self):
+        with pytest.raises(ConfigError, match=r"case \(e\) requires 1 < alpha < 2"):
+            StudyConfig("e", (1.5, 0.5), ("sbd",), "temporal")
+
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             StudyConfig("a", (0.5,), ("dpg",), "temporal")
@@ -260,6 +264,20 @@ class TestModalStepping:
         cfg = StudyConfig(cid, (1.5,), ("sbd",), "decay", M=16, N=10, t_list=(1e-8,))
         (blk,) = run_study(cfg).blocks
         assert blk.err_l2[0] == pytest.approx(value, rel=rel, abs=0.0)
+
+    def test_study_forms_no_dense_basis(self, monkeypatch):
+        # the view keeps its four blocks (the largest 64 x 64 at M=16) and
+        # forms no n x n basis, n = 225
+        fresh = mf.assemble(mf.build_mesh(16))
+        monkeypatch.setattr(mf, "fem_system", lambda M: fresh)
+        run_study(StudyConfig("b", (0.5,), ("be", "sbd"), "temporal", M=16, N_list=(10, 20)))
+        view = fresh.modal
+        assert "basis" not in vars(view)
+        held = [
+            x for owner in (view, *view._blocks) for x in vars(owner).values()
+            if isinstance(x, np.ndarray)
+        ]
+        assert max(x.size for x in held) == 64 ** 2
 
     def test_stepping_system(self):
         base = mf.fem_system(8)
@@ -524,6 +542,18 @@ class TestCli:
         assert cli.main(["study", "--config", str(path)]) == 2
         assert cells == []
         assert "unknown format 'html'" in capsys.readouterr().err
+
+    def test_study_alpha_outside_case_refused_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "case": "a", "alphas": [0.5, 1.5], "schemes": ["be"], "kind": "temporal",
+            "M": 4, "N_list": [8, 16],
+        }))
+        assert cli.main(["study", "--config", str(path)]) == 2
+        assert cells == []
+        assert "case (a) requires 0 < alpha < 1" in capsys.readouterr().err
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"
