@@ -32,7 +32,17 @@ from . import meshfem, schemes
 from .cq import BE, cq_weights
 from .schemes import initial_coefficients
 
-KINDS = ("l1", "zeng1", "zeng2", "cn")
+# the open interval of orders alpha each comparison scheme is defined on
+ORDERS = {"l1": (0.0, 1.0), "zeng1": (0.0, 1.0), "zeng2": (0.0, 1.0), "cn": (1.0, 2.0)}
+KINDS = tuple(ORDERS)
+
+
+def check_order(kind, alpha):
+    """ValueError unless the comparison scheme ``kind`` is defined at ``alpha``."""
+    lo, hi = ORDERS[kind]
+    if not lo < alpha < hi:
+        name = "Crank-Nicolson variant" if kind == "cn" else kind
+        raise ValueError(f"{name} requires {lo:g} < alpha < {hi:g}")
 
 
 def _source(sys, case, times, weigh=lambda f: f):
@@ -115,12 +125,9 @@ def solve_baseline(sys, case, kind, grid):
     kind = kind.lower()
     if kind not in KINDS:
         raise ValueError(f"unknown baseline {kind!r}")
+    check_order(kind, case.alpha)
     if kind == "cn":
-        if not (1.0 < case.alpha < 2.0):
-            raise ValueError("Crank-Nicolson variant requires 1 < alpha < 2")
         return _solve_cn(sys, case, grid)
-    if not (0.0 < case.alpha < 1.0):
-        raise ValueError(f"{kind} requires 0 < alpha < 1")
     if kind == "l1":
         return _solve_l1(sys, case, grid)
     return _solve_zeng(sys, case, grid, 1 if kind == "zeng1" else 2)

@@ -93,12 +93,6 @@ class StudyConfig:
         for s in self.schemes:
             if s.lower() not in ALL_SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
-        # every alpha is checked against the case before any cell runs
-        for alpha in self.alphas:
-            try:
-                reference.get_case(self.case, alpha)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
         if self.reference is None:
             self.reference = (
                 "continuous_modal" if self.kind == "spatial" else "discrete_modal"
@@ -119,6 +113,20 @@ class StudyConfig:
         for t in (self.t, *self.t_list):
             if not (math.isfinite(t) and t > 0.0):
                 raise ConfigError(f"times must be finite and positive, not {t!r}")
+        # every alpha against the case and the comparison schemes, and every
+        # cell's mesh and time grid, are checked before any cell runs, by the
+        # rules the cells apply
+        try:
+            for alpha in self.alphas:
+                reference.get_case(self.case, alpha)
+                for scheme in self.schemes:
+                    if scheme.lower() in BASELINE_SCHEMES:
+                        baselines.check_order(scheme.lower(), alpha)
+            for _, _, M, t, N in _cells(self):
+                meshfem.check_divisions(M)
+                schemes.TimeGrid(t, N)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_json(cls, path, overrides=None):

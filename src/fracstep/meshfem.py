@@ -8,9 +8,10 @@ systems act on the (M-1)^2 interior degrees of freedom.
 
 Every linear system here has the form a M + b S with the interior mass M and
 stiffness S, and a system's ``step_system(a, b)`` returns its solver, with
-``solve(rhs, stats)``. A solver answers the steps of one march in order
-and chooses the start of each solve itself. Three kinds of system share
-it:
+``solve(rhs)``. A solver answers the steps of one march in order and
+chooses the start of each solve itself; its ``record`` lists the
+(iterations, final residual) of each solve, or is None where a solve is a
+division. Three kinds of system share it:
 
 * ``FemSystem`` (``fem_system(M)``) assembles every load. Its ``mass`` and
   ``stiffness`` are the sine view's, seen in nodal coordinates: a product
@@ -131,11 +132,16 @@ class Mesh:
         return (self.M - 1) ** 2
 
 
+def check_divisions(M):
+    """ValueError unless M, the subdivisions per side, is even and positive."""
+    if M < 2 or M % 2 != 0:
+        raise ValueError("mesh divisions must be even and positive")
+
+
 def build_mesh(M):
     """Uniform triangulation with M subdivisions per side (M even), each
     cell split by its lower-left-to-upper-right diagonal."""
-    if M < 2 or M % 2 != 0:
-        raise ValueError("mesh divisions must be even and positive")
+    check_divisions(M)
     M = int(M)
     side = np.linspace(0.0, 1.0, M + 1)
     X, Y = np.meshgrid(side, side, indexing="ij")
@@ -229,7 +235,8 @@ class FemSystem:
 
 class CgSolver:
     """Backend ``cg``: preconditioned CG to ``STEP_RTOL``, from a start of
-    its own choosing (see the module docstring)."""
+    its own choosing (see the module docstring). ``record`` holds the
+    iteration count and final residual of each solve, in order."""
 
     backend = "cg"
 
@@ -237,12 +244,10 @@ class CgSolver:
         self.matrix = matrix
         self.precond = precond
         self._last = []   # (x, matrix x) of the last two solves, newest first
+        self.record = []
 
-    def solve(self, rhs, stats=None):
-        """x with ||matrix x - rhs|| <= STEP_RTOL ||rhs||, or CgError.
-
-        A ``stats`` dict receives the iteration count and final residual.
-        """
+    def solve(self, rhs):
+        """x with ||matrix x - rhs|| <= STEP_RTOL ||rhs||, or CgError."""
         x0 = r0 = None
         if len(self._last) == 1:
             (x0, ax0), = self._last
@@ -257,8 +262,7 @@ class CgSolver:
         )
         # the true residual cg_solve confirmed gives matrix x = rhs - r
         self._last = [(x, rhs - info["residual_vector"]), *self._last[:1]]
-        if stats is not None:
-            stats["iterations"], stats["residual"] = info["iterations"], info["residual"]
+        self.record.append((info["iterations"], info["residual"]))
         return x
 
 
@@ -267,10 +271,10 @@ class NodalSolver:
 
     def __init__(self, view, solver):
         self.view, self.solver = view, solver
-        self.backend = solver.backend
+        self.backend, self.record = solver.backend, solver.record
 
-    def solve(self, rhs, stats=None):
-        return self.view.coords(self.solver.solve(self.view.coords(rhs), stats))
+    def solve(self, rhs):
+        return self.view.coords(self.solver.solve(self.view.coords(rhs)))
 
 
 class SineSystem:
@@ -498,9 +502,11 @@ class _ModeBlock:
 
 
 class Diagonal:
-    """diag(d): the modal view's mass and stiffness, and its step solver."""
+    """diag(d): the modal view's mass and stiffness, and its step solver,
+    which keeps no record: a division has no iterations and no residual."""
 
     backend = "modal"
+    record = None
 
     def __init__(self, d):
         self.d = d
@@ -508,11 +514,8 @@ class Diagonal:
     def matvec(self, x):
         return self.d * x
 
-    def solve(self, rhs, stats=None):
-        """rhs / d, exact up to one rounding per entry. A ``stats`` dict
-        receives 0 iterations and no residual (None)."""
-        if stats is not None:
-            stats["iterations"], stats["residual"] = 0, None
+    def solve(self, rhs):
+        """rhs / d, exact up to one rounding per entry."""
         return rhs / self.d
 
 

@@ -98,7 +98,8 @@ class SolutionHistory:
     U: np.ndarray                 # (N+1, n_dof), in the coordinates of the system
     grid: TimeGrid
     # one (step index, CG iterations, final residual ||A x - rhs||) triple per
-    # time step; steps of the modal backend report 0 iterations and None
+    # time step, from the step solver's record; modal steps keep none and
+    # report 0 iterations and None
     solve_stats: list = field(default_factory=list)
     backend: str = "cg"           # the step solver that answered: "cg" or "modal"
 
@@ -170,7 +171,6 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
     padded = np.concatenate([np.zeros(BLOCK), hist[0][0]]) if min(L, N) > BLOCK else None
     solver = sys.step_system(mass_kernel[0], stiff_kernel[0])
     U = np.zeros((N + 1, sys.n_dof))
-    stats = []
     for n0 in range(1, N + 1, BLOCK):
         n1 = min(n0 + BLOCK, N + 1)
         lo = max(1, n0 - L + 1)
@@ -191,10 +191,10 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
                 r0 = max(first, n - L_k + 1)
                 if r0 < n + own:
                     rhs -= A.matvec(rev[L_k - 1 - n + r0 : L_k - 1 + own].dot(U[r0 : n + own]))
-            info = {}
-            U[n] = solver.solve(rhs, stats=info)
-            stats.append((n, info["iterations"], info["residual"]))
+            U[n] = solver.solve(rhs)
     U += start
+    record = [(0, None)] * N if solver.record is None else solver.record
+    stats = [(n, its, res) for n, (its, res) in enumerate(record, start=1)]
     return SolutionHistory(U, grid, stats, solver.backend)
 
 

@@ -45,6 +45,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"case \(e\) requires 1 < alpha < 2"):
             StudyConfig("e", (1.5, 0.5), ("sbd",), "temporal")
 
+    def test_baseline_order_outside_its_range(self):
+        with pytest.raises(ConfigError, match=r"l1 requires 0 < alpha < 1"):
+            StudyConfig("e", (1.5,), ("sbd", "l1"), "decay")
+
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             StudyConfig("a", (0.5,), ("dpg",), "temporal")
@@ -554,6 +558,24 @@ class TestCli:
         assert cli.main(["study", "--config", str(path)]) == 2
         assert cells == []
         assert "case (a) requires 0 < alpha < 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config,message", [
+        ({"case": "a", "alphas": [0.5], "schemes": ["be", "sbd", "cn"], "kind": "temporal",
+          "M": 16}, "Crank-Nicolson variant requires 1 < alpha < 2"),
+        ({"case": "e", "alphas": [1.5], "schemes": ["sbd"], "kind": "spatial",
+          "M_list": [8, 16, 33]}, "mesh divisions must be even and positive"),
+        ({"case": "a", "alphas": [0.5], "schemes": ["be"], "kind": "temporal",
+          "N_list": [10, 20, 0]}, "time grid needs a finite T > 0 and N >= 1"),
+    ], ids=["cn-order", "odd-mesh", "zero-steps"])
+    def test_study_bad_cell_refused_before_any_cell(self, config, message, tmp_path,
+                                                    monkeypatch, capsys):
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args))
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["study", "--config", str(path)]) == 2
+        assert cells == []
+        assert message in capsys.readouterr().err
 
     def test_study_flags_only(self, tmp_path):
         path = tmp_path / "r.csv"

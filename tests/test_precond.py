@@ -146,9 +146,8 @@ class TestPreconditionedCg:
         solver = sys_.step_system(w0, 1.0)
         assert solver.backend == "cg"
         b = np.random.default_rng(M).standard_normal(sys_.n_dof)
-        stats = {}
-        x = solver.solve(b, stats=stats)
-        assert stats["iterations"] <= 20
+        x = solver.solve(b)
+        assert solver.record[-1][0] <= 20
         matrix = sys_.mass.scaled_add(w0, sys_.stiffness, 1.0)
         assert np.linalg.norm(b - matrix.matvec(x)) <= 1e-12 * np.linalg.norm(b)
 
@@ -300,6 +299,24 @@ class TestSelfStartedCg:
         monkeypatch.undo()
         # the projection of v comes first; the march solves last
         return calls[-self.N:]
+
+    def test_record_carries_cg_solve_stats(self, monkeypatch):
+        # the march's solve_stats are cg_solve's own numbers, step by step
+        seen = []
+
+        def spy(*args, stats=None, **kwargs):
+            stats = {} if stats is None else stats
+            x = cg_solve(*args, stats=stats, **kwargs)
+            seen.append((stats["iterations"], stats["residual"]))
+            return x
+
+        monkeypatch.setattr(mf, "cg_solve", spy)
+        case = reference.get_case("e", 1.5)
+        cfg = schemes.SchemeConfig("SBD", "diffusion_wave")
+        hist = schemes.solve(mf.fem_system(16), case, cfg, schemes.TimeGrid(0.1, self.N))
+        # the projection of v comes first
+        assert hist.backend == "cg" and len(seen) == self.N + 1
+        assert hist.solve_stats == [(n, *s) for n, s in enumerate(seen[1:], start=1)]
 
     def test_start_and_residual(self, monkeypatch):
         calls = self.march(monkeypatch)

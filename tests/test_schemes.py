@@ -253,12 +253,12 @@ class DenseSteps:
 
     def step_system(self, a, b):
         self.matrix = a * self.mass.to_dense() + b * self.stiffness.to_dense()
+        self.record = []
         return self
 
-    def solve(self, rhs, stats=None):
+    def solve(self, rhs):
         x = np.linalg.solve(self.matrix, rhs)
-        if stats is not None:
-            stats["iterations"], stats["residual"] = 0, float(np.linalg.norm(self.matrix @ x - rhs))
+        self.record.append((0, float(np.linalg.norm(self.matrix @ x - rhs))))
         return x
 
 
