@@ -93,9 +93,8 @@ def _cmd_solve(args):
     if metrics["normalized"]:
         metrics["error_l2_normalized"] = metrics["error_l2"] / case.v_l2_norm
     if args.dump_solution:
-        # interior nodal coefficients: modal ones map back by Phi
-        modal = hist.backend == "modal"
-        np.savetxt(args.dump_solution, sys_.nodal(hist.final) if modal else hist.final)
+        # interior nodal coefficients of the view's final state
+        np.savetxt(args.dump_solution, sys_.nodal(hist.final))
     _emit_text(json.dumps(metrics, indent=2), args.out)
     return 0
 

@@ -17,10 +17,10 @@ goes through :func:`run_cell`: one run of one scheme, measured by
 continuous series, the discrete-modal solution or the scheme's own finer run
 (self-convergence). Studies report H1 errors against the series only.
 
-Runs against the discrete-modal reference need the eigensystem of the mesh's
-pencil anyway, so they step, take the reference and measure errors in the
-modal view ``fem.modal`` that holds it (see :mod:`meshfem`), with no basis
-product and no CG. All other runs work in nodal coordinates with CG.
+A cell steps, takes its reference and measures in one view (see
+:mod:`meshfem`): ``fem.modal`` against the discrete-modal reference, which
+needs its eigensystem anyway, else ``fem.sine`` with CG. Only the series
+needs nodal values, formed once from the final state for its quadrature.
 
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
@@ -259,12 +259,6 @@ def _run_scheme(sys, case, scheme, grid, corrected):
     return baselines.solve_baseline(sys, case, scheme, grid)
 
 
-def _stepping_system(cfg, sys):
-    """The system a study steps on: its modal view against the discrete-modal
-    reference, else ``sys`` itself."""
-    return sys.modal if cfg.reference == "discrete_modal" else sys
-
-
 def _cells(cfg):
     """(label, rate abscissa, M, t, N) of each cell of a ladder, in report order."""
     if cfg.kind == "temporal":
@@ -275,9 +269,9 @@ def _cells(cfg):
 
 
 def _reference(cfg, sys, case, scheme, t):
-    """What a cell at time t is measured against: the truncated series, the
-    semidiscrete solution on ``sys``, or the scheme's own run on 4 max(N_list)
-    steps (temporal) or 16 N steps (decay)."""
+    """What a cell at time t is measured against: the truncated series, or,
+    in the coordinates of the view ``sys``, the semidiscrete solution or the
+    scheme's own run on 4 max(N_list) steps (temporal) or 16 N steps (decay)."""
     if cfg.reference == "continuous_modal":
         return reference.exact_solution(case, reference.modal_coefficients(case, cfg.K_max), t)
     if cfg.reference == "discrete_modal":
@@ -287,10 +281,10 @@ def _reference(cfg, sys, case, scheme, t):
 
 
 def measure(sys, final, ref):
-    """(L2, H1-seminorm) error of the coefficients ``final`` on ``sys``:
-    by quadrature against a series solution, else of the difference."""
+    """(L2, H1-seminorm) error of ``final`` in the view ``sys``: of its nodal
+    values by quadrature against a series, else of the difference."""
     if isinstance(ref, reference.ExactSolution):
-        return meshfem.error_norms(sys, final, ref, ref.grad)
+        return meshfem.error_norms(sys.fem, sys.nodal(final), ref, ref.grad)
     return meshfem.l2_norm(sys, final - ref), meshfem.h1_seminorm(sys, final - ref)
 
 
@@ -300,9 +294,10 @@ def run_cell(cfg, case, scheme, M, t, N, refs):
     ``refs`` keeps the references across cells: a series or semidiscrete one
     per t serves every scheme (only spatial studies vary M, and they measure
     against the series), a self-convergence one is the scheme's own.
-    Returns the stepping system, the run's history and (L2, H1).
+    Returns the view the cell stepped in, the run's history and (L2, H1).
     """
-    sys = _stepping_system(cfg, meshfem.fem_system(M))
+    fem = meshfem.fem_system(M)
+    sys = fem.modal if cfg.reference == "discrete_modal" else fem.sine
     key = (scheme, t) if cfg.reference == "self_convergence" else t
     if key not in refs:
         refs[key] = _reference(cfg, sys, case, scheme, t)

@@ -13,14 +13,15 @@ chooses the start of each solve itself; its ``record`` lists the
 (iterations, final residual) of each solve, or is None where a solve is a
 division. Three kinds of system share it:
 
-* ``FemSystem`` (``fem_system(M)``) assembles every load. Its ``mass`` and
+* ``FemSystem`` (``fem_system(M)``) assembles every load; studies step in
+  its views, and it serves direct nodal calls. Its ``mass`` and
   ``stiffness`` are the sine view's, seen in nodal coordinates: a product
   maps x to Q (A (Q x)). Schemes on it march in its sine view, and its
   ``step_system`` (a projection is one solve) is the view's solver with the
   right-hand side mapped in and the solution mapped back.
 * ``SineSystem`` (``fem.sine``) works in the coordinates Q u of the
   orthonormal sine basis Q = Phi (x) Phi of the interior grid (Phi the
-  DST-I matrix; Q is its own inverse, so ``coords`` maps both ways). With
+  DST-I matrix; Q is its own inverse, so ``coords`` is ``nodal``). With
   c_k = cos(pi k/M) the stiffness is diag(4 - 2 c_k - 2 c_l), and the mass
   is diag(mu) + (h^2/24) G (x) G: mu are the eigenvalues of M~, the mass
   stencil with its diagonal coupling spread over both diagonals, and
@@ -305,6 +306,8 @@ class SineSystem:
         coordinates."""
         phi = self._phi
         return (phi @ np.reshape(x, phi.shape) @ phi).ravel()
+
+    nodal = coords  # Q is its own inverse
 
     def to_nodal(self, U):
         """Map the rows of U to nodal coordinates in place, one at a time."""

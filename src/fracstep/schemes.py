@@ -36,11 +36,12 @@ sum; only the order of summation moves. A short kernel, and GL-I's
 stiffness kernel, is summed over all its rows at each step. The loads of
 step n are one product of a coefficient row with the stacked load
 vectors, and after the last step v is added to every row in place.
-The system passed in fixes the coordinates and the solver (see
-:mod:`meshfem`): the modal view, where every scheme is one scalar
-recursion per mode, or ``fem_system(M)``, whose schemes ``in_sine_view``
-marches in its sine view (CG with a diagonal preconditioner), returning
-the trajectory mapped back to nodal coordinates.
+The system passed in fixes the coordinates, which the trajectory keeps,
+and the solver (see :mod:`meshfem`): the modal view, where every scheme is
+one scalar recursion per mode, or the sine view, with CG and a diagonal
+preconditioner. Studies step in one of the two. On ``fem_system(M)``
+itself, ``in_sine_view`` marches in its sine view and maps the trajectory
+back to nodal coordinates.
 """
 
 from __future__ import annotations

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import subprocess
@@ -284,18 +287,38 @@ class TestModalStepping:
         assert max(x.size for x in held) == 64 ** 2
 
     def test_stepping_system(self):
-        base = mf.fem_system(8)
-        cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=8)
-        view = harness._stepping_system(cfg, base)
-        assert isinstance(view, mf.ModalSystem) and view.fem is base
-        assert view is base.modal
-        assert view.lam is ref._eigensystem(base)[0]
-        self_conv = StudyConfig("b", (0.5,), ("be",), "decay", M=8, reference="self_convergence")
-        assert harness._stepping_system(self_conv, base) is base
-        # no size cut below the reference's own guard: 441 unknowns step in
-        # the view as well
-        big = mf.fem_system(22)
-        assert harness._stepping_system(cfg, big).fem is big
+        # a cell steps in the modal view against the discrete-modal
+        # reference, else in the sine view; no size cut below the
+        # reference's own guard: 441 unknowns step in the modal view as well
+        case = ref.get_case("b", 0.5)
+        for M, reference in itertools.product((8, 22), REFERENCES):
+            base = mf.fem_system(M)
+            cfg = StudyConfig("b", (0.5,), ("be",), "temporal", M=M, N_list=(4,),
+                              reference=reference, K_max=31)
+            view = harness.run_cell(cfg, case, "be", M, 0.1, 4, {})[0]
+            if reference == "discrete_modal":
+                assert isinstance(view, mf.ModalSystem) and view is base.modal
+                assert view.lam is ref._eigensystem(base)[0]
+            else:
+                assert isinstance(view, mf.SineSystem) and view is base.sine
+
+    @pytest.mark.parametrize("reference", ["self_convergence", "continuous_modal"])
+    def test_study_maps_no_trajectory(self, reference, monkeypatch):
+        # the cell steps and measures in the sine view; nodal values are
+        # formed from the final state only, and only for the series
+        rows = []
+        real = mf.SineSystem.to_nodal
+
+        def spy(self, U):
+            rows.append(len(U))
+            return real(self, U)
+
+        monkeypatch.setattr(mf.SineSystem, "to_nodal", spy)
+        cfg = StudyConfig("b", (0.5,), ("be", "sbd"), "temporal", M=8, N_list=(10, 20),
+                          reference=reference, K_max=31)
+        report = run_study(cfg)
+        assert all(e > 0.0 for blk in report.blocks for e in blk.err_l2)
+        assert rows == []
 
     @pytest.mark.parametrize(
         "reference,backend", [("discrete_modal", "modal"), ("self_convergence", "cg")]
@@ -405,12 +428,27 @@ class TestReferenceConsistency:
 
 class TestCli:
     def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "fracstep.cli", *args],
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
+        """``fracstep *args`` in this process: its exit code, stdout and
+        stderr, as a fresh process would give them."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                # argparse exits with code 2 on bad arguments
+                code = exc.code
+        return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+    def test_module_entry_point(self):
+        # fresh interpreters for ``python -m fracstep.cli`` itself: its output
+        # and its exit codes
+        def run(M):
+            return subprocess.run([sys.executable, "-m", "fracstep.cli", "mesh-info", "--M", M],
+                                  capture_output=True, text=True, timeout=600)
+
+        ok, bad = run("4"), run("3")
+        assert ok.returncode == 0 and "interior dofs = 9" in ok.stdout, ok.stderr
+        assert bad.returncode == 2 and bad.stderr.startswith("config error:")
 
     def test_mesh_info(self):
         out = self.run_cli("mesh-info", "--M", "4")
@@ -519,13 +557,18 @@ class TestCli:
             assert self_conv.err_l2[k] != blk.err_l2[k]
         else:
             assert blk.err_h1[k] is None
-        # the dump holds interior nodal coefficients, as a CG solve gives them
+        # the dump holds interior nodal coefficients, as a CG solve gives them:
+        # from the same sine-view march and the same two products, except
+        # for the modal view's march
         cfg = schemes.SchemeConfig(
             scheme.upper(), "subdiffusion" if case.is_subdiffusion else "diffusion_wave"
         )
         nodal = schemes.solve(mf.fem_system(M), case, cfg, schemes.TimeGrid(t, N)).final
         dumped = np.loadtxt(dump)
-        assert np.linalg.norm(dumped - nodal) <= 1e-10 * np.linalg.norm(nodal)
+        if reference == "discrete_modal":
+            assert np.linalg.norm(dumped - nodal) <= 1e-10 * np.linalg.norm(nodal)
+        else:
+            assert np.array_equal(dumped, nodal)
 
     def test_study_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "study.json"
