@@ -20,7 +20,8 @@ continuous series, the discrete-modal solution or the scheme's own finer run
 A cell steps, takes its reference and measures in one view (see
 :mod:`meshfem`): ``fem.modal`` against the discrete-modal reference, which
 needs its eigensystem anyway, else ``fem.sine`` with CG. Only the series
-needs nodal values, formed once from the final state for its quadrature.
+needs nodal values, formed once from the final state for its closed-form
+norms (``ExactSolution.error_norms``), which need no quadrature.
 
 Reports are deterministic: fixed iteration orders, no randomness, and float
 formatting with 17 significant digits so CSV round-trips are bit-exact.
@@ -281,10 +282,10 @@ def _reference(cfg, sys, case, scheme, t):
 
 
 def measure(sys, final, ref):
-    """(L2, H1-seminorm) error of ``final`` in the view ``sys``: of its nodal
-    values by quadrature against a series, else of the difference."""
+    """(L2, H1-seminorm) error of ``final`` in the view ``sys``: in closed
+    form against a series, else of the difference."""
     if isinstance(ref, reference.ExactSolution):
-        return meshfem.error_norms(sys.fem, sys.nodal(final), ref, ref.grad)
+        return ref.error_norms(sys, final)
     return meshfem.l2_norm(sys, final - ref), meshfem.h1_seminorm(sys, final - ref)
 
 

@@ -56,14 +56,15 @@ matrix per triangle half (``FemSystem.grads``), exact for every M. Loads
 use a 6-point degree-4 triangle rule. ``load_vector`` keeps each load
 read-only per (system or view, function) in its owner (``system_cache``),
 so it is freed with it; a view's load is its coordinates of the cached
-nodal load, so a function is integrated once per nodal system. Error norms
-use a denser collapsed-Gauss rule because modal reference solutions carry
-high sine modes that a degree-4 rule would misresolve on coarse cells. Its
-points form one tensor grid over the cells per triangle half and rule
-point: the cell corners (i/M, j/M) shifted by the point's offset in its
-cell. The squared errors are summed one grid at a time, so no field over
-all points is held; a series solution (``reference.ExactSolution``) sums
-itself on each grid from sine tables of the corners and of the offsets.
+nodal load, so a function is integrated once per nodal system.
+
+The hat of a node is the box spline of the directions (h, 0), (0, h) and
+(h, h) (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993), whose
+Fourier transform is h^2 times three sincs, so its moments against the sine
+modes have a closed form (``sine_moments``): a FE function's distance to a
+sine series needs no quadrature. ``error_norms`` serves pointwise fields,
+by a degree-10 collapsed-Gauss rule whose points form one tensor grid per
+triangle half and rule point, summed one grid at a time.
 """
 
 from __future__ import annotations
@@ -191,6 +192,8 @@ class FemSystem:
     def coords(self, load):
         """An assembled nodal load in this system's coordinates: unchanged."""
         return load
+
+    nodal = coords  # its coordinates are nodal values
 
     def step_system(self, a, b):
         """The solver of (a*mass + b*stiffness) x = rhs to ``STEP_RTOL``;
@@ -651,33 +654,50 @@ def error_norms(sys, c, u_exact, grad_exact=None, order=10):
     The squared errors are summed one grid of ``grid_points`` at a time.
     ``u_exact(x, y)`` is called per grid, with x (M, 1) and y (1, M). The
     H1 part is None unless ``grad_exact`` maps the same arguments to
-    (du/dx, du/dy). When ``u_exact`` is a ``reference.ExactSolution`` and
-    ``grad_exact`` is None or its own ``grad``, the fields come from its
-    ``cell_grids`` instead, as each grid is the cell corners shifted by one
-    offset.
+    (du/dx, du/dy). A sine series is measured in closed form by
+    ``reference.ExactSolution.error_norms`` instead.
     """
     xs, ys, w, shape = sys.grid_points(order)
     M, nq = sys.mesh.M, len(w)
     with_grad = grad_exact is not None
-    if hasattr(u_exact, "cell_grids") and grad_exact in (None, u_exact.grad):
-        fields = u_exact.cell_grids(xs[:, 0], ys[:, 0], M, with_grad)
-    else:
-        fields = (
-            (g, u_exact(x, y), *(grad_exact(x, y) if with_grad else (None, None)))
-            for g, (x, y) in enumerate(zip(xs[:, :, None], ys[:, None, :]))
-        )
     # element (i M + j) 2 + t is [i, j, t]; grid t nq + q holds its point q
     local = nodal_values(sys, c)[sys.mesh.triangles].reshape(M, M, 2, 3)
     if with_grad:
         # the FE gradient is constant per element
         fe_gx, fe_gy = (np.einsum("ijta,ta->ijt", local, sys.grads[:, d]) for d in (0, 1))
     sq = np.zeros((2 * nq, 2))  # per grid: squared L2 and H1 errors
-    for g, u, ux, uy in fields:
+    for g, (x, y) in enumerate(zip(xs[:, :, None], ys[:, None, :])):
         t, q = divmod(g, nq)
-        d = local[:, :, t] @ shape[q] - u
+        d = local[:, :, t] @ shape[q] - u_exact(x, y)
         sq[g, 0] = np.vdot(d, d)
         if with_grad:
+            ux, uy = grad_exact(x, y)
             dx, dy = fe_gx[:, :, t] - ux, fe_gy[:, :, t] - uy
             sq[g, 1] = np.vdot(dx, dx) + np.vdot(dy, dy)
     l2_sq, h1_sq = np.tile(w, 2) @ sq
     return math.sqrt(l2_sq), (math.sqrt(h1_sq) if with_grad else None)
+
+
+def _node_tables(M, modes):
+    """sin and cos of m pi i/M, i = 1..M-1, (M-1, K), for the K integer
+    modes m, the phases reduced modulo 2 pi exactly first."""
+    im = np.outer(np.arange(1, M), np.asarray(modes).astype(np.int64)) % (2 * M)
+    phase = np.pi * im / M
+    return np.sin(phase), np.cos(phase)
+
+
+def sine_moments(fem, u, ks, ls):
+    """The moments (u_h, sin(k pi x) sin(l pi y)), (K, L), of the P1
+    function with interior nodal values u, for the integer modes ks, ls.
+
+    With s_m = np.sinc(m h/2), the hat of node (x_i, y_j) has the moment
+    (h^2/2) s_k s_l [(s_(k+l) + s_(k-l)) sin(k pi x_i) sin(l pi y_j)
+    + (s_(k-l) - s_(k+l)) cos(k pi x_i) cos(l pi y_j)].
+    """
+    M = fem.mesh.M
+    U = np.reshape(u, (M - 1, M - 1))
+    (sx, cx), (sy, cy) = _node_tables(M, ks), _node_tables(M, ls)
+    k, l = np.asarray(ks, dtype=float)[:, None], np.asarray(ls, dtype=float)
+    plus, minus = np.sinc((k + l) / (2 * M)), np.sinc((k - l) / (2 * M))
+    out = (sx.T @ U @ sy) * (plus + minus) + (cx.T @ U @ cy) * (minus - plus)
+    return out * (np.sinc(k / (2 * M)) * np.sinc(l / (2 * M)) / (2 * M ** 2))

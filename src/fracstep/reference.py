@@ -274,31 +274,19 @@ def _distinct_phases(v, modes):
     return inv.reshape(v.shape), PI * np.outer(vals, modes)
 
 
-def _cell_tables(offsets, M, modes):
-    """sin and cos of m pi i/M at the cell corners i = 0..M-1, (M, K), then
-    of m pi d at the offsets d, (len(offsets), K), for the K modes m. The
-    corner phases are reduced modulo 2 pi exactly first, as in
-    ``meshfem.sine_basis``."""
-    corner = PI * (np.outer(np.arange(M), modes.astype(np.int64)) % (2 * M)) / M
-    phase = PI * np.outer(offsets, modes)
-    return np.sin(corner), np.cos(corner), np.sin(phase), np.cos(phase)
-
-
 class ExactSolution:
-    """The truncated series solution at a fixed time, summed on tensor grids.
+    """The truncated series solution at a fixed time.
 
     u(x, y) = 2 sum_{k,l} A[k, l] sin(k pi x) sin(l pi y) over the K x L
     retained modes. On a grid (x_i, y_j) this is 2 (SX A) SY^T with the sine
     tables SX[i, k] = sin(k pi x_i), SY[j, l] = sin(l pi y_j); a gradient
     component swaps one table for its derivative.
 
-    ``cell_grids`` serves ``meshfem.error_norms``: its grids are the cell
-    corners (i/M, j/M) shifted by one offset each, so the tables hold only
-    the corners and the distinct offsets, and it yields one grid at a time.
     A call or ``grad`` takes any points: broadcast x (..., nx, 1) and
     y (..., 1, ny) are one nx x ny grid per leading index, any other points
     1 x 1 grids. It tabulates the distinct x and y once, then spends one
-    (nx x L) @ (L x ny) product per grid.
+    (nx x L) @ (L x ny) product per grid. ``error_norms`` measures a FE
+    function against the series in closed form, with no point evaluation.
     """
 
     def __init__(self, case, expansion, t):
@@ -350,35 +338,22 @@ class ExactSolution:
     def grad(self, x, y):
         return self._fields(x, y, True)
 
-    def cell_grids(self, dx, dy, M, grad=False):
-        """Yield (g, u, du/dx, du/dy) on the grids of points
-        (i/M + dx[g], j/M + dy[g]), i, j = 0..M-1, as (M, M) arrays, the
-        gradient (None, None) unless ``grad``.
+    def error_norms(self, sys, c):
+        """(L2, H1-seminorm) distance to the FE function of coefficients c
+        in the coordinates of ``sys``, in closed form.
 
-        sin(k pi (i/M + d)) = sin(k pi i/M) cos(k pi d) + cos(k pi i/M)
-        sin(k pi d): one build of ``_cell_tables`` per axis serves every
-        grid. The grids of one x-offset come together, after one product
-        SX A (and one for du/dx) that they share. Nothing larger than an
-        (M, K) table is held.
+        With the moments m = (u_h, sin sin) (``meshfem.sine_moments``),
+        ||u_h - u||^2 = ||u_h||^2 - sum (4 A m - A^2) and |u_h - u|_1^2 =
+        |u_h|_1^2 - sum lam (4 A m - A^2), as u_h vanishes on the boundary;
+        the FE norms are taken in ``sys``. The subtraction leaves an error of
+        about eps (||u_h||^2 + ||u||^2), so errors below about 1e-8 ||u||
+        cannot be told apart; a negative square counts as 0.
         """
-        ks, ls = self.expansion.ks, self.expansion.ls
-        ox, gx = np.unique(dx, return_inverse=True)
-        oy, gy = np.unique(dy, return_inverse=True)
-        sx, cx, sox, cox = _cell_tables(ox, M, ks)
-        sy, cy, soy, coy = _cell_tables(oy, M, ls)
-        A = 2.0 * self.amplitudes
-        for a in range(len(ox)):
-            xa = (sx * cox[a] + cx * sox[a]) @ A
-            if grad:
-                dxa = ((cx * cox[a] - sx * sox[a]) * (PI * ks)) @ A
-            for g in np.flatnonzero(gx == a):
-                b = gy[g]
-                syt = (sy * coy[b] + cy * soy[b]).T
-                if grad:
-                    cyt = ((cy * coy[b] - sy * soy[b]) * (PI * ls)).T
-                    yield g, xa @ syt, dxa @ syt, xa @ cyt
-                else:
-                    yield g, xa @ syt, None, None
+        ex, a = self.expansion, self.amplitudes
+        d = 4.0 * a * meshfem.sine_moments(sys.fem, sys.nodal(c), ex.ks, ex.ls) - a * a
+        l2 = meshfem.l2_norm(sys, c) ** 2 - np.sum(d)
+        h1 = meshfem.h1_seminorm(sys, c) ** 2 - np.sum(ex.lam * d)
+        return math.sqrt(max(l2, 0.0)), math.sqrt(max(h1, 0.0))
 
     def l2_norm(self):
         return math.sqrt(float(np.sum(self.amplitudes ** 2)))
@@ -410,8 +385,9 @@ def _eigensystem(sys):
 
 
 def discrete_reference(sys, case, t):
-    """The semidiscrete solution, exact in time, in the coordinates of ``sys``
-    (nodal, or the modal amplitudes Phi^T M u on its modal view).
+    """The semidiscrete solution, exact in time, in the coordinates of ``sys``:
+    nodal on a ``FemSystem``, sine on its sine view, the modal amplitudes
+    Phi^T M u on its modal view.
 
     The L2 projection c = M^-1 F of a load vector F has the modal
     coefficients Phi^T M c = Phi^T F, the load in the modal view's
@@ -431,4 +407,4 @@ def discrete_reference(sys, case, t):
         case, coeffs(case.v), coeffs(case.b), coeffs(case.source_space), t,
         functools.partial(_discrete_factor, sys.fem, case.alpha, t),
     )
-    return amp if sys is view else view.nodal(amp)
+    return amp if sys is view else sys.coords(view.nodal(amp))

@@ -326,6 +326,27 @@ def row_dot_series(sol, x, y):
     return dots(sx_a, sy), (dots(cx_a, sy), dots(sx_a, cy))
 
 
+def nested_interpolant(u, M, r):
+    """Interior nodal values on the mesh r M of the P1 function with interior
+    nodal values u on the mesh M. The meshes are nested and cut their cells
+    by the same diagonal, so the function is P1 on the finer one too and
+    these values give it exactly."""
+    full = np.zeros((M + 1, M + 1))
+    full[1:M, 1:M] = np.reshape(u, (M - 1, M - 1))
+    out = np.empty((r * M - 1, r * M - 1))
+    for I in range(1, r * M):
+        for J in range(1, r * M):
+            i, j = min(I // r, M - 1), min(J // r, M - 1)
+            s, t = I / r - i, J / r - j
+            n00, n10 = full[i, j], full[i + 1, j]
+            n11, n01 = full[i + 1, j + 1], full[i, j + 1]
+            if s >= t:  # lower triangle (n00, n10, n11)
+                out[I - 1, J - 1] = n00 + s * (n10 - n00) + t * (n11 - n10)
+            else:       # upper triangle (n00, n11, n01)
+                out[I - 1, J - 1] = n00 + t * (n01 - n00) + s * (n11 - n01)
+    return out.ravel()
+
+
 def pointwise_error_norms(sys, c, u_exact, grad_exact=None, order=10):
     """(L2, H1-seminorm) error of the FE function c against pointwise fields,
     evaluated at the (nel, nq) points of ``sys.quad_points(order)`` and

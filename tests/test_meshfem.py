@@ -321,29 +321,6 @@ class TestNorms:
         l2, _ = mf.error_norms(sys8, c, u)
         assert l2 <= 1e-13 * mf.l2_norm(sys8, c)
 
-    def test_exact_solution_tabulated_once(self, sys8, monkeypatch):
-        case = ref.get_case("e", 1.5)
-        sol = ref.exact_solution(case, ref.modal_coefficients(case, 31), 0.1)
-        c = mf.l2_project(sys8, case.v)
-        builds = []
-        real = ref._cell_tables
-
-        def counted(offsets, M, modes):
-            # one table build tabulates the x side, then the y side
-            if modes is sol.expansion.ks:
-                builds.append(1)
-            return real(offsets, M, modes)
-
-        monkeypatch.setattr(ref, "_cell_tables", counted)
-        l2, h1 = mf.error_norms(sys8, c, sol, sol.grad)
-        assert len(builds) == 1 and h1 > 0.0
-        assert mf.error_norms(sys8, c, sol) == (l2, None)
-        assert len(builds) == 2
-        # a gradient that is not sol.grad itself is evaluated per grid
-        apart = mf.error_norms(sys8, c, sol, lambda x, y: sol.grad(x, y))
-        assert len(builds) == 2
-        assert apart == pytest.approx((l2, h1), rel=1e-14, abs=0.0)
-
     @pytest.mark.parametrize("M", [2, 8, 16])
     @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("b", 0.5), ("e", 1.5)])
     def test_series_norms_against_pointwise_oracle(self, cid, alpha, M):
@@ -390,6 +367,32 @@ class TestNorms:
             tracemalloc.stop()
         assert peak <= 12e6, peak
 
+    def test_series_closed_form_in_every_view(self):
+        # the discrete reference is one FE function in nodal, sine and modal
+        # coordinates, so it lies at one distance from the series
+        case = ref.get_case("b", 0.5)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 63), 0.1)
+        base = mf.fem_system(8)
+        want = sol.error_norms(base, ref.discrete_reference(base, case, 0.1))
+        for view in (base.sine, base.modal):
+            got = sol.error_norms(view, ref.discrete_reference(view, case, 0.1))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_series_closed_form_peak_allocation(self):
+        # four (M-1, K) node tables and a few (K, L) mode tables, no field
+        # over points: 1.9 MB measured at M=64, K_max=255
+        case = ref.get_case("e", 1.5)
+        sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.1)
+        s = mf.fem_system(64).sine
+        c = mf.l2_project(s, case.v)
+        tracemalloc.start()
+        try:
+            sol.error_norms(s, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, peak
+
     def test_discrete_poincare(self, sys8):
         rng = np.random.default_rng(9)
         bound = 1.0 / (math.pi * math.sqrt(2.0)) + 1e-3
@@ -434,7 +437,8 @@ class TestQuadratureRules:
     @pytest.mark.parametrize("M", [2, 8, 64])
     @pytest.mark.parametrize("order", [4, 10])
     def test_grid_points_are_cell_corners_plus_offset(self, M, order):
-        # what ExactSolution.cell_grids assumes: x = i/M + xs[g, 0]
+        # every cell holds the rule at the same offset from its corner:
+        # x = i/M + xs[g, 0]
         xs, ys, _, _ = mf.fem_system(M).grid_points(order)
         corners = np.arange(M) / M
         assert np.max(np.abs(xs - corners - xs[:, :1])) <= 2.3e-16
@@ -589,6 +593,16 @@ class TestStepSolvers:
             amp = ref.discrete_reference(view, case, t)
             want = view.basis.T @ base.mass.matvec(nodal)
             assert np.linalg.norm(amp - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("f", 1.5)])
+    def test_discrete_reference_in_sine_coordinates(self, cid, alpha):
+        # on the sine view the reference is Q u, not the nodal u
+        base = mf.fem_system(4)
+        case = ref.get_case(cid, alpha)
+        nodal = ref.discrete_reference(base, case, 0.1)
+        got = ref.discrete_reference(base.sine, case, 0.1)
+        assert np.array_equal(got, base.sine.coords(nodal))
+        assert np.linalg.norm(got - nodal) > 1e-3 * np.linalg.norm(nodal)
 
     @pytest.mark.parametrize("a,b", [(-1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (float("nan"), 1.0)])
     def test_rejects_coefficients(self, a, b):

@@ -208,34 +208,14 @@ class TestSeriesEvaluation:
         assert np.max(np.abs(got_gx - gx)) <= 1e-13 * gscale
         assert np.max(np.abs(got_gy - gy)) <= 1e-13 * gscale
 
-    @pytest.mark.parametrize("M", [2, 8])
-    @pytest.mark.parametrize("cid", "abefg")
-    def test_cell_grids_match_calls(self, cid, M):
-        # sin(k pi (i/M + d)) by the addition formula, at the rule's grids
-        case = ref.get_case(cid, 0.5 if cid in "abc" else 1.5)
-        sol = ref.exact_solution(case, ref.modal_coefficients(case, 63), 0.1)
-        xs, ys, _, _ = mf.fem_system(M).grid_points(10)
-        full = sol.cell_grids(xs[:, 0], ys[:, 0], M, True)
-        plain = sol.cell_grids(xs[:, 0], ys[:, 0], M)
-        seen = []
-        for (g, u, ux, uy), (g_plain, *rest) in zip(full, plain):
-            x, y = xs[g][:, None], ys[g][None, :]
-            want, (want_x, want_y) = sol(x, y), sol.grad(x, y)
-            assert np.max(np.abs(u - want)) <= 1e-14 * np.max(np.abs(want))
-            gscale = max(np.max(np.abs(want_x)), np.max(np.abs(want_y)))
-            assert np.max(np.abs(ux - want_x)) <= 1e-14 * gscale
-            assert np.max(np.abs(uy - want_y)) <= 1e-14 * gscale
-            assert g_plain == g and np.array_equal(rest[0], u) and rest[1:] == [None, None]
-            seen.append(g)
-        assert sorted(seen) == list(range(len(xs)))
-
     def test_cell_tables_reduce_corner_phases_exactly(self):
-        # k pi i/M reaches 790 at M=64, K=255, where rounding the phase
-        # itself would cost 8e-14; reduced modulo 2 pi first, every entry
-        # is within a few ulp of the exact sine and cosine
+        # the node tables of the closed-form moments: k pi i/M reaches 790
+        # at M=64, K=255, where rounding the phase itself would cost 8e-14;
+        # reduced modulo 2 pi first, every entry is within a few ulp of the
+        # exact sine and cosine
         M, ks = 64, np.arange(1.0, 256.0)
-        sines, cosines, _, _ = ref._cell_tables(np.zeros(1), M, ks)
-        ki = [mp.mpf(i * k) / M for i in range(M) for k in range(1, 256)]
+        sines, cosines = mf._node_tables(M, ks)
+        ki = [mp.mpf(i * k) / M for i in range(1, M) for k in range(1, 256)]
         for table, exact in ((sines, mp.sinpi), (cosines, mp.cospi)):
             want = np.array([float(exact(v)) for v in ki]).reshape(table.shape)
             assert np.max(np.abs(table - want)) <= 1e-15
