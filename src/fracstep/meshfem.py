@@ -32,10 +32,16 @@ division. Three kinds of system share it:
   (Lynch, Rice & Thomas 1964; Buzbee, Golub & Nielson 1970). The
   preconditioned spectrum lies in [0.63, 1.37] for every h and a, b >= 0,
   so iterations do not grow with the mesh; Q is orthogonal, so they are
-  those of the same CG in nodal coordinates. The first solve starts from
-  zero, the second from the last solution x1, later ones from 2 x1 - x2;
-  the start's residual comes from the products A x = rhs - r of those
-  solves, r the true residual CG confirmed, at no product.
+  those of the same CG in nodal coordinates. Solve k starts from the
+  degree-(m-1) polynomial through the last m = min(k-1, ``START_ORDER``)
+  solutions at its own step, x0 = sum_j c_j x_(k-j) with the weights
+  c_j = (-1)^(j+1) binom(m, j) (``start_weights``): zero at k = 1, the
+  last solution at k = 2, 2 x1 - x2 at k = 3 (reusing earlier solutions
+  of a sequence of systems with one matrix: Fischer, Comput. Methods Appl.
+  Mech. Engrg. 163, 1998). The start's residual is rhs - sum_j c_j
+  (A x)_(k-j), from the products A x = rhs - r of those solves, r the true
+  residual CG confirmed, at no product. Both sums run in ``np.einsum``,
+  not in BLAS, so their bits do not depend on the thread count.
 * ``ModalSystem``, the modal view of a ``FemSystem``, works in the
   coordinates c = Phi^T M u of the M-orthonormal eigensystem (lam, Phi) of
   the pencil (S, M): the mass is the identity, the stiffness diag(lam), an
@@ -80,6 +86,13 @@ from .numkit import cg_solve
 # relative residual of every CG step solve and projection; the step errors
 # it leaves set the error floor of decay studies solved by CG
 STEP_RTOL = 1e-12
+
+# a CG step solve starts from the polynomial through at most this many
+# earlier solutions. Its weights grow as binom(m, j), and with them the
+# drift of the start's residual formed from stored products: on the M=16
+# diffusion-wave march of case e it reaches 0.48, 1.06 and 2.2 times
+# 4 eps (||rhs|| + ||A||_F ||x0||) at orders 6, 7 and 8
+START_ORDER = 6
 
 # classic 6-point degree-4 rule, barycentric (weights sum to 1)
 _Q4_A1 = 0.445948490915965
@@ -237,6 +250,23 @@ class FemSystem:
         return pts, wts * (0.5 * self.mesh.h ** 2), bary
 
 
+def start_weights(m):
+    """The weights c_j = (-1)^(j+1) binom(m, j), j = 1..m: sum_j c_j x_(k-j)
+    is the degree-(m-1) polynomial through x_(k-m)..x_(k-1) at step k."""
+    return [float((-1) ** (j + 1) * math.comb(m, j)) for j in range(1, m + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _row_weights(rows, m, k):
+    """``start_weights(m)`` placed by row for solve k of a ring of ``rows``
+    rows that holds solve i in row i % rows: weight j goes to the row of
+    solve k - j. Only rows below m are filled while k < rows."""
+    w = np.empty(m)
+    w[(k - np.arange(1, m + 1)) % rows] = start_weights(m)
+    w.flags.writeable = False
+    return w
+
+
 class CgSolver:
     """Backend ``cg``: preconditioned CG to ``STEP_RTOL``, from a start of
     its own choosing (see the module docstring). ``record`` holds the
@@ -247,25 +277,30 @@ class CgSolver:
     def __init__(self, matrix, precond):
         self.matrix = matrix
         self.precond = precond
-        self._last = []   # (x, matrix x) of the last two solves, newest first
+        # solve k keeps x and matrix x in row k % START_ORDER
+        self._x = np.empty((START_ORDER, matrix.n_rows))
+        self._ax = np.empty_like(self._x)
         self.record = []
 
     def solve(self, rhs):
         """x with ||matrix x - rhs|| <= STEP_RTOL ||rhs||, or CgError."""
+        k, order = len(self.record), len(self._x)   # k solves before this one
         x0 = r0 = None
-        if len(self._last) == 1:
-            (x0, ax0), = self._last
-            r0 = rhs - ax0
-        elif self._last:
-            (x1, ax1), (x2, ax2) = self._last
-            x0 = 2.0 * x1 - x2
-            r0 = rhs - (2.0 * ax1 - ax2)
+        if k:
+            m = min(k, order)
+            w = _row_weights(order, m, k % order)
+            # einsum sums without BLAS, so the bits do not depend on the
+            # thread count
+            x0 = np.einsum("j,ji->i", w, self._x[:m])
+            r0 = rhs - np.einsum("j,ji->i", w, self._ax[:m])
         info = {}
         x = cg_solve(
             self.matrix, rhs, rel_tol=STEP_RTOL, x0=x0, stats=info, precond=self.precond, r0=r0
         )
         # the true residual cg_solve confirmed gives matrix x = rhs - r
-        self._last = [(x, rhs - info["residual_vector"]), *self._last[:1]]
+        row = k % order
+        self._x[row] = x
+        np.subtract(rhs, info["residual_vector"], out=self._ax[row])
         self.record.append((info["iterations"], info["residual"]))
         return x
 
@@ -341,7 +376,7 @@ class DiagPlusKron:
     def matvec(self, x):
         y = self.d * x
         if self.c:
-            y += (self._minus_cG @ np.reshape(x, self.G.shape) @ self.G).ravel()
+            y += (self._minus_cG @ x.reshape(self.G.shape) @ self.G).ravel()
         return y
 
     def scaled_add(self, coeff, other, other_coeff):

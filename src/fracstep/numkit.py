@@ -11,6 +11,8 @@ projection, always to the one tolerance ``meshfem.STEP_RTOL``;
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -55,7 +57,7 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
     n = A.n_rows
     if max_iter is None:
         max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(b @ b)
 
     def done(x, it, r, res):
         if stats is not None:
@@ -74,39 +76,46 @@ def cg_solve(A, b, rel_tol=1e-12, max_iter=None, x0=None, stats=None, precond=No
         def precond(r):
             return inv_diag * r
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A.matvec(x) if r0 is None else np.array(r0, dtype=float)
+    if x0 is None:
+        # A 0 = 0 exactly, so the residual of the zero start is b itself
+        x, r = np.zeros(n), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - A.matvec(x) if r0 is None else np.array(r0, dtype=float)
     z = precond(r)
     p = z.copy()
     rz = r @ z
-    res = np.linalg.norm(r)
+    res = math.sqrt(r @ r)
+    step = np.empty(n)
     it = 0
     while it < max_iter:
         if res <= target:
             # recurrence residual can drift; confirm with the true residual
             r_true = b - A.matvec(x)
-            res = np.linalg.norm(r_true)
+            res = math.sqrt(r_true @ r_true)
             if res <= target:
                 return done(x, it, r_true, res)
         Ap = A.matvec(p)
         pAp = p @ Ap
         if pAp <= 0.0:
-            res = np.linalg.norm(b - A.matvec(x))
-            roundoff = np.finfo(float).eps * (A.frobenius_norm() * np.linalg.norm(x) + bnorm)
+            r_true = b - A.matvec(x)
+            res = math.sqrt(r_true @ r_true)
+            roundoff = np.finfo(float).eps * (A.frobenius_norm() * math.sqrt(x @ x) + bnorm)
             if res > target and res > _ROUNDOFF * roundoff:
                 raise CgError("matrix is not positive definite", res, it)
             break
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=step)
         z = precond(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-        res = np.linalg.norm(r)
+        res = math.sqrt(r @ r)
         it += 1
     r_true = b - A.matvec(x)
-    res = np.linalg.norm(r_true)
+    res = math.sqrt(r_true @ r_true)
     if res <= target:
         return done(x, it, r_true, res)
     raise CgError(

@@ -32,23 +32,29 @@ comes for the whole block from one product of a Toeplitz window of the
 kernel with those rows (block convolution, Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985), and each step adds the near part, at
 most ``BLOCK`` rows of its own block. Every product is that of the direct
-sum; only the order of summation moves. A short kernel, and GL-I's
-stiffness kernel, is summed over all its rows at each step. The loads of
-step n are one product of a coefficient row with the stacked load
-vectors, and after the last step v is added to every row in place.
+sum; only the order of summation moves. The far product runs in column
+panels of at most ``PANEL`` multiply-adds, the size below which OpenBLAS
+runs a product on one thread: split among threads, the product rounds
+differently, and the CG start of :mod:`meshfem`, a polynomial through up
+to six earlier solutions, carries such differences from step to step into
+the output. Panels keep the far product's bits the same for every thread
+count. A short kernel, and GL-I's stiffness kernel, is summed over all its
+rows at each step. The loads of step n are one product of a coefficient
+row with the stacked load vectors, and after the last step v is added to
+every row in place.
 The system passed in fixes the coordinates, which the trajectory keeps,
 and the solver (see :mod:`meshfem`): the modal view, where every scheme is
 one scalar recursion per mode, or the sine view, with CG and a diagonal
 preconditioner. Studies step in one of the two. On ``fem_system(M)``
-itself, ``in_sine_view`` marches in its sine view and maps the trajectory
-back to nodal coordinates.
+itself, ``in_sine_view`` marches in its sine view, and the history maps its
+rows back to nodal coordinates when they are read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +63,10 @@ from .cq import cq_apply, cq_weights, get_rule
 
 # steps per block of the history sum: its far part is one product per block
 BLOCK = 32
+
+# multiply-adds per column panel of that product (one column at the least):
+# OpenBLAS runs a product of at most 65,536 x 4 of them on one thread
+PANEL = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -94,19 +104,40 @@ class SchemeConfig:
             raise ValueError("initial_projection must be 'L2' or 'Ritz'")
 
 
-@dataclass
 class SolutionHistory:
-    U: np.ndarray                 # (N+1, n_dof), in the coordinates of the system
-    grid: TimeGrid
-    # one (step index, CG iterations, final residual ||A x - rhs||) triple per
-    # time step, from the step solver's record; modal steps keep none and
-    # report 0 iterations and None
-    solve_stats: list = field(default_factory=list)
-    backend: str = "cg"           # the step solver that answered: "cg" or "modal"
+    """The trajectory U (N+1, n_dof) of a march and its step solver's record.
+
+    ``solve_stats`` holds one (step index, CG iterations, final residual
+    ||A x - rhs||) triple per time step, from the step solver's record;
+    modal steps keep none and report 0 iterations and None. ``backend``
+    names the step solver that answered, "cg" or "modal". U is in the
+    coordinates of the system the march was given. A march on a
+    ``FemSystem`` runs in its sine view and hands that view over as
+    ``view``: the rows stay in sine coordinates until read, ``final`` maps
+    the last row alone, and the first read of ``U`` maps every row in place.
+    """
+
+    def __init__(self, U, grid, solve_stats=None, backend="cg", view=None):
+        self._U, self.grid, self.view = U, grid, view
+        self.solve_stats = [] if solve_stats is None else solve_stats
+        self.backend = backend
+
+    @property
+    def U(self):
+        if self.view is not None:
+            self.view.to_nodal(self._U)
+            self.view = None
+        return self._U
+
+    @U.setter
+    def U(self, U):
+        self._U, self.view = U, None
 
     @property
     def final(self):
-        return self.U[-1]
+        if self.view is not None:
+            return self.view.nodal(self._U[-1])
+        return self._U[-1]
 
 
 def _check_compat(case, cfg):
@@ -182,7 +213,9 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
             s0 = BLOCK + L - 1 - n0 + lo
             size = padded.itemsize
             window = np.ndarray((n1 - n0, n0 - lo), float, padded, size * s0, (-size, size))
-            np.matmul(window, U[lo:n0], out=U[n0:n1])
+            far, width = U[lo:n0], max(1, PANEL // window.size)
+            for c in range(0, sys.n_dof, width):
+                np.matmul(window, far[:, c : c + width], out=U[n0:n1, c : c + width])
             spans = [(*hist[0][:3], n0, 1), *hist[1:]]
         # ndarray.dot runs the same BLAS product as @ (bit for bit with numpy
         # 2.4 and OpenBLAS) at about 1 us less call overhead, which modal steps feel
@@ -200,15 +233,15 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
 
 
 def in_sine_view(solve):
-    """``solve(sys, ...)``, on a ``FemSystem`` run in its sine view with the
-    trajectory mapped back to nodal coordinates in place."""
+    """``solve(sys, ...)``, on a ``FemSystem`` run in its sine view; the
+    history maps its rows to nodal coordinates when they are read."""
 
     @functools.wraps(solve)
     def run(sys, *args, **kwargs):
         if not isinstance(sys, meshfem.FemSystem):
             return solve(sys, *args, **kwargs)
         hist = solve(sys.sine, *args, **kwargs)
-        sys.sine.to_nodal(hist.U)
+        hist.view = sys.sine
         return hist
 
     return run

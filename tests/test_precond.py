@@ -6,6 +6,8 @@ its generalized symmetric eigensolve. The stencil matrices below are built
 from Kronecker products, apart from the program's assembly.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -271,9 +273,11 @@ class TestStepTolerance:
 
 
 class TestSelfStartedCg:
-    """The CG step solver picks its own start: the last solution, then the
-    extrapolation 2 D^(n-1) - D^(n-2), with the start's residual formed from
-    the products of its last two solves (nodal SBD, case e, M=16)."""
+    """The CG step solver picks its own start: solve k starts from the
+    polynomial through the last m = min(k-1, START_ORDER) solutions at its
+    own step, sum_j c_j x_(k-j) with c_j = (-1)^(j+1) binom(m, j), and forms
+    the start's residual from the products of those solves (nodal SBD, case
+    e, M=16)."""
 
     N = 120
 
@@ -323,11 +327,14 @@ class TestSelfStartedCg:
         eps = np.finfo(float).eps
         assert calls[0][2] is None and calls[0][3] is None
         for n, (A, b, x0, r0, x, stats) in enumerate(calls, start=1):
-            if n == 2:
-                assert np.array_equal(x0, calls[0][4])
-            elif n > 2:
-                assert np.array_equal(x0, 2.0 * calls[n - 2][4] - calls[n - 3][4])
             if n > 1:
+                # the weighted sum of the last m solutions, in any order of
+                # summation: each entry within the rounding of both sums
+                m = min(n - 1, mf.START_ORDER)
+                terms = np.array([(-1) ** (j + 1) * math.comb(m, j) * calls[n - 1 - j][4]
+                                  for j in range(1, m + 1)])
+                slack = 2 * m * eps * np.abs(terms).sum(axis=0)
+                assert np.all(np.abs(x0 - terms.sum(axis=0)) <= slack), n
                 # the residual formed from stored products is the true one
                 # up to round-off: no drift builds up over the steps
                 drift = np.linalg.norm(r0 - (b - A.matvec(x0)))
@@ -341,3 +348,29 @@ class TestSelfStartedCg:
         extrapolated = sum(c[5]["iterations"] for c in self.march(monkeypatch))
         last = sum(c[5]["iterations"] for c in self.march(monkeypatch, restart=True))
         assert extrapolated < last, (extrapolated, last)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_weights_reproduce_polynomials(self, m):
+        # sum_j c_j p(k - j) = p(k) for every polynomial p of degree < m,
+        # and not for t^m: the start is exact to degree m - 1
+        weights = mf.start_weights(m)
+        assert len(weights) == m and sum(weights) == 1.0
+        k = 10
+        for degree in range(m + 1):
+            got = sum(c * (k - j) ** degree for j, c in enumerate(weights, start=1))
+            assert (got == k ** degree) == (degree < m), degree
+
+    def test_order_two_is_the_linear_start(self, monkeypatch):
+        assert mf.start_weights(2) == [2.0, -1.0]
+        monkeypatch.setattr(mf, "START_ORDER", 2)
+        calls = self.march(monkeypatch)
+        assert np.array_equal(calls[1][2], calls[0][4])
+        for n in range(3, self.N + 1):
+            assert np.array_equal(calls[n - 1][2], 2.0 * calls[n - 2][4] - calls[n - 3][4]), n
+
+    def test_fewer_iterations_than_linear_start(self, monkeypatch):
+        # 786 against 1,318 iterations when the start was introduced
+        order6 = sum(c[5]["iterations"] for c in self.march(monkeypatch))
+        monkeypatch.setattr(mf, "START_ORDER", 2)
+        linear = sum(c[5]["iterations"] for c in self.march(monkeypatch))
+        assert order6 <= 0.7 * linear, (order6, linear)

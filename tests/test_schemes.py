@@ -335,6 +335,13 @@ class TestHistorySum:
         self.march_random(sys_, 3 * schemes.BLOCK + 5, mass_len, stiff_len,
                           lambda j: 0.5 / np.maximum(j, 1) ** 2)
 
+    def test_far_product_in_panels(self, view8, monkeypatch):
+        # panels of three columns, then of one, over the 49 modes: the far
+        # sums match the direct loop however the columns are split
+        monkeypatch.setattr(schemes, "PANEL", 3 * schemes.BLOCK ** 2)
+        self.march_random(view8, 3 * schemes.BLOCK + 5, "N+1", "2",
+                          lambda j: 0.5 / np.maximum(j, 1) ** 2)
+
     @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
     def test_matches_direct_sum(self, scheme, view8, monkeypatch):
         # each scheme's own kernels and loads, caught on their way into the core
@@ -379,6 +386,32 @@ class TestGeneratingFunction:
             expect[:, i] = [float(v + d) for d in mode_march(mass, stiff, lam, load)]
         scale = np.max(np.abs(expect))
         assert np.max(np.abs(hist.U - expect)) <= 1e-12 * scale
+
+
+class TestNodalHistory:
+    """On ``fem_system(M)`` a solve marches in the sine view. Its history
+    maps the last row when ``final`` is read and every row in place on the
+    first read of ``U``, to the bits of the sine view's ``nodal``."""
+
+    @pytest.mark.parametrize("scheme", ["sbd", "l1"])
+    def test_rows_mapped_when_read(self, scheme, monkeypatch):
+        fem, grid = mf.fem_system(8), TimeGrid(0.1, 40)
+        case = ref.get_case("b", 0.5)
+        sine = run_scheme(fem.sine, case, scheme, grid).U
+        rows, real = [], mf.SineSystem.to_nodal
+
+        def spy(self, U):
+            rows.append(len(U))
+            return real(self, U)
+
+        monkeypatch.setattr(mf.SineSystem, "to_nodal", spy)
+        hist = run_scheme(fem, case, scheme, grid)
+        final = hist.final
+        assert rows == [] and np.array_equal(final, fem.sine.nodal(sine[-1]))
+        U = hist.U
+        assert rows == [grid.N + 1]
+        assert all(np.array_equal(got, fem.sine.nodal(x)) for got, x in zip(U, sine))
+        assert hist.U is U and np.array_equal(hist.final, final) and rows == [grid.N + 1]
 
 
 class TestTrajectoryMemory:
