@@ -16,6 +16,9 @@ goes through :func:`run_cell`: one run of one scheme, measured by
 :func:`measure` against the reference :func:`_reference` builds: the
 continuous series, the discrete-modal solution or the scheme's own finer run
 (self-convergence). Studies report H1 errors against the series only.
+A study against the discrete-modal solution builds it for all its times
+before the first cell (``reference.discrete_references``), so a decay
+ladder asks for each Mittag-Leffler factor once, not once per time.
 
 A cell steps, takes its reference and measures in one view (see
 :mod:`meshfem`): ``fem.modal`` against the discrete-modal reference, which
@@ -260,12 +263,20 @@ def _run_scheme(sys, case, scheme, grid, corrected):
     return baselines.solve_baseline(sys, case, scheme, grid)
 
 
+def _time_text(t):
+    """t as ``:g`` prints it where that reads back as t, else its shortest
+    round-trip form, so distinct times never share a label."""
+    text = f"{t:g}"
+    return text if float(text) == t else repr(float(t))
+
+
 def _cells(cfg):
     """(label, rate abscissa, M, t, N) of each cell of a ladder, in report order."""
     if cfg.kind == "temporal":
         return [(f"N={n}", float(n), cfg.M, cfg.t, n) for n in cfg.N_list]
     if cfg.kind == "decay":
-        return [(f"t={t:g}", t, cfg.M, t, cfg.N) for t in sorted(cfg.t_list, reverse=True)]
+        times = sorted(cfg.t_list, reverse=True)
+        return [(f"t={_time_text(t)}", t, cfg.M, t, cfg.N) for t in times]
     return [(f"M={m}", float(m), m, cfg.t, cfg.N) for m in cfg.M_list]
 
 
@@ -294,7 +305,9 @@ def run_cell(cfg, case, scheme, M, t, N, refs):
 
     ``refs`` keeps the references across cells: a series or semidiscrete one
     per t serves every scheme (only spatial studies vary M, and they measure
-    against the series), a self-convergence one is the scheme's own.
+    against the series), a self-convergence one is the scheme's own. A cell
+    builds the reference it finds missing; ``run_study`` has built every
+    semidiscrete one already.
     Returns the view the cell stepped in, the run's history and (L2, H1).
     """
     fem = meshfem.fem_system(M)
@@ -317,6 +330,10 @@ def run_study(cfg):
         normalized = case.v_l2_norm > 0.0
         scale = case.v_l2_norm if normalized else 1.0
         refs = {}
+        if cfg.reference == "discrete_modal":
+            times = list(dict.fromkeys(c[3] for c in cells))
+            sys = meshfem.fem_system(cfg.M).modal
+            refs.update(zip(times, reference.discrete_references(sys, case, times)))
         for scheme in cfg.schemes:
             errs, h1 = [], []
             for _, _, M, t, N in cells:

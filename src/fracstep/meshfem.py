@@ -606,23 +606,28 @@ def system_cache(maxsize):
     """``functools.lru_cache(maxsize)`` for ``func(owner, *key)``, with each
     owner's entries held in the owner itself, so they die with it; one
     cache for all owners would keep every system it has seen alive.
-    ``entries(owner)`` is the owner's dict, least recently used first."""
+    ``entries(owner)`` is the owner's dict, least recently used first;
+    ``store(owner, key, out)`` files ``out`` as the value of
+    ``func(owner, *key)``, for a caller that computes many keys at once."""
     def decorate(func):
         name = f"_{func.__name__}_entries"
 
-        @functools.wraps(func)
-        def cached(owner, *key):
+        def store(owner, key, out):
             entries = vars(owner).setdefault(name, {})
             if key in entries:
-                out = entries.pop(key)
-            else:
-                out = func(owner, *key)
-                if len(entries) >= maxsize:
-                    del entries[next(iter(entries))]
+                del entries[key]
+            elif len(entries) >= maxsize:
+                del entries[next(iter(entries))]
             entries[key] = out
             return out
 
+        @functools.wraps(func)
+        def cached(owner, *key):
+            entries = vars(owner).get(name, {})
+            return store(owner, key, entries[key] if key in entries else func(owner, *key))
+
         cached.entries = lambda owner: vars(owner).get(name, {})
+        cached.store = store
         return cached
 
     return decorate

@@ -24,7 +24,11 @@ definition. The quadrature oracle in the tests checks this identity.
 Every Mittag-Leffler value here comes from ``mlf.mlf_neg`` at its one
 accuracy, ``mlf.DEFAULT_TOL`` (1e-12 relative); the discrete reference's
 modal data need no solve and so carry no step-solver tolerance
-(``meshfem.STEP_RTOL``).
+(``meshfem.STEP_RTOL``). The discrete reference keeps its factors with the
+nodal system per (alpha, t, beta); its ladder form
+(``discrete_references``) asks ``mlf_neg`` once per (alpha, beta) for all
+the times of a study, and an element's value does not depend on the batch
+it is evaluated in, so each time's factor is the one it would get alone.
 """
 
 from __future__ import annotations
@@ -212,34 +216,73 @@ def modal_coefficients(case, K_max=255):
     return ModalExpansion(lam, case.vhat(KK, LL), case.bhat(KK, LL), case.fhat(KK, LL), ks, ls)
 
 
-def _homogeneous_factor(alpha, beta, lam_flat, t):
-    """E_{alpha,beta}(-lam t^alpha) per mode, from one array call of mlf_neg.
+def _homogeneous_factors(alpha, beta, lam_flat, times):
+    """E_{alpha,beta}(-lam t^alpha) per mode for each t in ``times``, from
+    one array call of mlf_neg.
 
-    The call receives each distinct argument lam t^alpha once: the continuous
-    spectrum pi^2 (k^2 + l^2) repeats each value for (k, l) and (l, k), and
-    more often where k^2 + l^2 has several representations.
+    The call receives each distinct argument lam t^alpha of all the times
+    once: the continuous spectrum pi^2 (k^2 + l^2) repeats each value for
+    (k, l) and (l, k), and more often where k^2 + l^2 has several
+    representations. Each time's arguments are formed as for that time
+    alone, and mlf_neg's value of an element does not depend on its batch,
+    so each time's factor is bit for bit the one ``_homogeneous_factor``
+    gives for it.
 
     Nothing is cached here. The discrete reference reads its factors through
     ``_discrete_factor``, which keeps them read-only with the nodal system
     per (alpha, t, beta), at most 128 of them; the continuous reference calls
-    this once per factor of each ``ExactSolution``.
+    ``_homogeneous_factor`` once per factor of each ``ExactSolution``.
     """
-    y_u, inv = np.unique(np.asarray(lam_flat, dtype=float) * t ** alpha, return_inverse=True)
-    return mlf_neg(alpha, beta, y_u)[inv]
+    lam = np.asarray(lam_flat, dtype=float)
+    per_time = [np.unique(lam * t ** alpha, return_inverse=True) for t in times]
+    y, at = np.unique(np.concatenate([y_t for y_t, _ in per_time]), return_inverse=True)
+    e = mlf_neg(alpha, beta, y)
+    parts = np.split(at, np.cumsum([len(y_t) for y_t, _ in per_time])[:-1])
+    return [e[part][inv] for part, (_, inv) in zip(parts, per_time)]
+
+
+def _homogeneous_factor(alpha, beta, lam_flat, t):
+    """``_homogeneous_factors`` at the one time t."""
+    return _homogeneous_factors(alpha, beta, lam_flat, (t,))[0]
 
 
 @meshfem.system_cache(maxsize=128)
 def _discrete_factor(fem, alpha, t, beta):
     """``_homogeneous_factor`` on the spectrum of ``fem.modal``, read-only,
-    kept with ``fem``.
+    kept with ``fem`` per (alpha, t, beta).
 
     Every case on one system shares the spectrum, so cases a and b share
     E_{alpha,1}, and a decay ladder's t = 0.1 repeats the temporal
-    reference's factors.
+    reference's factors. ``_file_factors`` files a whole ladder's
+    factors here at once, through the same bounded entries.
     """
     out = _homogeneous_factor(alpha, beta, fem.modal.lam, t)
     out.flags.writeable = False
     return out
+
+
+def _factor_betas(case):
+    """The betas of the factors ``modal_amplitudes`` asks for at t > 0: 1
+    for v, 2 for b and alpha + g + 1 for each source power t^g."""
+    betas = []
+    if case.v is not None:
+        betas.append(1.0)
+    if case.b is not None:
+        betas.append(2.0)
+    if case.source_space is not None:
+        betas += [case.alpha + g + 1.0 for _, g in case.source_powers]
+    return betas
+
+
+def _file_factors(fem, alpha, times, beta):
+    """File in ``_discrete_factor``'s entries the factors of beta at those
+    of ``times`` it lacks, from one ``_homogeneous_factors`` call."""
+    entries = _discrete_factor.entries(fem)
+    todo = [t for t in times if (alpha, t, beta) not in entries]
+    if todo:
+        for t, out in zip(todo, _homogeneous_factors(alpha, beta, fem.modal.lam, todo)):
+            out.flags.writeable = False
+            _discrete_factor.store(fem, (alpha, t, beta), out)
 
 
 def duhamel_factor(alpha, source_powers, t, factor):
@@ -408,3 +451,18 @@ def discrete_reference(sys, case, t):
         functools.partial(_discrete_factor, sys.fem, case.alpha, t),
     )
     return amp if sys is view else sys.coords(view.nodal(amp))
+
+
+def discrete_references(sys, case, times):
+    """``discrete_reference`` at each of ``times``, a study's time ladder.
+
+    For each beta the case needs (``_factor_betas``), one ``mlf_neg`` call
+    on the distinct arguments of every time not yet cached files the
+    factors of all of them first, so each ``discrete_reference`` reads its
+    factors from the cache. A ladder with more factors than the cache's 128
+    entries evicts its own first ones, which are then computed again one
+    time at a time.
+    """
+    for beta in _factor_betas(case):
+        _file_factors(sys.fem, case.alpha, times, beta)
+    return [discrete_reference(sys, case, t) for t in times]

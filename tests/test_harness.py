@@ -250,6 +250,49 @@ class TestRunStudy:
         expected = 1 if kind == "temporal" else 3
         assert _reference_builds(monkeypatch, "discrete_reference", cfg) == expected
 
+    def test_decay_labels_tell_close_times_apart(self):
+        cfg = StudyConfig(
+            "a", (0.5,), ("be",), "decay", M=8, N=10, t_list=(0.1, 0.1000001, 0.01)
+        )
+        labels = run_study(cfg).blocks[0].labels
+        assert labels == ["t=0.1000001", "t=0.1", "t=0.01"]
+        # a power of ten keeps its short label
+        assert harness._time_text(1e-8) == "1e-08"
+
+    @pytest.mark.parametrize("cases,calls", [("c", [2]), ("ab", [1, 0])])
+    def test_decay_study_asks_each_factor_once(self, monkeypatch, cases, calls):
+        # one mlf_neg call per beta the system lacks, for all eight times
+        counted, _ = _counted_factor_calls(monkeypatch)
+        times = tuple(10.0 ** -k for k in range(1, 9))
+        for cid, n in zip(cases, calls):
+            counted.clear()
+            run_study(StudyConfig(cid, (0.5,), ("be", "sbd"), "decay", M=8, N=10, t_list=times))
+            assert len(counted) == n
+
+    def test_long_decay_ladder_fits_the_factor_cache(self, monkeypatch):
+        counted, fem = _counted_factor_calls(monkeypatch)
+        times = tuple(10.0 ** (-1.0 - 7.0 * k / 59) for k in range(60))
+        report = run_study(StudyConfig("c", (0.5,), ("be",), "decay", M=8, N=10, t_list=times))
+        assert len(counted) == 2
+        assert len(ref._discrete_factor.entries(fem)) <= 128
+        assert len(set(report.blocks[0].labels)) == 60
+
+
+def _counted_factor_calls(monkeypatch):
+    """(betas of the calls of reference.mlf_neg, the fresh M=8 system every
+    study of M=8 now runs on)."""
+    fem = mf.assemble(mf.build_mesh(8))
+    real_system, real_mlf = mf.fem_system, ref.mlf_neg
+    monkeypatch.setattr(mf, "fem_system", lambda M: fem if M == 8 else real_system(M))
+    counted = []
+
+    def mlf_neg(alpha, beta, y):
+        counted.append(beta)
+        return real_mlf(alpha, beta, y)
+
+    monkeypatch.setattr(ref, "mlf_neg", mlf_neg)
+    return counted, fem
+
 
 class TestModalStepping:
     def test_decay_rates_below_the_cg_floor(self):

@@ -320,6 +320,35 @@ class TestDiscreteReference:
         alone = ref._homogeneous_factor(0.5, 1.0, view.lam, 0.1)
         assert np.array_equal(ref._discrete_factor(sys8, 0.5, 0.1, 1.0), alone)
 
+    @pytest.mark.parametrize("cid", "abcdefg")
+    def test_ladder_factors_equal_lone_factors(self, cid):
+        # one call per beta for eight times: each time's factor is the one it
+        # gets alone and the one of mlf_neg on all its modes
+        fem = mf.assemble(mf.build_mesh(8))
+        case = ref.get_case(cid, 0.5 if cid in "abc" else 1.5)
+        view = fem.modal
+        times = [10.0 ** -k for k in range(1, 9)]
+        refs = ref.discrete_references(view, case, times)
+        asked = []
+
+        def factor(beta):
+            asked.append(beta)
+            return ref._discrete_factor(fem, case.alpha, times[0], beta)
+
+        data = [np.zeros(view.n_dof) if g is None else mf.load_vector(view, g)
+                for g in (case.v, case.b, case.source_space)]
+        ref.modal_amplitudes(case, *data, times[0], factor)
+        assert asked == ref._factor_betas(case)
+        entries = ref._discrete_factor.entries(fem)
+        assert len(entries) == len(asked) * len(times)
+        for beta in asked:
+            for t in times:
+                alone = ref._homogeneous_factor(case.alpha, beta, view.lam, t)
+                assert np.array_equal(entries[case.alpha, t, beta], alone)
+                assert np.array_equal(alone, mlf_neg(case.alpha, beta, view.lam * t ** case.alpha))
+        for t, r in zip(times, refs):
+            assert np.array_equal(r, ref.discrete_reference(view, case, t))
+
     def test_dof_guard(self):
         big = mf.assemble(mf.build_mesh(66))
         with pytest.raises(ValueError, match="self-convergence"):
