@@ -1,15 +1,17 @@
-"""Mesh construction, the FEM matrices, and the two data projections.
+"""Mesh construction, the FEM matrices, and the L2 projection of the data.
 
 Builds the uniform triangulations (one lower-left-to-upper-right diagonal
 per cell), shows that the P1 stiffness matrix realizes the classical
 5-point stencil (``fem.stiffness`` is the sine view's, seen in nodal
-coordinates; ``to_dense`` forms it column by column), and measures the O(h^2) convergence of the L2 and Ritz projections of a
-smooth function.
+coordinates; ``to_dense`` forms it column by column), and measures the
+convergence of the L2 projection of smooth data against its sine series,
+in closed form: O(h^2) in L2 and O(h) in H1.
 """
 
 import numpy as np
 
 from fracstep import meshfem as mf
+from fracstep import reference as ref
 
 print("mesh statistics")
 for M in (2, 4, 8, 16):
@@ -30,21 +32,19 @@ print("\nmass matrix partition of unity")
 row_sums = sys4.mass.matvec(np.ones(sys4.n_dof))
 print(f"  central row sum = {row_sums[4]:.6f}  (h^2 = {sys4.mesh.h ** 2:.6f})")
 
-g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-g_grad = lambda x, y: (
-    np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-    np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-)
+# case (a)'s data, the bubble xy(1-x)(1-y), and its sine series at t = 0,
+# against which the projection is measured in closed form
+case = ref.get_case("a", 0.5)
+series = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.0)
 
-print("\nprojection errors for sin(pi x) sin(pi y)")
-print(f"  {'M':>4} {'L2 proj error':>14} {'Ritz proj error':>16}")
+print("\nL2 projection errors for the bubble xy(1-x)(1-y)")
+print(f"  {'M':>4} {'L2 error':>12} {'H1 error':>12}")
 prev = None
 for M in (8, 16, 32):
     sys_ = mf.fem_system(M)
-    e_l2, _ = mf.error_norms(sys_, mf.l2_project(sys_, g), g)
-    e_rz, _ = mf.error_norms(sys_, mf.ritz_project(sys_, g_grad), g)
+    e_l2, e_h1 = series.error_norms(sys_, mf.l2_project(sys_, case.v))
     note = ""
     if prev is not None:
-        note = f"   ratios: {prev[0] / e_l2:.2f}, {prev[1] / e_rz:.2f} (expect 4)"
-    print(f"  {M:>4} {e_l2:14.3e} {e_rz:16.3e}{note}")
-    prev = (e_l2, e_rz)
+        note = f"   ratios: {prev[0] / e_l2:.2f} (expect 4), {prev[1] / e_h1:.2f} (expect 2)"
+    print(f"  {M:>4} {e_l2:12.3e} {e_h1:12.3e}{note}")
+    prev = (e_l2, e_h1)

@@ -16,13 +16,11 @@ from .meshfem import (
     Mesh,
     assemble,
     build_mesh,
-    error_norms,
     fem_system,
     h1_seminorm,
     l2_norm,
     l2_project,
     load_vector,
-    ritz_project,
 )
 from .mlf import MlfAccuracyError, mlf_neg
 from .numkit import CgError, cg_solve

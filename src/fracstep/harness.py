@@ -109,10 +109,14 @@ class StudyConfig:
             raise ConfigError(
                 "decay studies require discrete_modal or self_convergence"
             )
-        for key in ("M_list", "N_list", "t_list"):
-            ladder = getattr(self, key)
-            if len(set(ladder)) != len(ladder):
-                raise ConfigError(f"{key} repeats an entry: {list(ladder)}")
+        # a repeated alpha or scheme would run a block twice, and "be" is
+        # "BE"; a repeated rung would divide a stepwise rate by log(1)
+        for key in ("alphas", "schemes", "M_list", "N_list", "t_list"):
+            entries = getattr(self, key)
+            if key == "schemes":
+                entries = [s.lower() for s in entries]
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"{key} repeats an entry: {list(getattr(self, key))}")
         # the reference is built before any TimeGrid checks its time
         for t in (self.t, *self.t_list):
             if not (math.isfinite(t) and t > 0.0):
@@ -263,11 +267,11 @@ def _run_scheme(sys, case, scheme, grid, corrected):
     return baselines.solve_baseline(sys, case, scheme, grid)
 
 
-def _time_text(t):
-    """t as ``:g`` prints it where that reads back as t, else its shortest
-    round-trip form, so distinct times never share a label."""
-    text = f"{t:g}"
-    return text if float(text) == t else repr(float(t))
+def _number_text(x):
+    """x as ``:g`` prints it where that reads back as x, else its shortest
+    round-trip form, so distinct times or alphas never share a label."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def _cells(cfg):
@@ -276,7 +280,7 @@ def _cells(cfg):
         return [(f"N={n}", float(n), cfg.M, cfg.t, n) for n in cfg.N_list]
     if cfg.kind == "decay":
         times = sorted(cfg.t_list, reverse=True)
-        return [(f"t={_time_text(t)}", t, cfg.M, t, cfg.N) for t in times]
+        return [(f"t={_number_text(t)}", t, cfg.M, t, cfg.N) for t in times]
     return [(f"M={m}", float(m), m, cfg.t, cfg.N) for m in cfg.M_list]
 
 
@@ -369,7 +373,7 @@ def emit(report, fmt="csv"):
     if fmt == "csv":
         lines = ["label,error_l2,error_h1,rate"]
         for blk in report.blocks:
-            prefix = f"{blk.scheme},alpha={blk.alpha:g},"
+            prefix = f"{blk.scheme},alpha={_number_text(blk.alpha)},"
             for lab, e2, e1, r in zip(blk.labels, blk.err_l2, blk.err_h1, blk.rates):
                 lines.append(
                     f"{prefix}{lab}".replace(",", ";")
@@ -385,7 +389,7 @@ def emit(report, fmt="csv"):
             "",
         ]
         for blk in report.blocks:
-            lines.append(f"### {blk.scheme.upper()}, alpha = {blk.alpha:g}")
+            lines.append(f"### {blk.scheme.upper()}, alpha = {_number_text(blk.alpha)}")
             header = "| |" + "|".join(blk.labels) + "|rate|"
             sep = "|---" * (len(blk.labels) + 2) + "|"
             row = (

@@ -47,30 +47,25 @@ division. Three kinds of system share it:
   the pencil (S, M): the mass is the identity, the stiffness diag(lam), an
   assembled nodal load F becomes Phi^T F (``coords``), and a step solve is
   one division per mode (backend ``modal``). So ``l2_project`` gives
-  Phi^T F, ``ritz_project`` Phi^T G / lam and ``l2_norm`` the Euclidean
-  norm. ``fem.modal`` builds it once from the sine view's mass scaled by
-  S^(-1/2) on both sides, which falls apart by the parity of k + l and by
-  the swap of k and l into four blocks, one ``eigh`` each. The view keeps
-  the blocks' eigenvectors in sine coordinates: ``coords`` and ``nodal``
-  (Phi c) go through the sine transform and the blocks, and the dense
-  nodal Phi (``basis``) is formed only when read. The discrete reference
-  reads the view.
+  Phi^T F and ``l2_norm`` the Euclidean norm. ``fem.modal`` builds it once
+  from the sine view's mass scaled by S^(-1/2) on both sides, which falls
+  apart by the parity of k + l and by the swap of k and l into four
+  blocks, one ``eigh`` each. The view keeps the blocks' eigenvectors in
+  sine coordinates: ``coords`` and ``nodal`` (Phi c) go through the sine
+  transform and the blocks, and the dense nodal Phi (``basis``) is formed
+  only when read. The discrete reference reads the view.
 
-The mesh is built over whole arrays. Every cell is the same two triangles,
-so the shape-function gradients are M times one constant integer (2, 3)
-matrix per triangle half (``FemSystem.grads``), exact for every M. Loads
-use a 6-point degree-4 triangle rule. ``load_vector`` keeps each load
-read-only per (system or view, function) in its owner (``system_cache``),
-so it is freed with it; a view's load is its coordinates of the cached
-nodal load, so a function is integrated once per nodal system.
+The mesh is built over whole arrays. Loads use a 6-point degree-4 triangle
+rule. ``load_vector`` keeps each load read-only per (system or view,
+function) in its owner (``system_cache``), so it is freed with it; a view's
+load is its coordinates of the cached nodal load, so a function is
+integrated once per nodal system.
 
 The hat of a node is the box spline of the directions (h, 0), (0, h) and
 (h, h) (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993), whose
 Fourier transform is h^2 times three sincs, so its moments against the sine
 modes have a closed form (``sine_moments``): a FE function's distance to a
-sine series needs no quadrature. ``error_norms`` serves pointwise fields,
-by a degree-10 collapsed-Gauss rule whose points form one tensor grid per
-triangle half and rule point, summed one grid at a time.
+sine series needs no quadrature.
 """
 
 from __future__ import annotations
@@ -108,27 +103,7 @@ def _quad_rule_deg4():
     return pts, np.repeat([_Q4_W1, _Q4_W2], 3)
 
 
-def _quad_rule_collapsed(n=6):
-    """Triangle rule from an n x n Gauss grid via the Duffy collapse.
-
-    Exact for total degree <= 2n-2; n=6 resolves degree 10, comfortably
-    above the degree-4 floor required for error integration.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    # point (i, j), row-major: xi = u_i, eta = u_j (1 - u_i)
-    xi = np.repeat(u, n)
-    eta = np.tile(u, n) * (1.0 - xi)
-    W = np.repeat(wu, n) * np.tile(wu, n) * (1.0 - xi) * 2.0
-    return np.column_stack([1.0 - xi - eta, xi, eta]), W
-
-
-_RULES = {4: _quad_rule_deg4(), 10: _quad_rule_collapsed(6)}
-
-# shape-function gradients on a cell's triangles (n00, n10, n11) and
-# (n00, n11, n01) for h = 1
-_UNIT_GRADS = np.array([[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]])
+_Q4 = _quad_rule_deg4()
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,12 +156,6 @@ class FemSystem:
     def n_dof(self):
         return self.mesh.n_interior
 
-    @property
-    def grads(self):
-        """The shape-function gradients (2, 2, 3) of a cell's lower (index 0)
-        and upper triangle: [t, d, a] is d/dx_d of its vertex a's function."""
-        return self.mesh.M * _UNIT_GRADS
-
     @functools.cached_property
     def mass(self):
         """The mass matrix: the sine view's, in nodal coordinates."""
@@ -223,30 +192,11 @@ class FemSystem:
         """The modal view of this system, built on first use."""
         return ModalSystem(self)
 
-    def quad_points(self, order=4):
-        """Quadrature points (nel, nq, 2) on every element, the weights (nq,)
-        scaled by element area, and the shape values (nq, 3)."""
-        return self._points(order, self.mesh.triangles)
-
-    def grid_points(self, order=10):
-        """The points of ``quad_points(order)`` as 2 nq tensor grids.
-
-        Returns (xs (2 nq, M), ys (2 nq, M), weights, shape values). Point q
-        of triangle t in cell (i, j), element (i M + j) 2 + t, lies at
-        (xs[t nq + q, i], ys[t nq + q, j]), bit for bit: its x does not
-        depend on j nor its y on i, so cells (i, 0) and (0, j) give both.
-        """
-        M = self.mesh.M
-        cells = self.mesh.triangles.reshape(M, M, 2, 3)
-        pts, w, bary = self._points(order, np.concatenate([cells[:, 0], cells[0, :]]))
-        grids = pts.reshape(2, M, 2, len(w), 2).transpose(0, 4, 2, 3, 1).reshape(2, 2, -1, M)
-        return grids[0, 0], grids[1, 1], w, bary
-
-    def _points(self, order, triangles):
-        if order not in _RULES:
-            raise ValueError(f"no quadrature rule of order {order}; orders are {sorted(_RULES)}")
-        bary, wts = _RULES[order]
-        pts = np.einsum("qk,ekd->eqd", bary, self.mesh.nodes[triangles.reshape(-1, 3)])
+    def quad_points(self):
+        """The degree-4 rule's points (nel, nq, 2) on every element, its
+        weights (nq,) scaled by element area, and the shape values (nq, 3)."""
+        bary, wts = _Q4
+        pts = np.einsum("qk,ekd->eqd", bary, self.mesh.nodes[self.mesh.triangles])
         return pts, wts * (0.5 * self.mesh.h ** 2), bary
 
 
@@ -654,22 +604,6 @@ def l2_project(sys, g):
     return sys.step_system(1.0, 0.0).solve(load_vector(sys, g))
 
 
-def ritz_project(sys, g_grad):
-    """Coefficients of the energy projection; ``g_grad(x, y) -> (gx, gy)``."""
-    fem = sys.fem
-    pts, w, _ = fem.quad_points()
-    gx, gy = g_grad(pts[..., 0], pts[..., 1])
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), pts.shape[:2])
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), pts.shape[:2])
-    # element gradients are constant: (grad g, grad phi_a) needs only the
-    # quadrature average of grad g per element, (i M + j) 2 + t for half t
-    mean_gx = (gx @ w).reshape(-1, 2, 1)
-    mean_gy = (gy @ w).reshape(-1, 2, 1)
-    grads = fem.grads
-    contrib = (mean_gx * grads[:, 0] + mean_gy * grads[:, 1]).reshape(-1, 3)
-    return sys.step_system(0.0, 1.0).solve(sys.coords(_scatter(fem, contrib)))
-
-
 def l2_norm(sys, c):
     c = np.asarray(c)
     return float(np.sqrt(max(c @ sys.mass.matvec(c), 0.0)))
@@ -678,44 +612,6 @@ def l2_norm(sys, c):
 def h1_seminorm(sys, c):
     c = np.asarray(c)
     return float(np.sqrt(max(c @ sys.stiffness.matvec(c), 0.0)))
-
-
-def nodal_values(sys, c):
-    """Full nodal vector (zeros on the boundary) from interior coefficients."""
-    full = np.zeros(len(sys.mesh.nodes))
-    sel = sys.mesh.interior_map >= 0
-    full[sel] = np.asarray(c)[sys.mesh.interior_map[sel]]
-    return full
-
-
-def error_norms(sys, c, u_exact, grad_exact=None, order=10):
-    """(L2, H1-seminorm) error between the FE function and a pointwise field.
-
-    The squared errors are summed one grid of ``grid_points`` at a time.
-    ``u_exact(x, y)`` is called per grid, with x (M, 1) and y (1, M). The
-    H1 part is None unless ``grad_exact`` maps the same arguments to
-    (du/dx, du/dy). A sine series is measured in closed form by
-    ``reference.ExactSolution.error_norms`` instead.
-    """
-    xs, ys, w, shape = sys.grid_points(order)
-    M, nq = sys.mesh.M, len(w)
-    with_grad = grad_exact is not None
-    # element (i M + j) 2 + t is [i, j, t]; grid t nq + q holds its point q
-    local = nodal_values(sys, c)[sys.mesh.triangles].reshape(M, M, 2, 3)
-    if with_grad:
-        # the FE gradient is constant per element
-        fe_gx, fe_gy = (np.einsum("ijta,ta->ijt", local, sys.grads[:, d]) for d in (0, 1))
-    sq = np.zeros((2 * nq, 2))  # per grid: squared L2 and H1 errors
-    for g, (x, y) in enumerate(zip(xs[:, :, None], ys[:, None, :])):
-        t, q = divmod(g, nq)
-        d = local[:, :, t] @ shape[q] - u_exact(x, y)
-        sq[g, 0] = np.vdot(d, d)
-        if with_grad:
-            ux, uy = grad_exact(x, y)
-            dx, dy = fe_gx[:, :, t] - ux, fe_gy[:, :, t] - uy
-            sq[g, 1] = np.vdot(dx, dx) + np.vdot(dy, dy)
-    l2_sq, h1_sq = np.tile(w, 2) @ sq
-    return math.sqrt(l2_sq), (math.sqrt(h1_sq) if with_grad else None)
 
 
 def _node_tables(M, modes):

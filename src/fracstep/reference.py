@@ -55,10 +55,6 @@ def _bubble(x, y):
     return x * y * (1.0 - x) * (1.0 - y)
 
 
-def _bubble_grad(x, y):
-    return (1.0 - 2.0 * x) * y * (1.0 - y), x * (1.0 - x) * (1.0 - 2.0 * y)
-
-
 def _factor_bubble(k):
     """integral of x(1-x) sin(k pi x) over (0,1)."""
     k = np.asarray(k, dtype=float)
@@ -86,7 +82,6 @@ class CaseSpec:
     q: float            # spectral regularity exponent of v (rate predictions)
     r: float            # same for b
     v: object           # pointwise callable or None
-    v_grad: object
     b: object
     source_space: object          # spatial factor chi(x, y) or None
     source_powers: tuple          # ((coef, exponent), ...) time monomials
@@ -142,19 +137,17 @@ def get_case(case_id, alpha):
 
     bubble = dict(
         v=_bubble,
-        v_grad=_bubble_grad,
         v_factors=(_factor_bubble, _factor_bubble),
         v_l2_norm=1.0 / 30.0,
         q=2.0,
     )
     strip = dict(
         v=_chi_left,
-        v_grad=None,
         v_factors=(_factor_half, _factor_one),
         v_l2_norm=1.0 / math.sqrt(2.0),
         q=_EPS_HALF,
     )
-    none_v = dict(v=None, v_grad=None, v_factors=None, v_l2_norm=0.0, q=0.0)
+    none_v = dict(v=None, v_factors=None, v_l2_norm=0.0, q=0.0)
     no_b = dict(b=None, b_factors=None, r=0.0)
     no_f = dict(source_space=None, source_powers=(), f_factors=None)
     strip_source = dict(
@@ -311,25 +304,14 @@ def modal_amplitudes(case, vcoef, bcoef, fcoef, t, factor):
     return amp.reshape(vcoef.shape)
 
 
-def _distinct_phases(v, modes):
-    """Inverse index of v into its distinct values u, and the phases m pi u."""
-    vals, inv = np.unique(v, return_inverse=True)
-    return inv.reshape(v.shape), PI * np.outer(vals, modes)
-
-
 class ExactSolution:
     """The truncated series solution at a fixed time.
 
     u(x, y) = 2 sum_{k,l} A[k, l] sin(k pi x) sin(l pi y) over the K x L
-    retained modes. On a grid (x_i, y_j) this is 2 (SX A) SY^T with the sine
-    tables SX[i, k] = sin(k pi x_i), SY[j, l] = sin(l pi y_j); a gradient
-    component swaps one table for its derivative.
-
-    A call or ``grad`` takes any points: broadcast x (..., nx, 1) and
-    y (..., 1, ny) are one nx x ny grid per leading index, any other points
-    1 x 1 grids. It tabulates the distinct x and y once, then spends one
-    (nx x L) @ (L x ny) product per grid. ``error_norms`` measures a FE
-    function against the series in closed form, with no point evaluation.
+    retained modes, held as its amplitudes A (``amplitudes``); the series
+    is never evaluated at points. ``error_norms`` measures a FE function
+    against it in closed form, and ``l2_norm`` and ``h1_seminorm`` are its
+    own norms by Parseval.
     """
 
     def __init__(self, case, expansion, t):
@@ -341,45 +323,6 @@ class ExactSolution:
             case, expansion.vcoef, expansion.bcoef, expansion.fcoef, self.t,
             lambda beta: _homogeneous_factor(case.alpha, beta, lam, self.t),
         )
-
-    def _fields(self, x, y, grad):
-        """u, or (du/dx, du/dy) if grad, at the points."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        if min(x.ndim, y.ndim) < 2 or x.shape[-1] != 1 or y.shape[-2] != 1:
-            x, y = x[..., None, None], y[..., None, None]
-        *batch, nx, ny = np.broadcast_shapes(x.shape, y.shape)
-        n_grids = math.prod(batch)
-        xs = np.broadcast_to(x[..., 0], (*batch, nx)).reshape(n_grids, nx)
-        ys = np.broadcast_to(y[..., 0, :], (*batch, ny)).reshape(n_grids, ny)
-        ix, px = _distinct_phases(xs, self.expansion.ks)
-        iy, py = _distinct_phases(ys, self.expansion.ls)
-        A = 2.0 * self.amplitudes
-        # grids in batches that gather no more entries than A holds
-        step = max(1, len(A) // max(nx + ny, 1))
-
-        def on_grids(xtab, ytab):
-            out = np.empty((n_grids, nx, ny))
-            for s in range(0, n_grids, step):
-                b = slice(s, s + step)
-                np.matmul(xtab[ix[b]], ytab[iy[b]].transpose(0, 2, 1), out=out[b])
-            return out.reshape(shape)
-
-        sx_a, sy = np.sin(px) @ A, np.sin(py)
-        if not grad:
-            return on_grids(sx_a, sy)
-        # the cosine tables overwrite the phases, which are not needed again
-        cx = np.cos(px, out=px)
-        cx *= PI * self.expansion.ks
-        cy = np.cos(py, out=py)
-        cy *= PI * self.expansion.ls
-        return on_grids(cx @ A, sy), on_grids(sx_a, cy)
-
-    def __call__(self, x, y):
-        return self._fields(x, y, False)
-
-    def grad(self, x, y):
-        return self._fields(x, y, True)
 
     def error_norms(self, sys, c):
         """(L2, H1-seminorm) distance to the FE function of coefficients c

@@ -11,7 +11,10 @@ with the mass M, the stiffness S, a mass kernel k^M, a stiffness kernel
 k^S and load vectors F_i weighed by coefficient sequences c_i. A scheme is
 those kernels and loads and the starting vector v = U^0, nothing more; the
 initial value enters once, as S v, and never has to cancel against a
-convolution at its own scale.
+convolution at its own scale. Every scheme starts from the L2 projection
+of the initial data (``initial_coefficients``), as the nonsmooth-data
+analysis does (Jin, Lazarov & Zhou, SIAM J. Numer. Anal. 51, 2013); it is
+also the discrete reference at t = 0.
 
 The two steppers here take the quadrature weights w of the fractional
 differentiation order as k^M and k^S = [1]. Their loads are the source
@@ -93,15 +96,12 @@ class SchemeConfig:
     stepper: str = "BE"              # "BE" | "SBD"
     equation: str = "subdiffusion"   # "subdiffusion" | "diffusion_wave"
     corrected: bool = True
-    initial_projection: str = "L2"   # "L2" | "Ritz"
 
     def __post_init__(self):
         if self.stepper.upper() not in ("BE", "SBD"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.equation not in ("subdiffusion", "diffusion_wave"):
             raise ValueError(f"unknown equation {self.equation!r}")
-        if self.initial_projection not in ("L2", "Ritz"):
-            raise ValueError("initial_projection must be 'L2' or 'Ritz'")
 
 
 class SolutionHistory:
@@ -147,14 +147,11 @@ def _check_compat(case, cfg):
         raise ValueError("diffusion-wave stepping requires 1 < alpha < 2")
 
 
-def initial_coefficients(sys, case, projection="L2"):
+def initial_coefficients(sys, case):
+    """U^0, the L2 projection of the initial data v."""
     if case.v is None:
         return np.zeros(sys.n_dof)
-    if projection == "L2":
-        return meshfem.l2_project(sys, case.v)
-    if case.v_grad is None:
-        raise ValueError("Ritz projection needs data with a gradient")
-    return meshfem.ritz_project(sys, case.v_grad)
+    return meshfem.l2_project(sys, case.v)
 
 
 def _applied(kernel, samples):
@@ -263,5 +260,4 @@ def solve(sys, case, cfg, grid):
     if case.source_space is not None:
         src = _source_scalars(case, cfg, rule, grid)
         loads.append((src + first * src[0], meshfem.load_vector(sys, case.source_space)))
-    v = initial_coefficients(sys, case, cfg.initial_projection)
-    return _march(sys, grid, w, np.ones(1), loads, v)
+    return _march(sys, grid, w, np.ones(1), loads, initial_coefficients(sys, case))

@@ -8,6 +8,8 @@ which replays the package's CG step solver in nodal coordinates, where the
 package no longer steps.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -307,25 +309,6 @@ def gen_sym_eig(S, M):
     return w, np.linalg.solve(L.T, Q)
 
 
-def row_dot_series(sol, x, y):
-    """Value and gradient (u, (du/dx, du/dy)) of the series of a
-    ``reference.ExactSolution`` at broadcast points x, y, one point at a
-    time: the sine and cosine tables of the distinct x and y, then one
-    gathered length-L row dot per point and field."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    A, ks, ls = sol.amplitudes, sol.expansion.ks, sol.expansion.ls
-    ux, ix = np.unique(x.ravel(), return_inverse=True)
-    uy, iy = np.unique(y.ravel(), return_inverse=True)
-    px, py = np.pi * np.outer(ux, ks), np.pi * np.outer(uy, ls)
-    sx_a, sy = np.sin(px) @ A, np.sin(py)
-    cx_a, cy = (np.pi * ks * np.cos(px)) @ A, np.pi * ls * np.cos(py)
-
-    def dots(xtab, ytab):
-        return 2.0 * np.einsum("pl,pl->p", xtab[ix.ravel()], ytab[iy.ravel()]).reshape(x.shape)
-
-    return dots(sx_a, sy), (dots(cx_a, sy), dots(sx_a, cy))
-
-
 def nested_interpolant(u, M, r):
     """Interior nodal values on the mesh r M of the P1 function with interior
     nodal values u on the mesh M. The meshes are nested and cut their cells
@@ -347,25 +330,81 @@ def nested_interpolant(u, M, r):
     return out.ravel()
 
 
-def pointwise_error_norms(sys, c, u_exact, grad_exact=None, order=10):
-    """(L2, H1-seminorm) error of the FE function c against pointwise fields,
-    evaluated at the (nel, nq) points of ``sys.quad_points(order)`` and
-    summed element by element; the H1 part is None without ``grad_exact``."""
-    pts, w, shape = sys.quad_points(order)
-    x, y = pts[..., 0], pts[..., 1]
-    full = np.zeros(len(sys.mesh.nodes))
-    inner = sys.mesh.interior_map >= 0
-    full[inner] = np.asarray(c)[sys.mesh.interior_map[inner]]
-    local = full[sys.mesh.triangles]
-    err = local @ shape.T - np.broadcast_to(np.asarray(u_exact(x, y), dtype=float), x.shape)
-    l2 = float(np.sqrt(np.sum((err * err) @ w)))
-    if grad_exact is None:
-        return l2, None
-    gex, gey = grad_exact(x, y)
-    *_, grads = loop_assembly(sys.mesh.nodes, sys.mesh.triangles, sys.mesh.interior_map)
-    dx = np.einsum("ea,ea->e", grads[:, 0, :], local)[:, None] - gex
-    dy = np.einsum("ea,ea->e", grads[:, 1, :], local)[:, None] - gey
-    return l2, float(np.sqrt(np.sum((dx * dx + dy * dy) @ w)))
+def _collapsed_rule(n):
+    """Triangle rule from an n x n Gauss grid via the Duffy collapse, as
+    (barycentric points (n^2, 3), weights summing to 1/2): exact for total
+    degree <= 2n - 2."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    # point (i, j), row-major: xi = u_i, eta = u_j (1 - u_i)
+    xi = np.repeat(u, n)
+    eta = np.tile(u, n) * (1.0 - xi)
+    return np.column_stack([1.0 - xi - eta, xi, eta]), np.repeat(wu, n) * np.tile(wu, n) * (1.0 - xi)
+
+
+# degree 10, well above the degree 4 that P1 error integrals need
+RULE_10 = _collapsed_rule(6)
+
+
+def series_fields(sol):
+    """The series u = 2 sum A[k, l] sin(k pi x) sin(l pi y) of a
+    ``reference.ExactSolution`` and its gradient, as callables u(x, y) and
+    grad(x, y) -> (du/dx, du/dy) on the tensor grid of x (nx, 1) and
+    y (1, ny): u is 2 (SX A) SY^T for the sine tables SX[i, k] = sin(k pi x_i)
+    and SY[j, l] = sin(l pi y_j), and a gradient component swaps one table
+    for its derivative."""
+    A, ks, ls = 2.0 * sol.amplitudes, sol.expansion.ks, sol.expansion.ls
+
+    def tables(x, y):
+        px, py = np.pi * np.outer(x, ks), np.pi * np.outer(y, ls)
+        return np.sin(px), np.sin(py), np.pi * ks * np.cos(px), np.pi * ls * np.cos(py)
+
+    def u(x, y):
+        sx, sy, _, _ = tables(x, y)
+        return sx @ A @ sy.T
+
+    def grad(x, y):
+        sx, sy, cx, cy = tables(x, y)
+        return cx @ A @ sy.T, sx @ A @ cy.T
+
+    return u, grad
+
+
+def error_norms(sys, c, u, grad=None):
+    """(L2, H1-seminorm) error of the FE function c against the pointwise
+    field u by ``RULE_10``, summed one tensor grid at a time; the H1 part
+    is None without ``grad``.
+
+    Point q of triangle half t lies at the same offset in every cell, so
+    its x depends on the cell's row i alone and its y on the column j: the
+    points of one (t, q) are the grid x (M, 1) by y (1, M) on which u(x, y)
+    and grad(x, y) -> (du/dx, du/dy) are called, and no field over all
+    points is formed."""
+    mesh, M = sys.mesh, sys.mesh.M
+    bary, w = RULE_10
+    w = w * mesh.h ** 2
+    full = np.zeros(len(mesh.nodes))
+    inner = mesh.interior_map >= 0
+    full[inner] = np.asarray(c)[mesh.interior_map[inner]]
+    # element (i M + j) 2 + t is [i, j, t]
+    corners = mesh.nodes[mesh.triangles].reshape(M, M, 2, 3, 2)
+    local = full[mesh.triangles].reshape(M, M, 2, 3)
+    l2_sq = h1_sq = 0.0
+    for t in (0, 1):
+        xs = corners[:, 0, t, :, 0] @ bary.T   # (M, nq)
+        ys = corners[0, :, t, :, 1] @ bary.T
+        # the FE gradient is constant per element, and the shape gradients
+        # are those of every cell's half t
+        fe_grad = local[:, :, t] @ loop_element(corners[0, 0, t])[2].T
+        for q, wq in enumerate(w):
+            x, y = xs[:, q : q + 1], ys[None, :, q]
+            d = local[:, :, t] @ bary[q] - u(x, y)
+            l2_sq += wq * np.vdot(d, d)
+            if grad is not None:
+                gx, gy = grad(x, y)
+                dx, dy = fe_grad[..., 0] - gx, fe_grad[..., 1] - gy
+                h1_sq += wq * (np.vdot(dx, dx) + np.vdot(dy, dy))
+    return math.sqrt(l2_sq), (None if grad is None else math.sqrt(h1_sq))
 
 
 def sine_preconditioner(M, a, b):

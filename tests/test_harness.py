@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _oracles import nested_interpolant, parse_csv
+from _oracles import error_norms, nested_interpolant, parse_csv, series_fields
 
 from fracstep import cli, harness, meshfem as mf, reference as ref, schemes
 from fracstep.harness import REFERENCES, ConfigError, StudyConfig, emit, run_study
@@ -68,6 +68,14 @@ class TestConfig:
     def test_repeated_t_list_entry(self):
         with pytest.raises(ConfigError, match="t_list repeats an entry"):
             StudyConfig("a", (0.5,), ("be",), "decay", t_list=(1e-3, 0.001))
+
+    # a repeated alpha or scheme would run one block twice; "be" is "BE"
+    @pytest.mark.parametrize("alphas,names,key", [
+        ((0.5, 0.5), ("be",), "alphas"), ((0.5,), ("be", "BE"), "schemes"),
+    ], ids=["alphas", "schemes"])
+    def test_repeated_alpha_or_scheme(self, alphas, names, key):
+        with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
+            StudyConfig("a", alphas, names, "temporal", M=4, N_list=(8, 16))
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "study.json"
@@ -168,9 +176,9 @@ class TestRunStudy:
             pairs.append((sys.fem, g))
             return real_load(sys, g)
 
-        def quad(self, order=4):
-            quadratures.append(order)
-            return real_quad(self, order)
+        def quad(self):
+            quadratures.append(self)
+            return real_quad(self)
 
         monkeypatch.setattr(mf, "load_vector", load)
         monkeypatch.setattr(mf.FemSystem, "quad_points", quad)
@@ -257,7 +265,7 @@ class TestRunStudy:
         labels = run_study(cfg).blocks[0].labels
         assert labels == ["t=0.1000001", "t=0.1", "t=0.01"]
         # a power of ten keeps its short label
-        assert harness._time_text(1e-8) == "1e-08"
+        assert harness._number_text(1e-8) == "1e-08"
 
     @pytest.mark.parametrize("cases,calls", [("c", [2]), ("ab", [1, 0])])
     def test_decay_study_asks_each_factor_once(self, monkeypatch, cases, calls):
@@ -437,6 +445,14 @@ class TestEmit:
                 assert gr == r or (gr is None and r is None)
                 k += 1
 
+    def test_alpha_labels_tell_close_alphas_apart(self):
+        cfg = StudyConfig("a", (0.5, 0.5000001), ("be",), "temporal", M=4, N_list=(8, 16))
+        report = run_study(cfg)
+        labels = [row[0] for row in parse_csv(emit(report, "csv"))]
+        assert labels == ["be;alpha=0.5;N=8", "be;alpha=0.5;N=16",
+                          "be;alpha=0.5000001;N=8", "be;alpha=0.5000001;N=16"]
+        assert "### BE, alpha = 0.5000001" in emit(report, "markdown")
+
     def test_parse_csv_rejects_bad_header(self):
         with pytest.raises(ValueError, match="not a study CSV"):
             parse_csv("label,error,rate\nbe;alpha=0.5;N=10,0.1,\n")
@@ -463,18 +479,18 @@ class TestReferenceConsistency:
         t = 0.1
         disc = ref.discrete_reference(sys16, case, t)
         sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), t)
-        l2, _ = mf.error_norms(sys16, disc, sol)
+        l2, _ = error_norms(sys16, disc, series_fields(sol)[0])
         h = 1.0 / 16.0
         # grace factor over c h^2 ||v||, with t^{-alpha} smoothing factor ~ 3
         assert l2 <= 5.0 * h ** 2 * case.v_l2_norm
 
 
 class TestSeriesErrors:
-    @pytest.mark.parametrize("cid", "abcef")
+    @pytest.mark.parametrize("cid", "abcdefg")
     def test_closed_form_against_nested_quadrature(self, cid):
         # the cell's P1 function, exact on the nested mesh 8M, measured there
-        # by quadrature: at most 7.7e-9 in L2 and 1.7e-7 in H1 apart (case
-        # c); the degree-10 quadrature on the cell's own mesh was up to
+        # by quadrature: at most 1.2e-8 in L2 and 2.0e-7 in H1 apart (case
+        # g); the degree-10 quadrature on the cell's own mesh was up to
         # 3.0e-6 and 6.4e-5 away (case c)
         alpha = 0.5 if cid in "abc" else 1.5
         case = ref.get_case(cid, alpha)
@@ -483,7 +499,7 @@ class TestSeriesErrors:
         sys_, hist, (l2, h1) = harness.run_cell(cfg, case, "sbd", 8, 0.1, 10, refs)
         sol = refs[0.1]
         fine = nested_interpolant(sys_.nodal(hist.final), 8, 8)
-        want = mf.error_norms(mf.fem_system(64), fine, sol, sol.grad)
+        want = error_norms(mf.fem_system(64), fine, *series_fields(sol))
         assert l2 == pytest.approx(want[0], rel=1e-7, abs=0.0)
         assert h1 == pytest.approx(want[1], rel=1e-6, abs=0.0)
 

@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import dblquad
 
 from _oracles import (
-    bincount_matvec, gen_sym_eig, loop_assembly, loop_element, loop_matrices, loop_mesh,
-    pointwise_error_norms, row_dot_series,
+    RULE_10, bincount_matvec, error_norms, gen_sym_eig, loop_assembly, loop_element,
+    loop_matrices, loop_mesh,
 )
 from fracstep import baselines, meshfem as mf, reference as ref, schemes
 
@@ -105,31 +105,13 @@ class TestAssembly:
 
     @pytest.mark.parametrize("M", [2, 6, 16, 64])
     def test_matches_element_loop(self, M):
-        # bit for bit: the mesh of the loop, and the gradients of its
-        # elements where M is a power of two, so that the loop's coordinate
-        # differences and determinants are exact; else within a few ulp of M
-        # (the loop is 9 ulp off at M = 6)
+        # bit for bit: the mesh of the loop
         nodes, triangles, interior_map = loop_mesh(M)
         mesh = mf.build_mesh(M)
         for got, want in [
             (mesh.nodes, nodes), (mesh.triangles, triangles), (mesh.interior_map, interior_map)
         ]:
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        grads = np.array([loop_element(nodes[tri])[2] for tri in triangles])
-        # element (i M + j) 2 + t has the gradients of triangle half t
-        closed = np.broadcast_to(mf.assemble(mesh).grads, (M * M, 2, 2, 3)).reshape(-1, 2, 3)
-        if M & (M - 1) == 0:
-            assert np.array_equal(closed, grads)
-        else:
-            assert np.max(np.abs(closed - grads)) <= 16 * np.spacing(float(M))
-
-    def test_gradients_exact_off_powers_of_two(self):
-        # M = 66: the gradients are +-1/h or 0 exactly, with no rounding of h
-        M = 66
-        grads = mf.assemble(mf.build_mesh(M)).grads
-        assert grads.shape == (2, 2, 3)
-        assert np.all((grads == M) | (grads == -M) | (grads == 0.0))
-        assert np.array_equal(np.abs(grads).sum(axis=2), np.full((2, 2), 2.0 * M))
 
     @pytest.mark.parametrize("M", [2, 4, 8, 16])
     def test_nodal_operators_match_element_loop(self, M):
@@ -196,7 +178,7 @@ class TestProjections:
         for M in (8, 16, 32):
             s = mf.assemble(mf.build_mesh(M))
             c = mf.l2_project(s, g)
-            e, _ = mf.error_norms(s, c, g)
+            e, _ = error_norms(s, c, g)
             errs.append(e)
         for k in range(2):
             assert errs[k] / errs[k + 1] == pytest.approx(4.0, rel=0.15)
@@ -241,45 +223,6 @@ class TestProjections:
             ref, err = dblquad(f, lo_x, hi_x, lo_y, hi_y, epsabs=1e-13)
             assert load[dof] == pytest.approx(ref, abs=5e-12)
 
-    def test_ritz_zero_for_zero_data(self, sys4):
-        c = mf.ritz_project(sys4, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
-        assert np.allclose(c, 0.0, atol=1e-14)
-
-    def test_ritz_rate(self):
-        g = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
-        gg = lambda x, y: (
-            np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-        )
-        errs = []
-        for M in (8, 16, 32):
-            s = mf.assemble(mf.build_mesh(M))
-            c = mf.ritz_project(s, gg)
-            e, _ = mf.error_norms(s, c, g)
-            errs.append(e)
-        for k in range(2):
-            assert errs[k] / errs[k + 1] == pytest.approx(4.0, rel=0.2)
-
-    def test_galerkin_orthogonality(self, sys8):
-        # residual of the Ritz system vanishes to solver tolerance
-        gg = lambda x, y: (
-            np.pi * np.cos(np.pi * x) * np.sin(np.pi * y),
-            np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-        )
-        c = mf.ritz_project(sys8, gg)
-        pts, w, _ = sys8.quad_points()
-        gx, gy = gg(pts[..., 0], pts[..., 1])
-        mean_gx = gx @ w
-        mean_gy = gy @ w
-        *_, grads = loop_assembly(*loop_mesh(8))
-        contrib = mean_gx[:, None] * grads[:, 0, :] + mean_gy[:, None] * grads[:, 1, :]
-        rhs = np.zeros(sys8.n_dof)
-        dofs = sys8.mesh.interior_map[sys8.mesh.triangles]
-        ok = dofs >= 0
-        np.add.at(rhs, dofs[ok], contrib[ok])
-        resid = rhs - sys8.stiffness.matvec(c)
-        assert np.max(np.abs(resid)) <= 1e-11 * np.max(np.abs(rhs))
-
 
 class TestNorms:
     def test_zero(self, sys4):
@@ -293,8 +236,9 @@ class TestNorms:
     def test_error_zero_for_fe_function_itself(self, sys8):
         rng = np.random.default_rng(4)
         c = rng.standard_normal(sys8.n_dof)
-        full = mf.nodal_values(sys8, c)
         mesh = sys8.mesh
+        full = np.zeros(len(mesh.nodes))
+        full[mesh.interior_map >= 0] = c
 
         def u(x, y):
             # evaluate the FE function: locate the cell, then the triangle half
@@ -318,54 +262,8 @@ class TestNorms:
                     out[idx] = n00 + t * (n01 - n00) + s * (n11 - n01)
             return out.reshape(x.shape)
 
-        l2, _ = mf.error_norms(sys8, c, u)
+        l2, _ = error_norms(sys8, c, u)
         assert l2 <= 1e-13 * mf.l2_norm(sys8, c)
-
-    @pytest.mark.parametrize("M", [2, 8, 16])
-    @pytest.mark.parametrize("cid,alpha", [("a", 0.5), ("b", 0.5), ("e", 1.5)])
-    def test_series_norms_against_pointwise_oracle(self, cid, alpha, M):
-        # the discrete reference lies O(h^2) from the series, as a solve does
-        case = ref.get_case(cid, alpha)
-        sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.1)
-        s = mf.fem_system(M)
-        c = ref.discrete_reference(s, case, 0.1)
-        l2, h1 = mf.error_norms(s, c, sol, sol.grad)
-        want = pointwise_error_norms(
-            s, c, lambda x, y: row_dot_series(sol, x, y)[0],
-            lambda x, y: row_dot_series(sol, x, y)[1],
-        )
-        assert l2 == pytest.approx(want[0], rel=1e-14, abs=0.0)
-        assert h1 == pytest.approx(want[1], rel=1e-14, abs=0.0)
-        assert mf.error_norms(s, c, sol) == (l2, None)
-
-    @pytest.mark.parametrize("M", [2, 8, 16])
-    def test_plain_callable_norms_against_pointwise_oracle(self, M):
-        s = mf.fem_system(M)
-        case = ref.get_case("a", 0.5)
-        c = mf.l2_project(s, case.v)
-        g = lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y)
-        for u, grad in ((case.v, case.v_grad), (ref._chi_left, None), (g, None)):
-            got, want = mf.error_norms(s, c, u, grad), pointwise_error_norms(s, c, u, grad)
-            assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
-            if grad is None:
-                assert got[1] is want[1] is None
-            else:
-                assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
-
-    def test_series_norms_peak_allocation(self):
-        # the fields are summed grid by grid: no (2 nq, M, M) field and no
-        # table of every distinct point against every mode
-        case = ref.get_case("e", 1.5)
-        sol = ref.exact_solution(case, ref.modal_coefficients(case, 255), 0.1)
-        s = mf.fem_system(64)
-        c = mf.l2_project(s, case.v)
-        tracemalloc.start()
-        try:
-            mf.error_norms(s, c, sol, sol.grad)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12e6, peak
 
     def test_series_closed_form_in_every_view(self):
         # the discrete reference is one FE function in nodal, sine and modal
@@ -418,42 +316,16 @@ class TestEigenvalue:
 
 
 class TestQuadratureRules:
-    @pytest.mark.parametrize("M", [2, 8, 64])
-    @pytest.mark.parametrize("order", [4, 10])
-    def test_grid_points_are_quad_points_bitwise(self, M, order):
-        s = mf.fem_system(M)
-        pts, w, shape = s.quad_points(order)
-        xs, ys, grid_w, grid_shape = s.grid_points(order)
-        nq = len(w)
-        # element (i M + j) 2 + t, rule point q: grid t nq + q, entry (i, j)
-        grids = pts.reshape(M, M, 2, nq, 2).transpose(2, 3, 0, 1, 4).reshape(2 * nq, M, M, 2)
-        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
-        assert xs.shape == ys.shape == (2 * nq, M)
-        full = grids.shape[:3]
-        assert np.array_equal(bits(grids[..., 0]), bits(np.broadcast_to(xs[:, :, None], full)))
-        assert np.array_equal(bits(grids[..., 1]), bits(np.broadcast_to(ys[:, None, :], full)))
-        assert np.array_equal(grid_w, w) and np.array_equal(grid_shape, shape)
-
-    @pytest.mark.parametrize("M", [2, 8, 64])
-    @pytest.mark.parametrize("order", [4, 10])
-    def test_grid_points_are_cell_corners_plus_offset(self, M, order):
-        # every cell holds the rule at the same offset from its corner:
-        # x = i/M + xs[g, 0]
-        xs, ys, _, _ = mf.fem_system(M).grid_points(order)
-        corners = np.arange(M) / M
-        assert np.max(np.abs(xs - corners - xs[:, :1])) <= 2.3e-16
-        assert np.max(np.abs(ys - corners - ys[:, :1])) <= 2.3e-16
-
-    def test_unknown_order_rejected(self, sys4):
-        for call in (sys4.quad_points, sys4.grid_points,
-                     lambda order: mf.error_norms(sys4, np.zeros(9), ref._chi_left, order=order)):
-            with pytest.raises(ValueError, match=r"orders are \[4, 10\]"):
-                call(7)
-
     @pytest.mark.parametrize("order", [4, 10])
     def test_exactness_on_monomials(self, order):
+        # the load rule, and the degree-10 rule of the error oracle
         sys2 = mf.assemble(mf.build_mesh(2))
-        pts, w, shape = sys2.quad_points(order)
+        if order == 4:
+            pts, w, _ = sys2.quad_points()
+        else:
+            bary, w = RULE_10
+            pts = np.einsum("qk,ekd->eqd", bary, sys2.mesh.nodes[sys2.mesh.triangles])
+            w = w * sys2.mesh.h ** 2
         deg = 4 if order == 4 else 8
         # integrate x^a y^b over the square via the rule; compare exactly
         for a in range(deg + 1):
@@ -472,20 +344,17 @@ def modal_view(M):
 # the backward Euler step weight tau^-alpha at tau = 1e-7, alpha = 1.5
 W0 = 1e-7 ** -1.5
 
-# (case, alpha, initial projection) per scheme: the SBD first-step term
-# (v != 0), the sources of (c) and (g), the b data of (f) and the Ritz
-# projection of the bubble (a), (d)
-PRIMARY_CASES = [
-    ("a", 0.5, "Ritz"), ("b", 0.5, "L2"), ("c", 0.5, "L2"),
-    ("d", 1.5, "Ritz"), ("e", 1.5, "L2"), ("f", 1.5, "L2"), ("g", 1.5, "L2"),
-]
+# (case, alpha) per scheme: the SBD first-step term (v != 0), the sources
+# of (c) and (g) and the b data of (f)
+SUB_CASES = [("a", 0.5), ("b", 0.5), ("c", 0.5)]
+WAVE_CASES = [("d", 1.5), ("e", 1.5), ("f", 1.5), ("g", 1.5)]
 MATCH_CASES = {
-    "be": PRIMARY_CASES,
-    "sbd": PRIMARY_CASES,
-    "l1": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
-    "zeng1": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
-    "zeng2": [("a", 0.5, "L2"), ("b", 0.5, "L2"), ("c", 0.5, "L2")],
-    "cn": [("d", 1.5, "L2"), ("e", 1.5, "L2"), ("f", 1.5, "L2"), ("g", 1.5, "L2")],
+    "be": SUB_CASES + WAVE_CASES,
+    "sbd": SUB_CASES + WAVE_CASES,
+    "l1": SUB_CASES,
+    "zeng1": SUB_CASES,
+    "zeng2": SUB_CASES,
+    "cn": WAVE_CASES,
 }
 
 
@@ -567,16 +436,16 @@ class TestStepSolvers:
         base, view = modal_view(8)
         grid = schemes.TimeGrid(0.1, 20)
 
-        def run(sys_, case, projection):
+        def run(sys_, case):
             if scheme in ("be", "sbd"):
                 equation = "subdiffusion" if case.alpha < 1.0 else "diffusion_wave"
-                cfg = schemes.SchemeConfig(scheme.upper(), equation, True, projection)
+                cfg = schemes.SchemeConfig(scheme.upper(), equation, True)
                 return schemes.solve(sys_, case, cfg, grid)
             return baselines.solve_baseline(sys_, case, scheme, grid)
 
-        for cid, alpha, projection in MATCH_CASES[scheme]:
+        for cid, alpha in MATCH_CASES[scheme]:
             case = ref.get_case(cid, alpha)
-            cg, modal = run(base, case, projection), run(view, case, projection)
+            cg, modal = run(base, case), run(view, case)
             assert (cg.backend, modal.backend) == ("cg", "modal")
             nodal = modal.U @ view.basis.T
             assert np.linalg.norm(nodal - cg.U) <= 1e-9 * np.linalg.norm(cg.U), cid

@@ -123,7 +123,6 @@ class TestInvariants:
             q=cb.q,
             r=0.0,
             v=cb.v,
-            v_grad=None,
             b=None,
             source_space=cc.source_space,
             source_powers=cc.source_powers,
@@ -152,19 +151,6 @@ class TestInvariants:
                 math.log2(errs[-3] / errs[-2]) + math.log2(errs[-2] / errs[-1])
             )
             assert rate == pytest.approx(expect, abs=tol), (cid, stepper)
-
-    def test_ritz_initial_projection(self, sys8):
-        case = ref.get_case("a", 0.5)
-        cfg = SchemeConfig("BE", "subdiffusion", initial_projection="Ritz")
-        hist = schemes.solve(sys8, case, cfg, TimeGrid(0.1, 4))
-        expect = mf.ritz_project(sys8, case.v_grad)
-        assert np.allclose(hist.U[0], expect, atol=1e-12)
-
-    def test_ritz_rejected_without_gradient(self, sys8):
-        case = ref.get_case("b", 0.5)
-        cfg = SchemeConfig("BE", "subdiffusion", initial_projection="Ritz")
-        with pytest.raises(ValueError, match="gradient"):
-            schemes.solve(sys8, case, cfg, TimeGrid(0.1, 4))
 
 
 class TestConfigValidation:
