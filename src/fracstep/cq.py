@@ -8,8 +8,10 @@ difference). They are computed with the power-series power recurrence.
 The Taylor coefficients of delta(xi)**alpha depend on neither tau nor the
 number of terms asked for, so the module keeps one growing list of them per
 (delta coefficients, alpha), for at most 64 such pairs (least recently used
-go first). A ladder over N or t therefore runs the recurrence once per rule
-and alpha, up to its largest N, and each call scales a copy by tau**-alpha.
+go first), beside the same floats as an array that is converted again only
+when the list grows. A ladder over N or t therefore runs the recurrence once
+per rule and alpha, up to its largest N, and each call scales the array's
+head by tau**-alpha.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ def get_rule(kind):
         raise ValueError(f"unknown quadrature rule {kind!r}") from None
 
 
+class _Series(list):
+    """A growing list of Taylor coefficients, and ``array``, the same floats
+    as a read-only array, converted again only when the list has grown."""
+
+    array = np.empty(0)
+
+
 @functools.lru_cache(maxsize=64)
 def _series(coeffs, alpha):
     """The one growing list of Taylor coefficients of p(xi)**alpha.
@@ -51,12 +60,12 @@ def _series(coeffs, alpha):
     """
     if coeffs[0] <= 0.0:
         raise ValueError("invalid generating polynomial")
-    return [coeffs[0] ** alpha]
+    return _Series([coeffs[0] ** alpha])
 
 
 def _series_power(coeffs, alpha, n_terms):
     """Taylor coefficients q_0..q_{n_terms-1} of p(xi)**alpha, via the power
-    recurrence on Python floats.
+    recurrence on Python floats, as a read-only array.
 
     With p = sum a_j xi^j and a_0 > 0:
         q_0 = a_0**alpha,
@@ -70,7 +79,10 @@ def _series_power(coeffs, alpha, n_terms):
         for j in range(1, min(n, deg) + 1):
             s += ((alpha + 1.0) * j - n) * a[j] * q[n - j]
         q.append(s / (n * a[0]))
-    return np.array(q[:n_terms])
+    if len(q.array) < len(q):
+        q.array = np.array(q)
+        q.array.flags.writeable = False
+    return q.array[:n_terms]
 
 
 def cq_weights(rule, alpha, tau, N):

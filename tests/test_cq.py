@@ -131,6 +131,16 @@ class TestSeriesCache:
             assert not cold.flags.writeable
             assert results[0][N].tobytes() == results[1][N].tobytes() == cold.tobytes()
 
+    def test_array_converted_only_when_the_list_grows(self):
+        cq._series.cache_clear()
+        first = cq._series_power(SBD.delta_coeffs, 0.7, 41)
+        shorter = cq._series_power(SBD.delta_coeffs, 0.7, 21)
+        assert np.shares_memory(first, shorter) and not first.flags.writeable
+        longer = cq._series_power(SBD.delta_coeffs, 0.7, 81)
+        assert not np.shares_memory(first, longer)
+        assert longer[:41].tobytes() == first.tobytes()
+        assert len(cq._series(SBD.delta_coeffs, 0.7)) == 81
+
     def test_decay_ladder_runs_one_recurrence_per_rule_and_alpha(self, monkeypatch):
         calls = []
         real = cq.cq_weights

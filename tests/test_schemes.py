@@ -220,6 +220,25 @@ def direct_march(mass_matrix, stiff_matrix, mass_kernel, stiff_kernel, loads, st
     return D + start
 
 
+def long_double_march(lam, mass_kernel, stiff_kernel, loads, start, N):
+    """U^0..U^N of the two-kernel march on a modal view of eigenvalues lam,
+    one scalar recursion per mode carried in long double."""
+    ld = np.longdouble
+    lam, start = lam.astype(ld), start.astype(ld)
+    kM, kS = np.zeros(N + 1, ld), np.zeros(N + 1, ld)
+    kM[: len(mass_kernel)], kS[: len(stiff_kernel)] = mass_kernel[: N + 1], stiff_kernel[: N + 1]
+    kappa = kM[:, None] + kS[:, None] * lam
+    S_start, sums = lam * start, np.cumsum(kS)
+    D = np.zeros((N + 1, len(lam)), ld)
+    for n in range(1, N + 1):
+        rhs = -sums[n] * S_start
+        for c, F in loads:
+            rhs += ld(c[n]) * (S_start if F is None else F.astype(ld))
+        rhs -= (kappa[n - 1 : 0 : -1] * D[1:n]).sum(axis=0)
+        D[n] = rhs / kappa[0]
+    return D + start
+
+
 def dense(sys_):
     """The mass and stiffness of a modal view or a nodal system as dense arrays."""
     if isinstance(sys_, mf.ModalSystem):
@@ -309,17 +328,23 @@ class TestHistorySum:
 
     @pytest.mark.parametrize("mass_len", ["N+1", "N", "2", "B+8"])
     @pytest.mark.parametrize("stiff_len", ["N+1", "N", "2"])
-    @pytest.mark.parametrize("system", ["modal", "nodal"])
-    def test_random_kernels_blocked(self, view8, system, mass_len, stiff_len):
+    @pytest.mark.parametrize("system,N", [
+        pytest.param("modal", 3 * schemes.BLOCK + 5, id="modal"),
+        pytest.param("nodal", 3 * schemes.BLOCK + 5, id="nodal"),
+        pytest.param("modal", schemes.BLOCK + 1, id="modal-B+1"),
+        pytest.param("modal", 2 * schemes.BLOCK + 3, id="modal-2B+3"),
+    ])
+    def test_random_kernels_blocked(self, view8, system, N, mass_len, stiff_len):
         # three full blocks and a ragged fourth, so that far parts reach back
         # over more than one block; a mass kernel of BLOCK + 8 entries stops
         # short of the first row, so its windows start inside the trajectory
         # and end in zero padding. Nodal, the sums run through the sparse
         # matvec. Entries decay as 0.5 / j^2, so that the oldest rows still
-        # weigh far above round-off.
+        # weigh far above round-off. On the modal view the steps run in
+        # sub-blocks of SUB; at BLOCK + 1 and 2 BLOCK + 3 steps the last
+        # block holds one and three steps, a ragged sub-block of its own.
         sys_ = view8 if system == "modal" else DenseSteps(mf.fem_system(4))
-        self.march_random(sys_, 3 * schemes.BLOCK + 5, mass_len, stiff_len,
-                          lambda j: 0.5 / np.maximum(j, 1) ** 2)
+        self.march_random(sys_, N, mass_len, stiff_len, lambda j: 0.5 / np.maximum(j, 1) ** 2)
 
     def test_far_product_in_panels(self, view8, monkeypatch):
         # panels of three columns, then of one, over the 49 modes: the far
@@ -328,10 +353,67 @@ class TestHistorySum:
         self.march_random(view8, 3 * schemes.BLOCK + 5, "N+1", "2",
                           lambda j: 0.5 / np.maximum(j, 1) ** 2)
 
-    @pytest.mark.parametrize("scheme", ["be", "sbd", "l1", "zeng1", "zeng2", "cn"])
-    def test_matches_direct_sum(self, scheme, view8, monkeypatch):
-        # each scheme's own kernels and loads, caught on their way into the core
-        N = 24
+    def test_block_products_in_panels(self, view8, monkeypatch):
+        # with a stiffness kernel of N+1 entries the sub-block march has
+        # loads, far and near products for both kernels, and under these
+        # panels each kind is split over the 49 modes somewhere
+        monkeypatch.setattr(schemes, "PANEL", 3 * schemes.BLOCK ** 2)
+        real, split = schemes._product, set()
+
+        def spy(a, b, out):
+            if schemes.PANEL // a.size < b.shape[1]:
+                split.add("loads" if a.shape[1] == 4 else "far" if len(a) == schemes.BLOCK
+                          else "near")
+            return real(a, b, out)
+
+        monkeypatch.setattr(schemes, "_product", spy)
+        self.march_random(view8, 3 * schemes.BLOCK + 5, "N+1", "N+1",
+                          lambda j: 0.5 / np.maximum(j, 1) ** 2)
+        assert split == {"loads", "far", "near"}
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("cid,alpha,stepper", [("d", 1.9, "SBD"), ("d", 1.5, "SBD"), ("e", 1.9, "SBD"),
+                                                   ("e", 1.5, "SBD"), ("d", 1.9, "BE")])
+    def test_wave_round_off_in_sub_blocks(self, view8, monkeypatch, cid, alpha, stepper):
+        # the inverse kernel of a diffusion-wave march grows with its index;
+        # solved for their rows less the last row before the block, the
+        # sub-blocks keep the round-off at most that of the one-step loop
+        # (without that shift it was 2.5 to 5 times the loop's here)
+        case, cfg, grid = ref.get_case(cid, alpha), SchemeConfig(stepper, "diffusion_wave"), TimeGrid(0.1, 320)
+        real, seen = schemes._march, []
+        monkeypatch.setattr(schemes, "_march", lambda *args: seen.append(args) or real(*args))
+        blocked = schemes.solve(view8, case, cfg, grid).U
+        monkeypatch.setattr(schemes, "_division_blocks", schemes._step_loop)
+        looped = schemes.solve(view8, case, cfg, grid).U
+        exact = long_double_march(view8.lam, *seen[0][2:], grid.N)
+        scale = np.abs(exact).max()
+        errors = [float(np.abs(U - exact).max() / scale) for U in (blocked, looped)]
+        assert errors[0] <= errors[1], errors
+
+    @pytest.mark.parametrize("view,N,blocked", [
+        ("modal", schemes.BLOCK, False),
+        ("modal", schemes.BLOCK + 1, True),
+        ("sine", 3 * schemes.BLOCK + 5, False),
+    ])
+    def test_sub_blocks_only_for_long_marches_of_divisions(self, view, N, blocked, monkeypatch):
+        # a modal march of more than BLOCK steps runs in sub-blocks; a shorter
+        # one, and every CG march, steps one solve at a time
+        calls = []
+        real = schemes._division_blocks
+        monkeypatch.setattr(schemes, "_division_blocks", lambda *a: calls.append(N) or real(*a))
+        sys_ = getattr(mf.fem_system(8), view)
+        hist = schemes.solve(sys_, ref.get_case("b", 0.5), SchemeConfig("SBD"), TimeGrid(0.1, N))
+        assert (calls == [N]) == blocked
+        assert hist.backend == ("modal" if view == "modal" else "cg")
+
+    @pytest.mark.parametrize("scheme,N", [
+        *(pytest.param(s, 24, id=s) for s in ("be", "sbd", "l1", "zeng1", "zeng2", "cn")),
+        *(pytest.param(s, 3 * schemes.BLOCK + 5, id=f"{s}-blocked")
+          for s in ("be", "sbd", "l1", "zeng1", "zeng2", "cn")),
+    ])
+    def test_matches_direct_sum(self, scheme, N, view8, monkeypatch):
+        # each scheme's own kernels and loads, caught on their way into the
+        # core; at 3 BLOCK + 5 steps the modal view runs them in sub-blocks
         real, seen = schemes._march, []
 
         def spy(*args):
