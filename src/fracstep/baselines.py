@@ -110,8 +110,7 @@ def _solve_cn(sys, case, grid):
     # f(t_(n-1/2)) at n = 1..N
     loads = _source(sys, case, tau * np.concatenate(([0.0], np.arange(0.5, N))))
     if case.b is not None:
-        b = meshfem.l2_project(sys, case.b)
-        loads.append((c * tau * np.concatenate(([0.0], a)), sys.mass.matvec(b)))
+        loads.append((c * tau * np.concatenate(([0.0], a)), meshfem.load_vector(sys, case.b)))
     return schemes._march(sys, grid, mass, np.array([0.5, 0.5]), loads,
                           initial_coefficients(sys, case))
 

@@ -17,8 +17,8 @@ goes through :func:`run_cell`: one run of one scheme, measured by
 continuous series, the discrete-modal solution or the scheme's own finer run
 (self-convergence). Studies report H1 errors against the series only.
 A study against the discrete-modal solution builds it for all its times
-before the first cell (``reference.discrete_references``), so a decay
-ladder asks for each Mittag-Leffler factor once, not once per time.
+in one ``reference.discrete_reference`` call before the first cell, so a
+decay ladder asks for each Mittag-Leffler factor once, not once per time.
 
 A cell steps, takes its reference and measures in one view (see
 :mod:`meshfem`): ``fem.modal`` against the discrete-modal reference, which
@@ -311,7 +311,7 @@ def run_cell(cfg, case, scheme, M, t, N, refs):
     per t serves every scheme (only spatial studies vary M, and they measure
     against the series), a self-convergence one is the scheme's own. A cell
     builds the reference it finds missing; ``run_study`` has built every
-    semidiscrete one already.
+    semidiscrete one already, for all its times in one call.
     Returns the view the cell stepped in, the run's history and (L2, H1).
     """
     fem = meshfem.fem_system(M)
@@ -337,7 +337,7 @@ def run_study(cfg):
         if cfg.reference == "discrete_modal":
             times = list(dict.fromkeys(c[3] for c in cells))
             sys = meshfem.fem_system(cfg.M).modal
-            refs.update(zip(times, reference.discrete_references(sys, case, times)))
+            refs.update(zip(times, reference.discrete_reference(sys, case, times)))
         for scheme in cfg.schemes:
             errs, h1 = [], []
             for _, _, M, t, N in cells:

@@ -57,9 +57,10 @@ division. Three kinds of system share it:
 
 The mesh is built over whole arrays. Loads use a 6-point degree-4 triangle
 rule. ``load_vector`` keeps each load read-only per (system or view,
-function) in its owner (``system_cache``), so it is freed with it; a view's
-load is its coordinates of the cached nodal load, so a function is
-integrated once per nodal system.
+function) in its owner (``owner_cache``, which the discrete reference's
+factors share), so it is freed with it; a view's load is its coordinates
+of the cached nodal load, so a function is integrated once per nodal
+system.
 
 The hat of a node is the box spline of the directions (h, 0), (0, h) and
 (h, h) (de Boor, Hollig & Riemenschneider, *Box Splines*, 1993), whose
@@ -552,51 +553,44 @@ def _scatter(fem, contrib):
     return np.bincount(dofs[ok], weights=contrib[ok], minlength=fem.n_dof)
 
 
-def system_cache(maxsize):
-    """``functools.lru_cache(maxsize)`` for ``func(owner, *key)``, with each
-    owner's entries held in the owner itself, so they die with it; one
-    cache for all owners would keep every system it has seen alive.
-    ``entries(owner)`` is the owner's dict, least recently used first;
-    ``store(owner, key, out)`` files ``out`` as the value of
-    ``func(owner, *key)``, for a caller that computes many keys at once."""
-    def decorate(func):
-        name = f"_{func.__name__}_entries"
+def owner_cache(owner, name, maxsize, keys, compute):
+    """The values of ``keys``, read-only, from the dict ``name`` held in
+    ``owner`` itself, so they die with it; one cache for all owners would
+    keep every system it has seen alive.
 
-        def store(owner, key, out):
-            entries = vars(owner).setdefault(name, {})
-            if key in entries:
-                del entries[key]
-            elif len(entries) >= maxsize:
-                del entries[next(iter(entries))]
-            entries[key] = out
-            return out
-
-        @functools.wraps(func)
-        def cached(owner, *key):
-            entries = vars(owner).get(name, {})
-            return store(owner, key, entries[key] if key in entries else func(owner, *key))
-
-        cached.entries = lambda owner: vars(owner).get(name, {})
-        cached.store = store
-        return cached
-
-    return decorate
+    ``compute(missing)`` gives the values of the keys the dict lacks, in
+    one call. Every value asked for is filed again as the most recent, and
+    the least recently used go past ``maxsize``; the values come back from
+    this call, so one the filing evicts is never computed again."""
+    entries = vars(owner).setdefault(name, {})
+    wanted = dict.fromkeys(keys)
+    found = {k: entries.pop(k) for k in wanted if k in entries}
+    missing = [k for k in wanted if k not in found]
+    if missing:
+        found.update(zip(missing, compute(missing)))
+    for key in wanted:
+        found[key].flags.writeable = False
+        entries[key] = found[key]
+        if len(entries) > maxsize:
+            del entries[next(iter(entries))]
+    return [found[k] for k in keys]
 
 
-@system_cache(maxsize=64)
 def load_vector(sys, g):
     """Load vector (g, phi_i) in sys's coordinates, for a pure function
     ``g``, read-only: on a nodal system by elementwise quadrature, on a view
-    the coordinates of its system's load. Cached per (system or view,
-    function), as ladders repeat them."""
-    if sys.fem is sys:
-        pts, w, shape = sys.quad_points()
-        vals = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
-        load = _scatter(sys, np.einsum("eq,q,qa->ea", vals, w, shape))
-    else:
-        load = sys.coords(load_vector(sys.fem, g))
-    load.flags.writeable = False
-    return load
+    the coordinates of its system's load. Each system or view keeps its
+    last 64 loads (``owner_cache``), as ladders repeat them."""
+    return owner_cache(sys, "_loads", 64, (g,), lambda _: [_load(sys, g)])[0]
+
+
+def _load(sys, g):
+    """``load_vector`` computed afresh."""
+    if sys.fem is not sys:
+        return sys.coords(load_vector(sys.fem, g))
+    pts, w, shape = sys.quad_points()
+    vals = np.broadcast_to(np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2])
+    return _scatter(sys, np.einsum("eq,q,qa->ea", vals, w, shape))
 
 
 def l2_project(sys, g):

@@ -24,11 +24,11 @@ definition. The quadrature oracle in the tests checks this identity.
 Every Mittag-Leffler value here comes from ``mlf.mlf_neg`` at its one
 accuracy, ``mlf.DEFAULT_TOL`` (1e-12 relative); the discrete reference's
 modal data need no solve and so carry no step-solver tolerance
-(``meshfem.STEP_RTOL``). The discrete reference keeps its factors with the
-nodal system per (alpha, t, beta); its ladder form
-(``discrete_references``) asks ``mlf_neg`` once per (alpha, beta) for all
-the times of a study, and an element's value does not depend on the batch
-it is evaluated in, so each time's factor is the one it would get alone.
+(``meshfem.STEP_RTOL``). The discrete reference takes one time or a
+study's whole ladder, keeps its factors with the nodal system per
+(alpha, t, beta), and asks ``mlf_neg`` once per (alpha, beta) for all the
+times it lacks; an element's value does not depend on the batch it is
+evaluated in, so each time's factor is the one it would get alone.
 """
 
 from __future__ import annotations
@@ -218,13 +218,11 @@ def _homogeneous_factors(alpha, beta, lam_flat, times):
     (k, l) and (l, k), and more often where k^2 + l^2 has several
     representations. Each time's arguments are formed as for that time
     alone, and mlf_neg's value of an element does not depend on its batch,
-    so each time's factor is bit for bit the one ``_homogeneous_factor``
-    gives for it.
+    so each time's factor is bit for bit the one a call at that time alone
+    gives.
 
-    Nothing is cached here. The discrete reference reads its factors through
-    ``_discrete_factor``, which keeps them read-only with the nodal system
-    per (alpha, t, beta), at most 128 of them; the continuous reference calls
-    ``_homogeneous_factor`` once per factor of each ``ExactSolution``.
+    Nothing is cached here. ``ExactSolution`` asks for one time per factor;
+    the discrete reference reads its factors through ``_discrete_factors``.
     """
     lam = np.asarray(lam_flat, dtype=float)
     per_time = [np.unique(lam * t ** alpha, return_inverse=True) for t in times]
@@ -234,48 +232,21 @@ def _homogeneous_factors(alpha, beta, lam_flat, times):
     return [e[part][inv] for part, (_, inv) in zip(parts, per_time)]
 
 
-def _homogeneous_factor(alpha, beta, lam_flat, t):
-    """``_homogeneous_factors`` at the one time t."""
-    return _homogeneous_factors(alpha, beta, lam_flat, (t,))[0]
+def _discrete_factors(fem, alpha, beta, times):
+    """``_homogeneous_factors`` on the spectrum of ``fem.modal`` at each of
+    ``times``, read-only: those ``fem`` keeps, and the rest from one call.
 
-
-@meshfem.system_cache(maxsize=128)
-def _discrete_factor(fem, alpha, t, beta):
-    """``_homogeneous_factor`` on the spectrum of ``fem.modal``, read-only,
-    kept with ``fem`` per (alpha, t, beta).
-
-    Every case on one system shares the spectrum, so cases a and b share
-    E_{alpha,1}, and a decay ladder's t = 0.1 repeats the temporal
-    reference's factors. ``_file_factors`` files a whole ladder's
-    factors here at once, through the same bounded entries.
+    ``fem`` keeps its last 128 factors per (alpha, t, beta)
+    (``meshfem.owner_cache``). Every case on one system shares the
+    spectrum, so cases a and b share E_{alpha,1}, and a decay ladder's
+    t = 0.1 repeats the temporal reference's factors. A ladder longer than
+    the cache still asks mlf_neg once: the factors come back from the call
+    that files them.
     """
-    out = _homogeneous_factor(alpha, beta, fem.modal.lam, t)
-    out.flags.writeable = False
-    return out
-
-
-def _factor_betas(case):
-    """The betas of the factors ``modal_amplitudes`` asks for at t > 0: 1
-    for v, 2 for b and alpha + g + 1 for each source power t^g."""
-    betas = []
-    if case.v is not None:
-        betas.append(1.0)
-    if case.b is not None:
-        betas.append(2.0)
-    if case.source_space is not None:
-        betas += [case.alpha + g + 1.0 for _, g in case.source_powers]
-    return betas
-
-
-def _file_factors(fem, alpha, times, beta):
-    """File in ``_discrete_factor``'s entries the factors of beta at those
-    of ``times`` it lacks, from one ``_homogeneous_factors`` call."""
-    entries = _discrete_factor.entries(fem)
-    todo = [t for t in times if (alpha, t, beta) not in entries]
-    if todo:
-        for t, out in zip(todo, _homogeneous_factors(alpha, beta, fem.modal.lam, todo)):
-            out.flags.writeable = False
-            _discrete_factor.store(fem, (alpha, t, beta), out)
+    return meshfem.owner_cache(
+        fem, "_factors", 128, [(alpha, t, beta) for t in times],
+        lambda keys: _homogeneous_factors(alpha, beta, fem.modal.lam, [t for _, t, _ in keys]),
+    )
 
 
 def duhamel_factor(alpha, source_powers, t, factor):
@@ -321,7 +292,7 @@ class ExactSolution:
         lam = expansion.lam.ravel()
         self.amplitudes = modal_amplitudes(
             case, expansion.vcoef, expansion.bcoef, expansion.fcoef, self.t,
-            lambda beta: _homogeneous_factor(case.alpha, beta, lam, self.t),
+            lambda beta: _homogeneous_factors(case.alpha, beta, lam, (self.t,))[0],
         )
 
     def error_norms(self, sys, c):
@@ -373,7 +344,8 @@ def _eigensystem(sys):
 def discrete_reference(sys, case, t):
     """The semidiscrete solution, exact in time, in the coordinates of ``sys``:
     nodal on a ``FemSystem``, sine on its sine view, the modal amplitudes
-    Phi^T M u on its modal view.
+    Phi^T M u on its modal view. ``t`` is one time, or a sequence of times,
+    a study's ladder, for one row per time.
 
     The L2 projection c = M^-1 F of a load vector F has the modal
     coefficients Phi^T M c = Phi^T F, the load in the modal view's
@@ -381,31 +353,18 @@ def discrete_reference(sys, case, t):
     As t -> 0 the reference tends to this projection; a CG tolerance here
     would leave an error floor of about 1e-12 ||v|| against a scheme that
     projects exactly, as every scheme on the modal view does.
+
+    Each factor E_{alpha,beta} is asked for all the times at once
+    (``_discrete_factors``) the first time a time needs it, so a ladder
+    makes at most one mlf_neg call per beta.
     """
     view = sys.fem.modal
-
-    def coeffs(func):
-        if func is None:
-            return np.zeros(view.n_dof)
-        return meshfem.load_vector(view, func)
-
-    amp = modal_amplitudes(
-        case, coeffs(case.v), coeffs(case.b), coeffs(case.source_space), t,
-        functools.partial(_discrete_factor, sys.fem, case.alpha, t),
-    )
-    return amp if sys is view else sys.coords(view.nodal(amp))
-
-
-def discrete_references(sys, case, times):
-    """``discrete_reference`` at each of ``times``, a study's time ladder.
-
-    For each beta the case needs (``_factor_betas``), one ``mlf_neg`` call
-    on the distinct arguments of every time not yet cached files the
-    factors of all of them first, so each ``discrete_reference`` reads its
-    factors from the cache. A ladder with more factors than the cache's 128
-    entries evicts its own first ones, which are then computed again one
-    time at a time.
-    """
-    for beta in _factor_betas(case):
-        _file_factors(sys.fem, case.alpha, times, beta)
-    return [discrete_reference(sys, case, t) for t in times]
+    times = np.ravel(t).tolist()
+    ladder = functools.cache(lambda beta: _discrete_factors(sys.fem, case.alpha, beta, times))
+    data = [np.zeros(view.n_dof) if g is None else meshfem.load_vector(view, g)
+            for g in (case.v, case.b, case.source_space)]
+    rows = []
+    for i, ti in enumerate(times):
+        amp = modal_amplitudes(case, *data, ti, lambda beta: ladder(beta)[i])
+        rows.append(amp if sys is view else sys.coords(view.nodal(amp)))
+    return rows[0] if np.ndim(t) == 0 else np.array(rows)

@@ -357,8 +357,7 @@ def solve(sys, case, cfg, grid):
         first[1] = 0.5    # the second-order stepper's first-step weight
         loads.append((-first, None))
     if cfg.equation == "diffusion_wave" and case.b is not None:
-        b = meshfem.l2_project(sys, case.b)
-        loads.append((_applied(w, grid.times()), sys.mass.matvec(b)))
+        loads.append((_applied(w, grid.times()), meshfem.load_vector(sys, case.b)))
     if case.source_space is not None:
         src = _source_scalars(case, cfg, rule, grid)
         loads.append((src + first * src[0], meshfem.load_vector(sys, case.source_space)))

@@ -197,7 +197,7 @@ class TestRunStudy:
         distinct = set(pairs)
         assert len(pairs) > 3 * len(distinct)
         assert len(quadratures) == len(distinct)
-        assert sum(len(real_load.entries(f)) for f in fresh.values()) == len(distinct)
+        assert sum(len(vars(f)["_loads"]) for f in fresh.values()) == len(distinct)
         for fem, g in distinct:
             assert isinstance(fem, mf.FemSystem)
             cached = real_load(fem, g)
@@ -246,17 +246,18 @@ class TestRunStudy:
                 "e", (1.5,), schemes, "spatial", M_list=(4, 8), N=10, t=0.1, K_max=31
             )
 
-        assert _reference_builds(monkeypatch, "exact_solution", cfg) == 1
+        assert len(_reference_builds(monkeypatch, "exact_solution", cfg)) == 1
 
     @pytest.mark.parametrize("kind", ["temporal", "decay"])
     def test_discrete_reference_built_once_per_t(self, kind, monkeypatch):
+        # one call per study, which carries every time once
         def cfg(schemes):
             if kind == "temporal":
                 return StudyConfig("b", (0.5,), schemes, kind, M=8, N_list=(10, 20), t=0.1)
             return StudyConfig("b", (0.5,), schemes, kind, M=8, N=10, t_list=(1e-3, 1e-4, 1e-5))
 
-        expected = 1 if kind == "temporal" else 3
-        assert _reference_builds(monkeypatch, "discrete_reference", cfg) == expected
+        (times,) = _reference_builds(monkeypatch, "discrete_reference", cfg)
+        assert list(times) == ([0.1] if kind == "temporal" else [1e-3, 1e-4, 1e-5])
 
     def test_decay_labels_tell_close_times_apart(self):
         cfg = StudyConfig(
@@ -278,12 +279,41 @@ class TestRunStudy:
             assert len(counted) == n
 
     def test_long_decay_ladder_fits_the_factor_cache(self, monkeypatch):
+        _check_long_decay_ladder(monkeypatch, 60)
+
+    def test_decay_ladder_beyond_the_factor_cache_asks_each_factor_once(self, monkeypatch):
+        # 130 times need 260 factors, more than the 128 a system keeps; when
+        # the filing evicted the ladder's first factors and they were asked
+        # for again one time each, this ladder made 262 mlf_neg calls
+        _check_long_decay_ladder(monkeypatch, 130)
+
+    def test_decay_ladder_run_twice_on_one_system(self, monkeypatch):
+        # the second study finds 128 of its 130 factors filed: its two
+        # misses, filed first, must not evict the hits it reads after them
         counted, fem = _counted_factor_calls(monkeypatch)
-        times = tuple(10.0 ** (-1.0 - 7.0 * k / 59) for k in range(60))
-        report = run_study(StudyConfig("c", (0.5,), ("be",), "decay", M=8, N=10, t_list=times))
-        assert len(counted) == 2
-        assert len(ref._discrete_factor.entries(fem)) <= 128
-        assert len(set(report.blocks[0].labels)) == 60
+        times = tuple(10.0 ** (-1.0 - 7.0 * k / 64) for k in range(65))
+        cfg = StudyConfig("c", (0.5,), ("be",), "decay", M=8, N=10, t_list=times)
+        first = run_study(cfg)
+        assert len(counted) == 2 and len(vars(fem)["_factors"]) == 128
+        again = run_study(cfg)
+        assert len(counted) == 4
+        assert emit(again, "csv") == emit(first, "csv")
+
+
+def _check_long_decay_ladder(monkeypatch, n_times):
+    """A case-c decay study of n_times times at M=8 asks mlf_neg once per
+    beta, keeps at most 128 factors, and each is bit for bit the one of its
+    time alone."""
+    counted, fem = _counted_factor_calls(monkeypatch)
+    times = tuple(10.0 ** (-1.0 - 7.0 * k / (n_times - 1)) for k in range(n_times))
+    report = run_study(StudyConfig("c", (0.5,), ("be",), "decay", M=8, N=10, t_list=times))
+    assert len(counted) == 2
+    entries = vars(fem)["_factors"]
+    assert len(entries) == min(2 * n_times, 128)
+    assert len(set(report.blocks[0].labels)) == n_times
+    for (alpha, t, beta), factor in entries.items():
+        alone = ref._homogeneous_factors(alpha, beta, fem.modal.lam, (t,))[0]
+        assert np.array_equal(factor, alone)
 
 
 def _counted_factor_calls(monkeypatch):
@@ -412,20 +442,21 @@ class TestModalStepping:
 
 
 def _reference_builds(monkeypatch, builder, cfg):
-    """Calls of ``reference.<builder>`` in a be+sbd study built by cfg(schemes),
-    after checking its CSV equals the two single-scheme CSVs joined."""
+    """The times of the calls of ``reference.<builder>(sys, case, t)`` in a
+    be+sbd study built by cfg(schemes), after checking its CSV equals the
+    two single-scheme CSVs joined."""
     rows = [emit(run_study(cfg((s,))), "csv").split("\n", 1) for s in ("be", "sbd")]
     separate = rows[0][0] + "\n" + rows[0][1] + rows[1][1]
     calls = []
     real = getattr(ref, builder)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[2])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ref, builder, counted)
     assert emit(run_study(cfg(("be", "sbd"))), "csv") == separate
-    return len(calls)
+    return calls
 
 
 class TestEmit:

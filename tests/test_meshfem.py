@@ -513,8 +513,8 @@ class TestStepSolvers:
         ref.discrete_reference(fem, case, 0.1)
         mf.l2_project(fem, case.source_space)
         mf.load_vector(fem.sine, case.source_space)
-        assert mf.load_vector.entries(fem) and ref._discrete_factor.entries(fem)
-        assert mf.load_vector.entries(fem.modal) and mf.load_vector.entries(fem.sine)
+        assert vars(fem)["_loads"] and vars(fem)["_factors"]
+        assert vars(fem.modal)["_loads"] and vars(fem.sine)["_loads"]
         gone = [weakref.ref(x) for x in (fem, fem.modal, fem.sine)]
         del fem
         gc.collect()
@@ -529,6 +529,38 @@ class TestStepSolvers:
         # 64 entries; loads[0], the oldest, is used again, so loads[1] goes
         assert mf.load_vector(fem, loads[0]) is first
         mf.load_vector(fem, loads[64])
-        kept = list(mf.load_vector.entries(fem))
-        assert len(kept) == 64 and (loads[1],) not in kept
-        assert kept[-2:] == [(loads[0],), (loads[64],)]
+        kept = list(vars(fem)["_loads"])
+        assert len(kept) == 64 and loads[1] not in kept
+        assert kept[-2:] == [loads[0], loads[64]]
+
+    def test_owner_cache_returns_what_its_filing_evicts(self):
+        # six keys through a cache of four: one compute call for the four
+        # missing ones, every value returned, the last four filed kept
+        owner = mf.assemble(mf.build_mesh(2))
+        calls = []
+
+        def compute(keys):
+            calls.append(list(keys))
+            return [np.full(1, float(k)) for k in keys]
+
+        first = mf.owner_cache(owner, "_test", 4, [0], compute)[0]
+        got = mf.owner_cache(owner, "_test", 4, [1, 2, 0, 3, 4, 2], compute)
+        assert calls == [[0], [1, 2, 3, 4]]
+        assert [float(v[0]) for v in got] == [1, 2, 0, 3, 4, 2]
+        assert got[2] is first and got[1] is got[5]
+        assert list(vars(owner)["_test"]) == [2, 0, 3, 4]
+        assert not any(v.flags.writeable for v in got)
+
+    def test_owner_cache_hit_outlives_the_misses_filed_before_it(self):
+        # a full cache of four; the two misses filed first evict 0 and 1,
+        # yet 0 is a hit of the same call, taken out before any filing
+        owner = mf.assemble(mf.build_mesh(2))
+
+        def compute(keys):
+            return [np.full(1, float(k)) for k in keys]
+
+        kept = mf.owner_cache(owner, "_test", 4, [0, 1, 2, 3], compute)
+        got = mf.owner_cache(owner, "_test", 4, [5, 6, 0], compute)
+        assert [float(v[0]) for v in got] == [5, 6, 0]
+        assert got[2] is kept[0]
+        assert list(vars(owner)["_test"]) == [3, 5, 6, 0]

@@ -124,7 +124,7 @@ class TestExactSolution:
             return mlf_neg(alpha, alpha, lam * w) * (1.0 + s ** 0.2) / alpha
 
         oracle, err = quad(integrand, 0.0, t ** alpha, epsabs=1e-14, limit=300)
-        factor = lambda beta: ref._homogeneous_factor(alpha, beta, np.array([lam]), t)
+        factor = lambda beta: ref._homogeneous_factors(alpha, beta, np.array([lam]), (t,))[0]
         mine = ref.duhamel_factor(alpha, ((1.0, 0.0), (1.0, 0.2)), t, factor)[0]
         assert mine == pytest.approx(oracle, rel=1e-8)
 
@@ -180,13 +180,13 @@ class TestModeFactors:
         y = lam * t ** alpha
         for beta in (1.0, 2.0):
             per_mode = mlf_neg(alpha, beta, y)
-            assert np.array_equal(ref._homogeneous_factor(alpha, beta, lam, t), per_mode)
+            assert np.array_equal(ref._homogeneous_factors(alpha, beta, lam, (t,))[0], per_mode)
         powers = ((1.0, 0.0), (1.0, 0.2))
         per_mode = np.zeros(len(lam))
         for c, g in powers:
             pref = c * math.gamma(g + 1.0) * t ** (alpha + g)
             per_mode += pref * mlf_neg(alpha, alpha + g + 1.0, y)
-        factor = lambda beta: ref._homogeneous_factor(alpha, beta, lam, t)
+        factor = lambda beta: ref._homogeneous_factors(alpha, beta, lam, (t,))[0]
         assert np.array_equal(ref.duhamel_factor(alpha, powers, t, factor), per_mode)
 
     @pytest.mark.parametrize("cid,alpha,factors", [("e", 1.5, 1), ("c", 0.5, 2)])
@@ -245,7 +245,7 @@ class TestDiscreteReference:
             return real(a, b, y)
 
         monkeypatch.setattr(ref, "mlf_neg", counted)
-        ref._discrete_factor.entries(sys8).clear()
+        vars(sys8).pop("_factors", None)
         view = sys8.modal
         calls = [(cid, t) for t in (0.1, 0.01) for cid in "abc"] + [("a", 0.1), ("b", 0.01)]
         for cid, t in calls:
@@ -253,44 +253,63 @@ class TestDiscreteReference:
             nodal = ref.discrete_reference(sys8, c, t)
             assert np.array_equal(nodal, view.nodal(ref.discrete_reference(view, c, t)))
         assert sorted(received) == sorted([(0.5, 1.0), (0.5, 1.5), (0.5, 1.7)] * 2)
-        assert len(ref._discrete_factor.entries(sys8)) == len(received)
+        entries = vars(sys8)["_factors"]
+        assert len(entries) == len(received)
         for key_t in (0.1, 0.01):
             for beta in (1.0, 1.5, 1.7):
-                cached = ref._discrete_factor(sys8, 0.5, key_t, beta)
+                (cached,) = ref._discrete_factors(sys8, 0.5, beta, (key_t,))
+                assert cached is entries[0.5, key_t, beta]
                 assert not cached.flags.writeable
                 with pytest.raises(ValueError):
                     cached[0] = 0.0
-        alone = ref._homogeneous_factor(0.5, 1.0, view.lam, 0.1)
-        assert np.array_equal(ref._discrete_factor(sys8, 0.5, 0.1, 1.0), alone)
+        assert len(received) == 6
+        alone = ref._homogeneous_factors(0.5, 1.0, view.lam, (0.1,))[0]
+        assert np.array_equal(entries[0.5, 0.1, 1.0], alone)
 
     @pytest.mark.parametrize("cid", "abcdefg")
-    def test_ladder_factors_equal_lone_factors(self, cid):
+    def test_ladder_factors_equal_lone_factors(self, monkeypatch, cid):
         # one call per beta for eight times: each time's factor is the one it
         # gets alone and the one of mlf_neg on all its modes
         fem = mf.assemble(mf.build_mesh(8))
         case = ref.get_case(cid, 0.5 if cid in "abc" else 1.5)
         view = fem.modal
         times = [10.0 ** -k for k in range(1, 9)]
-        refs = ref.discrete_references(view, case, times)
-        asked = []
+        asked, real = [], ref.mlf_neg
 
-        def factor(beta):
-            asked.append(beta)
-            return ref._discrete_factor(fem, case.alpha, times[0], beta)
+        def counted(a, b, y):
+            asked.append(b)
+            return real(a, b, y)
 
-        data = [np.zeros(view.n_dof) if g is None else mf.load_vector(view, g)
-                for g in (case.v, case.b, case.source_space)]
-        ref.modal_amplitudes(case, *data, times[0], factor)
-        assert asked == ref._factor_betas(case)
-        entries = ref._discrete_factor.entries(fem)
+        monkeypatch.setattr(ref, "mlf_neg", counted)
+        refs = ref.discrete_reference(view, case, times)
+        # 1 for v, 2 for b and alpha + g + 1 for each source power t^g
+        duhamel = [case.alpha + g + 1.0 for _, g in case.source_powers]
+        expected = ([1.0] if case.v else []) + ([2.0] if case.b else [])
+        assert asked == expected + (duhamel if case.source_space else [])
+        monkeypatch.setattr(ref, "mlf_neg", real)
+        entries = vars(fem)["_factors"]
         assert len(entries) == len(asked) * len(times)
         for beta in asked:
             for t in times:
-                alone = ref._homogeneous_factor(case.alpha, beta, view.lam, t)
+                alone = ref._homogeneous_factors(case.alpha, beta, view.lam, (t,))[0]
                 assert np.array_equal(entries[case.alpha, t, beta], alone)
                 assert np.array_equal(alone, mlf_neg(case.alpha, beta, view.lam * t ** case.alpha))
+        assert refs.shape == (len(times), view.n_dof)
         for t, r in zip(times, refs):
             assert np.array_equal(r, ref.discrete_reference(view, case, t))
+
+    def test_ladder_rows_equal_lone_calls_in_every_coordinates(self):
+        # fem_system(8) itself, its sine view and its modal view: a ladder's
+        # row is bit for bit the reference at its time alone
+        fem = mf.fem_system(8)
+        times = [0.1, 1e-3, 0.0, 1e-6]
+        for cid, alpha in (("b", 0.5), ("c", 0.5), ("f", 1.5)):
+            case = ref.get_case(cid, alpha)
+            for sys_ in (fem, fem.sine, fem.modal):
+                rows = ref.discrete_reference(sys_, case, times)
+                assert rows.shape == (len(times), fem.n_dof)
+                for t, row in zip(times, rows):
+                    assert np.array_equal(row, ref.discrete_reference(sys_, case, t))
 
     def test_dof_guard(self):
         big = mf.assemble(mf.build_mesh(66))
