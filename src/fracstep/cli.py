@@ -19,13 +19,22 @@ import numpy as np
 
 from . import harness, meshfem, reference
 from .cq import cq_weights, get_rule
-from .harness import ConfigError
 from .mlf import MlfAccuracyError, mlf_neg
 from .numkit import CgError
 
 
 def _add_common(p):
     p.add_argument("--out", help="output file (default: stdout)")
+
+
+def _comma_list(conv):
+    """argparse type: a comma-separated list of ``conv`` values."""
+
+    def parse(text):
+        return [conv(x) for x in text.split(",")]
+
+    parse.__name__ = f"{conv.__name__} list"   # argparse names it in its error
+    return parse
 
 
 def _emit_text(text, out):
@@ -100,24 +109,11 @@ def _cmd_solve(args):
 
 
 def _cmd_study(args):
-    overrides = {
-        "case": args.case,
-        "alphas": [args.alpha] if args.alpha is not None else None,
-        "schemes": [args.scheme] if args.scheme is not None else None,
-        "kind": args.kind,
-        "M": args.M,
-        "N": args.N,
-        "t": args.t,
-        "reference": args.reference,
-        "out": args.out,
-        "format": args.format,
-    }
-    if args.corrected is not None:
-        overrides["corrected"] = args.corrected
-    for key, conv in (("N_list", int), ("M_list", int), ("t_list", float)):
-        if getattr(args, key):
-            overrides[key] = [conv(x) for x in getattr(args, key).split(",")]
-
+    # every flag named after a study key overrides it; one alpha or scheme is a list
+    keys = harness.STUDY_CONFIG_SCHEMA["properties"]
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
+    overrides["alphas"] = None if args.alpha is None else [args.alpha]
+    overrides["schemes"] = None if args.scheme is None else [args.scheme]
     cfg = harness.StudyConfig.from_json(args.config, overrides)
     report = harness.run_study(cfg)
     _emit_text(harness.emit(report, cfg.format), cfg.out)
@@ -178,11 +174,11 @@ def build_parser():
     p.add_argument("--scheme", choices=list(harness.ALL_SCHEMES))
     p.add_argument("--kind", choices=("temporal", "spatial", "decay"))
     p.add_argument("--M", type=int)
-    p.add_argument("--M-list", dest="M_list")
+    p.add_argument("--M-list", dest="M_list", type=_comma_list(int))
     p.add_argument("--N", type=int)
-    p.add_argument("--N-list", dest="N_list")
+    p.add_argument("--N-list", dest="N_list", type=_comma_list(int))
     p.add_argument("--t", type=float)
-    p.add_argument("--t-list", dest="t_list")
+    p.add_argument("--t-list", dest="t_list", type=_comma_list(float))
     p.add_argument("--reference", choices=harness.REFERENCES)
     p.add_argument("--corrected", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--format", choices=("csv", "markdown"))
@@ -199,7 +195,7 @@ def main(argv=None):
         return 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:   # ConfigError among them
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
     except OSError as exc:

@@ -298,15 +298,6 @@ class SineSystem:
 
     nodal = coords  # Q is its own inverse
 
-    def to_nodal(self, U):
-        """Map the rows of U to nodal coordinates in place, one at a time."""
-        phi = self._phi
-        tmp = np.empty(phi.shape)
-        for row in U:
-            X = row.reshape(phi.shape)
-            np.matmul(phi, X, out=tmp)
-            np.matmul(tmp, phi, out=X)
-
     def step_system(self, a, b):
         _check_step(a, b)
         matrix = self.mass.scaled_add(a, self.stiffness, b)
@@ -436,13 +427,14 @@ class ModalSystem:
     def basis(self):
         """Phi, the dense nodal eigenvector matrix, one column per entry of
         ``lam``: formed on first read, for callers that ask for it."""
-        # one contiguous row per eigenvector, as to_nodal maps rows in place
+        # one contiguous row per eigenvector, mapped to nodal values in place
         rows = np.empty((self.n_dof, self.n_dof))
         for b in self._blocks:
             cols = np.zeros((self.n_dof, len(b.lam)))
             b.extend(b.vectors, cols)
             rows[b.where] = cols.T
-        self.sine.to_nodal(rows)
+        for row in rows:
+            row[:] = self.sine.nodal(row)
         return rows.T
 
     def step_system(self, a, b):

@@ -34,13 +34,16 @@ kernel splits at the block's first step n0: the far part, rows before n0,
 comes for the whole block from one product of a Toeplitz window of the
 kernel with those rows (block convolution, Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985), and the near part comes from the
-block's own earlier rows. Every BLAS product runs in column panels of at
-most ``PANEL`` multiply-adds, the size below which OpenBLAS runs a product
-on one thread: split among threads, the product rounds differently, and
-the CG start of :mod:`meshfem`, a polynomial through up to six earlier
-solutions, carries such differences from step to step into the output.
-Panels keep every product's bits the same for every thread count. After
-the last step v is added to every row in place.
+block's own earlier rows. The window products (far and near parts) and
+the block loads of a sub-block march run in column panels of at most
+``PANEL`` multiply-adds, the size below which OpenBLAS runs a product on
+one thread: split among threads, a product rounds differently, and the CG
+start of :mod:`meshfem`, a polynomial through up to six earlier solutions,
+carries such differences from step to step into the output. The one-step
+loop's loads row ``C[n].dot(B)`` and near sum ``rev[...].dot(U[...])`` run
+unpanelled. Up to M=64 they give the same bits under one and two BLAS
+threads, as the continuous-integration workflow compares; at M=128 the
+near sum does not. After the last step v is added to every row in place.
 
 A march solves its steps in one of two ways:
 
@@ -143,18 +146,20 @@ class SolutionHistory:
     coordinates of the system the march was given. A march on a
     ``FemSystem`` runs in its sine view and hands that view over as
     ``view``: the rows stay in sine coordinates until read, ``final`` maps
-    the last row alone, and the first read of ``U`` maps every row in place.
+    the last row alone, and the first read of ``U`` maps every row in place,
+    each by the view's ``nodal``.
     """
 
-    def __init__(self, U, grid, solve_stats=None, backend="cg", view=None):
-        self._U, self.grid, self.view = U, grid, view
+    def __init__(self, U, solve_stats=None, backend="cg", view=None):
+        self._U, self.view = U, view
         self.solve_stats = [] if solve_stats is None else solve_stats
         self.backend = backend
 
     @property
     def U(self):
         if self.view is not None:
-            self.view.to_nodal(self._U)
+            for row in self._U:
+                row[:] = self.view.nodal(row)
             self.view = None
         return self._U
 
@@ -241,7 +246,7 @@ def _march(sys, grid, mass_kernel, stiff_kernel, loads, start):
     U += start
     record = [(0, None)] * N if solver.record is None else solver.record
     stats = [(n, its, res) for n, (its, res) in enumerate(record, start=1)]
-    return SolutionHistory(U, grid, stats, solver.backend)
+    return SolutionHistory(U, stats, solver.backend)
 
 
 def _step_loop(solver, kernels, C, B, U):

@@ -387,19 +387,20 @@ class TestModalStepping:
     def test_study_maps_no_trajectory(self, reference, monkeypatch):
         # the cell steps and measures in the sine view; nodal values are
         # formed from the final state only, and only for the series
-        rows = []
-        real = mf.SineSystem.to_nodal
+        calls = []
+        real = mf.SineSystem.nodal
 
-        def spy(self, U):
-            rows.append(len(U))
-            return real(self, U)
+        def spy(self, x):
+            calls.append(np.shape(x))
+            return real(self, x)
 
-        monkeypatch.setattr(mf.SineSystem, "to_nodal", spy)
+        monkeypatch.setattr(mf.SineSystem, "nodal", spy)
         cfg = StudyConfig("b", (0.5,), ("be", "sbd"), "temporal", M=8, N_list=(10, 20),
                           reference=reference, K_max=31)
         report = run_study(cfg)
         assert all(e > 0.0 for blk in report.blocks for e in blk.err_l2)
-        assert rows == []
+        cells = 0 if reference == "self_convergence" else 4
+        assert calls == [(mf.fem_system(8).n_dof,)] * cells
 
     @pytest.mark.parametrize(
         "reference,backend", [("discrete_modal", "modal"), ("self_convergence", "cg")]
@@ -739,6 +740,44 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         rows = parse_csv(path.read_text())
         assert len(rows) == 3
+
+    def test_study_flags_build_the_json_config(self, tmp_path, monkeypatch):
+        # each flag sets the study key of its name; one alpha or scheme is a list
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def spy(cfg):
+            seen.append(cfg)
+            raise Stop
+
+        keys = {"case": "b", "alphas": [0.5], "schemes": ["sbd"], "kind": "temporal", "M": 8,
+                "M_list": [4, 8], "N": 20, "N_list": [10, 20], "t": 0.2, "t_list": [0.1, 0.01],
+                "reference": "continuous_modal", "corrected": False, "format": "markdown",
+                "out": str(tmp_path / "r.md")}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(keys))
+        monkeypatch.setattr(harness, "run_study", spy)
+        with pytest.raises(Stop):
+            cli.main([
+                "study", "--case", "b", "--alpha", "0.5", "--scheme", "sbd", "--kind", "temporal",
+                "--M", "8", "--M-list", "4,8", "--N", "20", "--N-list", "10,20", "--t", "0.2",
+                "--t-list", "0.1,0.01", "--reference", "continuous_modal", "--no-corrected",
+                "--format", "markdown", "--out", keys["out"],
+            ])
+        assert seen == [harness.StudyConfig.from_json(str(path))]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--M-list", "4,8.5"), ("--N-list", "10,x"), ("--t-list", "0.1,"),
+    ])
+    def test_study_malformed_list_exit_code(self, flag, value):
+        # refused by argparse, as a malformed --M is
+        out = self.run_cli("study", "--case", "a", "--alpha", "0.5", "--kind", "temporal",
+                           flag, value)
+        assert out.returncode == 2 and out.stdout == ""
+        conv = "float" if flag == "--t-list" else "int"
+        assert f"argument {flag}: invalid {conv} list value: '{value}'" in out.stderr
 
     def test_study_config_file_with_override(self, tmp_path):
         cfg_path = tmp_path / "study.json"

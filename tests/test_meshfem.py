@@ -395,6 +395,13 @@ class TestStepSolvers:
         want = view.basis @ c
         assert np.linalg.norm(view.nodal(c) - want) <= 2e-15 * np.linalg.norm(want)
 
+    def test_basis_columns_are_nodal_unit_vectors(self):
+        # basis maps one row per eigenvector through the sine view in place,
+        # the transform nodal applies to the modal coordinates e_i
+        _, view = modal_view(8)
+        eye = np.eye(view.n_dof)
+        assert all(np.array_equal(view.basis[:, i], view.nodal(e)) for i, e in enumerate(eye))
+
     def test_modal_view_build_peak_allocation(self):
         # four blocks of at most 256 x 256 at M=32: 3.0 MB traced, where one
         # dense eigh of all 961 modes peaked at 22.3 MB

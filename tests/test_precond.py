@@ -94,8 +94,10 @@ class TestSineView:
         x = np.random.default_rng(M).standard_normal(view.n_dof)
         assert np.linalg.norm(view.coords(x) - dst2(x, M)[0]) <= 1e-15 * np.linalg.norm(x)
         assert np.linalg.norm(view.coords(view.coords(x)) - x) <= 1e-15 * np.linalg.norm(x)
+        # the in-place row loop of a nodal history
         U = np.array([x, 2.0 * x, -x])
-        view.to_nodal(U)
+        for row in U:
+            row[:] = view.nodal(row)
         assert np.array_equal(U[0], view.coords(x))
         assert np.linalg.norm(U[1:] - [[2.0], [-1.0]] * U[0]) <= 1e-15 * np.linalg.norm(U)
 

@@ -466,20 +466,23 @@ class TestNodalHistory:
         fem, grid = mf.fem_system(8), TimeGrid(0.1, 40)
         case = ref.get_case("b", 0.5)
         sine = run_scheme(fem.sine, case, scheme, grid).U
-        rows, real = [], mf.SineSystem.to_nodal
+        calls, real = [], mf.SineSystem.nodal
 
-        def spy(self, U):
-            rows.append(len(U))
-            return real(self, U)
+        def spy(self, x):
+            calls.append(np.shape(x))
+            return real(self, x)
 
-        monkeypatch.setattr(mf.SineSystem, "to_nodal", spy)
+        monkeypatch.setattr(mf.SineSystem, "nodal", spy)
         hist = run_scheme(fem, case, scheme, grid)
+        assert calls == []
         final = hist.final
-        assert rows == [] and np.array_equal(final, fem.sine.nodal(sine[-1]))
+        row = (fem.n_dof,)
+        assert calls == [row] and np.array_equal(final, real(fem.sine, sine[-1]))
         U = hist.U
-        assert rows == [grid.N + 1]
-        assert all(np.array_equal(got, fem.sine.nodal(x)) for got, x in zip(U, sine))
-        assert hist.U is U and np.array_equal(hist.final, final) and rows == [grid.N + 1]
+        assert calls == [row] * (grid.N + 2)
+        assert all(np.array_equal(got, real(fem.sine, x)) for got, x in zip(U, sine))
+        assert hist.U is U and np.array_equal(hist.final, final)
+        assert calls == [row] * (grid.N + 2)
 
 
 class TestTrajectoryMemory:
