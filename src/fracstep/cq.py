@@ -109,6 +109,8 @@ def cq_apply(w, g, n):
     ``g`` holds the samples g_0..g_n (at least); entries may be scalars or
     coefficient vectors stacked along axis 0.
     """
+    if n < 0:
+        raise ValueError(f"index {n} is negative")
     if n >= len(w):
         raise ValueError(f"index {n} exceeds weight table length {len(w) - 1}")
     g = np.asarray(g, dtype=float)

@@ -9,16 +9,24 @@ cover the axis, each written once over an array of arguments:
 * the algebraic large-argument expansion, truncated at each element's own
   smallest term and augmented (for alpha > 1) with the conjugate residue pair
   of the inversion contour, which is not negligible at moderate arguments;
-* a real branch-cut integral in between, integrated by adaptive
-  Gauss-Legendre panels run in lockstep: every element starts from its own
-  edges, and in each round every element not yet certified bisects its own
-  worst panel, so one set of numpy calls serves the whole round.
+* in between, the inverse Laplace transform by the trapezoid rule on one
+  parabola per call (Garrappa, SIAM J. Numer. Anal. 53, 2015), whose nodes
+  every argument of the call shares.
 
 An element meets the same arithmetic whatever else is in the array, so its
 value does not depend on the batch it is evaluated in. Each route reports an
 error estimate per element, and the dispatcher passes an element on to the
 next route when its certificate misses the target: ``DEFAULT_TOL`` relative,
-the one accuracy ``mlf_neg`` works to.
+the one accuracy ``mlf_neg`` works to, or for the contour the generic
+magnitude max(|E|, |1/Gamma(beta)|/(1 + y)) of ``_positive``.
+
+At alpha = 1, and at alphas within 1e-11 of 1, which snap to it, the middle
+zone is ``_alpha_one``'s confluent series. E_{1,1}(-y) = e^-y lies far below
+the contour's absolute floor (1.3e-2 relative at y = 35); at beta = 1 +- 1e-6,
+y = 35 the contour erred 2.6e-10 against 3e-15, and for |beta - 1| >= 1e-3 in
+[0.1, 5] the two agreed within 2.7e-12. Just off alpha = 1, E_{alpha,1}(-y)
+still lies far below the generic magnitude: at alpha = 1 - 1e-9, y = 35
+(|E| = 3e-11) the contour errs 2.3e-7 relative, 2.5e-16 of that magnitude.
 
 Work that cannot change a value is skipped. The series is not run where its
 certificate must miss: a screen compares a Stirling lower bound on the
@@ -28,13 +36,12 @@ expansion adds the residue pair only where a bound on its modulus reaches
 2^-60 of the sum, since a smaller pair rounds away.
 
 ``mlf_neg`` hands its arguments to the routes ``_CHUNK`` at a time, and the
-branch-cut route evaluates its integrand ``_PANEL_ROWS`` panels at a time,
-so the routes' temporaries are bounded by the chunk, not by the argument
-count: one call on 50,000 arguments peaks at about 3 MB traced. Errors are
-gathered over all chunks, so ``MlfAccuracyError`` reports the worst element
-and the number missed of the whole call. The recurrence
-E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x) ties the routes together and is what
-the test suite uses to cross-validate them.
+contour forms its integrand ``_ROWS`` arguments at a time, so the routes'
+temporaries are bounded by the chunk, not by the argument count: one call on
+50,000 arguments peaks at about 3 MB traced. Errors are gathered over all
+chunks, so ``MlfAccuracyError`` reports the worst element and the number
+missed of the whole call. The test suite cross-validates the routes through
+the recurrence E_{a,b}(x) = 1/Gamma(b) + x E_{a,b+a}(x).
 """
 
 from __future__ import annotations
@@ -45,17 +52,12 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 
-_GL_LO = np.polynomial.legendre.leggauss(10)
-_GL_HI = np.polynomial.legendre.leggauss(20)
-# both rules' nodes in one row, so a panel's integrand is one evaluation
-_GL_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
-_N_LO = len(_GL_LO[0])
 # term indices the series and the expansion form per step of their loops
 _BLOCK = 16
 # arguments mlf_neg hands to the routes at a time
 _CHUNK = 1024
-# quadrature panels whose integrand the branch-cut route evaluates at a time
-_PANEL_ROWS = 256
+# arguments whose contour integrand the middle route forms at a time
+_ROWS = 256
 
 
 class MlfAccuracyError(ArithmeticError):
@@ -254,141 +256,79 @@ def _try_asymptotic(alpha, beta, y):
     return val + res, err + 2e-16 * (np.abs(val) + np.abs(res))
 
 
-def _panels(f, rows, lo, hi):
-    """(|fine - coarse|, fine) Gauss-Legendre estimates of each panel [lo, hi].
+def _parabola(p):
+    """(mu, h, n) of the parabola z(u) = mu (1 + iu)^2 for the inversion at t = 1.
 
-    Panel i belongs to element rows[i]. The rule's weighted sums run over a
-    row of fixed length, so a panel's estimate does not depend on the others,
-    and the integrand is evaluated _PANEL_ROWS panels at a time, which bounds
-    its temporaries.
+    Garrappa's choice (after Weideman & Trefethen, Math. Comp. 76, 2007) for
+    a transform whose one singularity, at the origin, has strength p: the
+    trapezoid rule of step h on |u| <= n h errs by about 1e-15 of its scale,
+    and mu is capped where e^mu would magnify round-off past that. Where no
+    contour has n <= 200, the target rises tenfold, up to 1e-2.
     """
-    est, fine = np.empty(len(rows)), np.empty(len(rows))
-    for start in range(0, len(rows), _PANEL_ROWS):
-        at = slice(start, start + _PANEL_ROWS)
-        mid = 0.5 * (lo[at] + hi[at])
-        half = 0.5 * (hi[at] - lo[at])
-        v = f(mid[:, None] + half[:, None] * _GL_NODES, rows[at])
-        coarse = half * (v[:, :_N_LO] * _GL_LO[1]).sum(axis=1)
-        fine[at] = half * (v[:, _N_LO:] * _GL_HI[1]).sum(axis=1)
-        est[at] = np.abs(fine[at] - coarse)
-    return est, fine
+    log_eps = math.log(2.0 ** -52)
+    for log_tol in math.log(1e-15) + math.log(10.0) * np.arange(14):
+        phi = 0.01
+        while True:
+            ratio = log_tol / phi
+            n = math.ceil(phi / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio)))
+            a = math.pi * n / phi
+            sq_mu = math.sqrt(phi) * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+            if p < 1e-14 or 0.0 < p * math.log(sq_mu / math.sqrt(phi)) < math.log(10.0):
+                break
+            phi = (5.0 ** (-1.0 / p) * sq_mu) ** 2
+        mu, h = sq_mu ** 2, (2.0 * math.sqrt(1.0 + 12.0 * a) - 3.0 * a - 2.0) / (4.0 - a) / n
+        cap = log_tol - log_eps
+        if mu > cap:
+            # mu falls to the cap, where the target holds only if r < 1
+            r = (0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * math.sqrt(mu)) / math.sqrt(cap)
+            w = math.sqrt(log_eps / (log_eps - log_tol))
+            mu, n = cap, math.ceil(w * log_tol / (2 * math.pi * (r - 1))) if r < 1 else math.inf
+            h = w / n
+        if n <= 200:
+            return mu, h, n
+    raise MlfAccuracyError(f"no contour for a singularity of strength {p}", math.inf)
 
 
-def _adaptive_gl(f, edges, scale_hint):
-    """Adaptive Gauss-Legendre panels over each element's edges, in lockstep.
+def _contour(alpha, beta, y):
+    """E_{alpha,beta}(-y) as the inverse Laplace transform at t = 1 on one parabola.
 
-    Row i of ``edges`` holds element i's initial edges in increasing order,
-    padded at its end by repeating its last edge; ``f(r, rows)`` evaluates
-    the integrand of elements ``rows`` at the points r, one row of points per
-    element. Each element keeps its panels in one row of a table: a bisected
-    panel's left half takes its place and its right half goes to the end.
-    In each round, every element whose summed estimate misses DEFAULT_TOL
-    relative to max(|integral|, scale_hint) bisects its worst panel; sums run
-    left to right along the row, and padding adds exact zeros. Returns
-    (integral, error estimate) per element.
+    F(s) = s^(alpha-beta) / (s^alpha + y) transforms t^(beta-1) E(-y t^alpha);
+    its singularity at the origin has strength max(0, 2(beta - alpha - 1)).
+    F is real on the real axis, so E is twice the real part over u >= 0,
+    where the trapezoid rule runs at step h/2 up to u = (n + 1) h; one step h
+    past Garrappa's end nearly halved the worst error (alpha = 1.7). The
+    error estimate is the sum's distance from the rule at step h, 4e-16 of
+    the sum of the terms' moduli and the modulus of the last term.
+
+    For alpha > 1 the poles s_+ = y^(1/alpha) e^(i pi/alpha) and conj(s_+)
+    leave the integrand as their principal parts c/(s - s_+) and its
+    conjugate, c = s_+^(1-beta)/alpha, and come back as ``_residue_pair``;
+    the moduli count F and the parts apart, since near a pole they cancel.
+    The nodes are shared, and the integrand is formed _ROWS elements at a
+    time, each row summed over its own nodes alone.
     """
-    n, m = edges.shape
-    lo, hi = edges[:, :-1].copy(), edges[:, 1:].copy()
-    fine, err = np.zeros_like(lo), np.zeros_like(lo)
-    real = hi > lo
-    err[real], fine[real] = _panels(f, np.nonzero(real)[0], lo[real], hi[real])
-    count = np.full(n, m - 1)
-    total, error = np.zeros(n), np.zeros(n)
-    live = np.arange(n)
-    for bisections in range(401):
-        tot = np.cumsum(fine[live], axis=1)[:, -1]
-        es = np.cumsum(err[live], axis=1)[:, -1]
-        done = es <= DEFAULT_TOL * np.maximum(np.maximum(np.abs(tot), scale_hint[live]), 1e-300)
-        # after 400 bisections an element returns what it has, certified or not
-        done |= bisections == 400
-        total[live[done]], error[live[done]] = tot[done], es[done]
-        live = live[~done]
-        if not live.size:
-            return total, error
-        if count[live].max() == lo.shape[1]:
-            grow = np.zeros((n, max(16, lo.shape[1] // 2)))
-            lo, hi, fine, err = (np.hstack([a, grow]) for a in (lo, hi, fine, err))
-        worst = np.argmax(err[live], axis=1)
-        a, b = lo[live, worst], hi[live, worst]
-        c = 0.5 * (a + b)
-        e2, f2 = _panels(f, np.concatenate([live, live]), np.concatenate([a, c]),
-                         np.concatenate([c, b]))
-        k, j = live.size, count[live]
-        hi[live, worst], err[live, worst], fine[live, worst] = c, e2[:k], f2[:k]
-        lo[live, j], hi[live, j], err[live, j], fine[live, j] = c, b, e2[k:], f2[k:]
-        count[live] += 1
-
-
-def _branch_cut_integral(alpha, beta, y, scale_hint):
-    """Real branch-cut integral of the inversion contour; needs beta < alpha+1."""
-    c = math.cos(math.pi * alpha)
-    s_ab = _sinpi(beta)
-    s_amb = _sinpi(beta - alpha)
-    width = abs(_sinpi(alpha))
-
-    def kernel(r, rows):
-        yr = y[rows, None]
-        ra = r ** alpha
-        denom = (ra + yr * c) ** 2 + (yr * width) ** 2
-        num = s_ab * ra + s_amb * yr
-        return np.exp(-r) * r ** (alpha - beta) * num / denom / math.pi
-
-    # candidate edges per element, one column each; NaN marks an absent one
-    cols = [np.ones(len(y))]
-    r_max = np.full(len(y), 50.0)
-    if c < 0.0:
-        r_star = (-y * c) ** (1.0 / alpha)
-        peak = r_star > 1e-3
-        halfw = y * max(width, 1e-12) / (alpha * r_star ** (alpha - 1.0))
-        for fac in (-100.0, -30.0, -10.0, -3.0, -1.0, 1.0, 3.0, 10.0, 30.0, 100.0):
-            e = r_star + fac * halfw
-            cols.append(np.where(peak & (e > 1e-12), e, math.nan))
-        cols.append(np.where(peak, r_star, math.nan))
-        r_max = np.maximum(50.0, r_star + 45.0)
-    e = 2.0
-    while e < r_max.max():
-        cols.append(np.where(e < r_max, e, math.nan))
-        e *= 2.0
-    cols.append(r_max)
-    edges = np.stack(cols, axis=1)
-    edges[~((edges > 1e-300) & (edges <= r_max[:, None]))] = math.nan
-    edges.sort(axis=1)
-    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = math.nan
-    edges.sort(axis=1)
-    width_max = int(np.max(np.sum(~np.isnan(edges), axis=1)))
-    edges = edges[:, :width_max]
-    edges = np.where(np.isnan(edges), r_max[:, None], edges)
-
-    # first panel [0, e0] via r = u**p, removing the integrable r**(alpha-beta)
-    # endpoint behaviour
-    p = max(1.0, 2.0 / (alpha - beta + 1.0))
-    u_hi = edges[:, 0] ** (1.0 / p)
-
-    def kernel_sub(u, rows):
-        return kernel(u ** p, rows) * p * u ** (p - 1.0)
-
-    head_edges = np.stack([np.zeros(len(y)), u_hi], axis=1)
-    head, err_head = _adaptive_gl(kernel_sub, head_edges, scale_hint)
-    tail, err_tail = _adaptive_gl(kernel, edges, scale_hint)
-    return head + tail, err_head + err_tail
-
-
-def _mid(alpha, beta, y):
-    """Middle-zone evaluation: recurrence reduction + contour machinery.
-
-    The recurrence lowers beta by alpha until beta < alpha + 0.75, then
-    climbs back up one step per lowering, so a small alpha costs steps, not
-    stack depth.
-    """
-    lowered = []
-    while beta >= alpha + 0.75:
-        beta -= alpha
-        lowered.append(beta)
-    res = _residue_pair(alpha, beta, y) if alpha > 1.0 else np.zeros(len(y))
-    integral, err = _branch_cut_integral(alpha, beta, y, np.abs(res))
-    val, err = res + integral, err + 2e-16 * np.abs(res)
-    for b in reversed(lowered):
-        val, err = (_recip_gamma(b) - val) / y, err / y + 4e-16
+    mu, h, n = _parabola(max(0.0, 2.0 * (beta - alpha - 1.0)))
+    u = 0.5 * h * np.arange(2 * n + 3)
+    z = mu * (1.0 + 1j * u) ** 2
+    # e^z z'(u) / (2 pi i) times the step-h/2 weight of the doubled half line
+    a = np.exp(z) * (mu / math.pi) * (1.0 + 1j * u) * np.where(u > 0.0, h, 0.5 * h)
+    z_a, a_zb = z ** alpha, a * z ** (alpha - beta)
+    val, err = np.empty(len(y)), np.empty(len(y))
+    for start in range(0, len(y), _ROWS):
+        at = slice(start, start + _ROWS)
+        f = a_zb / (z_a + y[at, None])
+        mag = np.abs(f)
+        if alpha > 1.0:
+            s = y[at, None] ** (1.0 / alpha) * np.exp(1j * math.pi / alpha)
+            c = s ** (1.0 - beta) / alpha
+            for part in (a * c / (z - s), a * np.conj(c) / (z - np.conj(s))):
+                f -= part
+                mag += np.abs(part)
+        fine, coarse = f.real.sum(axis=1), 2.0 * f.real[:, ::2].sum(axis=1)
+        val[at], err[at] = fine, np.abs(fine - coarse) + 4e-16 * mag.sum(axis=1) + mag[:, -1]
+    if alpha > 1.0:
+        res = _residue_pair(alpha, beta, y)
+        val, err = val + res, err + 2e-16 * np.abs(res)
     return val, err
 
 
@@ -478,7 +418,7 @@ def _positive(alpha, beta, y):
         return out, missed
 
     yr = y[rest]
-    val, err = _mid(alpha, beta, yr)
+    val, err = _contour(alpha, beta, yr)
     # near a real zero of E the relative error is condition-limited; judge
     # the certificate against the generic magnitude on the axis instead
     scale = np.maximum(np.maximum(np.abs(val), abs(_recip_gamma(beta)) / (1.0 + yr)), 1e-300)

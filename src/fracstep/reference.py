@@ -223,7 +223,11 @@ def _homogeneous_factors(alpha, beta, lam_flat, times):
 
     Nothing is cached here. ``ExactSolution`` asks for one time per factor;
     the discrete reference reads its factors through ``_discrete_factors``.
+    Raises ValueError for a time below 0, whose t^alpha is complex, or one
+    not finite.
     """
+    if not all(0.0 <= t < math.inf for t in times):
+        raise ValueError(f"times must be finite and nonnegative, got {list(times)}")
     lam = np.asarray(lam_flat, dtype=float)
     per_time = [np.unique(lam * t ** alpha, return_inverse=True) for t in times]
     y, at = np.unique(np.concatenate([y_t for y_t, _ in per_time]), return_inverse=True)

@@ -227,6 +227,12 @@ class TestApply:
         w = cq_weights(BE, 0.5, 1.0, 2)
         with pytest.raises(ValueError):
             cq_apply(w, np.ones(10), 5)
+        # a negative index slices the weights and the samples from their ends:
+        # n = -2 would sum w_0..w_3 against g_3..g_0
+        w = cq_weights(BE, 0.5, 1.0, 4)
+        for n in (-1, -2):
+            with pytest.raises(ValueError):
+                cq_apply(w, np.arange(5.0), n)
 
 
 class TestScalarStability:

@@ -279,8 +279,8 @@ def _series_one_at_a_time(alpha, beta, y, full=False):
     return s, 4.0e-16 * s_abs + abs(term)
 
 
-# y grid over all three routes: series at small y, the branch-cut integral
-# in between, the expansion (with residues for alpha > 1) at large y
+# y grid over all three routes: series at small y, the contour in between,
+# the expansion (with residues for alpha > 1) at large y
 _ROUTE_GRID = np.array([0.0, 0.5, 2.0, 7.0, 19.0, 45.0, 120.0, 400.0])
 
 
@@ -357,8 +357,7 @@ class TestArrayCalls:
 
     def test_oracle_one_call_per_pair(self, monkeypatch):
         # each route spied on, so the grid is known to reach every one
-        seen = {"series": 0, "asymptotic": 0, "mid_betas": [], "cut_betas": [],
-                "residue_betas": []}
+        seen = {"series": 0, "asymptotic": 0, "contour_betas": [], "residue_betas": []}
 
         def spy(name, record):
             real = getattr(mlf, name)
@@ -378,8 +377,7 @@ class TestArrayCalls:
 
         spy("_try_series", certified("series"))
         spy("_try_asymptotic", certified("asymptotic"))
-        spy("_mid", lambda a, b, y, out: seen["mid_betas"].append((b, len(y))))
-        spy("_branch_cut_integral", lambda a, b, y, out: seen["cut_betas"].append((b, len(y))))
+        spy("_contour", lambda a, b, y, out: seen["contour_betas"].append((b, len(y))))
         spy("_residue_pair", lambda a, b, y, out: seen["residue_betas"].append((b, len(y))))
 
         pairs = [(0.7, 1.0), (0.7, 1.9), (1.5, 1.0), (1.5, 2.7), (1.9, 1.0)]
@@ -397,41 +395,42 @@ class TestArrayCalls:
             scale = np.maximum(np.abs(refs), 1e-3 / (1.0 + ys))
             assert np.all(np.abs(got - refs) <= 1e-11 * scale), (alpha, beta)
         assert seen["series"] > 0 and seen["asymptotic"] > 0
-        # the recurrence: _mid at beta = 2.7 lowers beta to 2.7 - 1.5 = 1.2,
-        # where the residue pair joins the integral
-        mids = {b for b, n in seen["mid_betas"] if n}
-        assert {1.9, 2.7}.issubset(mids) and 2.7 - 1.5 in {b for b, n in seen["cut_betas"] if n}
-        assert (2.7 - 1.5) in {b for b, n in seen["residue_betas"] if n}
+        # the contour and its residue pair take beta = 2.7 itself: no
+        # recurrence lowers it to 2.7 - 1.5 = 1.2
+        contours = {b for b, n in seen["contour_betas"] if n}
+        residues = {b for b, n in seen["residue_betas"] if n}
+        assert {1.9, 2.7}.issubset(contours) and 2.7 in residues
+        assert 2.7 - 1.5 not in contours | residues
 
     def test_accuracy_error_reports_worst_element(self, monkeypatch):
-        real = mlf._mid
+        real = mlf._contour
         ys = np.array([12.0, 19.0, 45.0, 80.0])  # all four reach the middle zone
 
-        def mid_with(bounds):
+        def contour_with(bounds):
             # bounds per argument, so the fake serves any chunk of ys
             def fake(alpha, beta, y):
                 val, err = real(alpha, beta, y)
                 return val, np.maximum(err, bounds[np.searchsorted(ys, y)])
             return fake
 
-        monkeypatch.setattr(mlf, "_mid", mid_with(np.array([0.0, 2e-3, 0.0, 5e-3])))
+        monkeypatch.setattr(mlf, "_contour", contour_with(np.array([0.0, 2e-3, 0.0, 5e-3])))
         with pytest.raises(MlfAccuracyError) as info:
             mlf_neg(1.5, 1.0, ys)
         assert info.value.achieved == 5e-3
         assert "2 of 4" in str(info.value)
-        monkeypatch.setattr(mlf, "_mid", mid_with(np.array([0.0, 2e-3, 0.0, 0.0])))
+        monkeypatch.setattr(mlf, "_contour", contour_with(np.array([0.0, 2e-3, 0.0, 0.0])))
         with pytest.raises(MlfAccuracyError) as info:
             mlf_neg(1.5, 1.0, ys)
         assert info.value.achieved == 2e-3
         # misses in two chunks: the worst and the count span both
         monkeypatch.setattr(mlf, "_CHUNK", 3)
         for bounds, worst in (([0.0, 2e-3, 0.0, 5e-3], 80.0), ([0.0, 5e-3, 0.0, 2e-3], 19.0)):
-            monkeypatch.setattr(mlf, "_mid", mid_with(np.array(bounds)))
+            monkeypatch.setattr(mlf, "_contour", contour_with(np.array(bounds)))
             with pytest.raises(MlfAccuracyError) as info:
                 mlf_neg(1.5, 1.0, ys)
             assert info.value.achieved == 5e-3
             assert "2 of 4" in str(info.value) and f"(-{worst})" in str(info.value)
-        monkeypatch.setattr(mlf, "_mid", real)
+        monkeypatch.setattr(mlf, "_contour", real)
         assert np.array_equal(mlf_neg(1.5, 1.0, ys), [mlf_neg(1.5, 1.0, y) for y in ys])
 
 
@@ -507,27 +506,69 @@ class TestChunks:
         assert peak <= 4e6, peak
 
 
-def _mid_recursive(alpha, beta, y):
-    """The middle zone as one call per recurrence step, the reference for
-    the loop in ``mlf._mid``."""
-    if beta >= alpha + 0.75:
-        inner, err = _mid_recursive(alpha, beta - alpha, y)
-        return (mlf._recip_gamma(beta - alpha) - inner) / y, err / y + 4e-16
-    res = mlf._residue_pair(alpha, beta, y) if alpha > 1.0 else np.zeros(len(y))
-    integral, err = mlf._branch_cut_integral(alpha, beta, y, np.abs(res))
-    return res + integral, err + 2e-16 * np.abs(res)
+def _middle_zone(monkeypatch, alpha, beta, ys):
+    """The elements of ``ys`` that mlf_neg hands to the contour route."""
+    real, seen = mlf._contour, [np.zeros(0)]
+
+    def spy(a, b, y):
+        seen.append(y.copy())
+        return real(a, b, y)
+
+    monkeypatch.setattr(mlf, "_contour", spy)
+    mlf_neg(alpha, beta, ys)
+    monkeypatch.setattr(mlf, "_contour", real)
+    return np.concatenate(seen)
+
+
+class TestContour:
+    _YS = np.geomspace(0.5, 500.0, 16)
+
+    def test_matches_talbot(self, monkeypatch):
+        pairs = [(0.5, 1.0), (0.9, 1.0), (1.1, 1.1), (1.5, 1.0), (1.5, 2.7), (1.9, 1.0), (0.05, 7.0)]
+        for alpha, beta in pairs:
+            mid = _middle_zone(monkeypatch, alpha, beta, self._YS)
+            assert mid.size, (alpha, beta)
+            for y, g in zip(mid, mlf_neg(alpha, beta, mid)):
+                ref = talbot_mlf(alpha, beta, y)
+                scale = max(abs(ref), 1.0 / (math.gamma(beta) * (1.0 + y)))
+                assert abs(g - ref) <= 1e-11 * scale, (alpha, beta, y)
+
+    @pytest.mark.parametrize(
+        "coarsen", [lambda mu, h, n: (mu, h, n // 3), lambda mu, h, n: (mu, 3.0 * h, n)],
+        ids=["third_of_nodes", "tripled_step"],
+    )
+    def test_coarse_contour_misses_its_certificate(self, monkeypatch, coarsen):
+        real = mlf._parabola
+        for alpha, beta in [(0.5, 1.0), (0.9, 1.0), (1.5, 1.0), (1.5, 2.7)]:
+            mid = _middle_zone(monkeypatch, alpha, beta, self._YS)
+            monkeypatch.setattr(mlf, "_parabola", lambda p: coarsen(*real(p)))
+            with pytest.raises(MlfAccuracyError) as info:
+                mlf_neg(alpha, beta, mid)
+            assert f"({mid.size} of {mid.size} arguments" in str(info.value), (alpha, beta)
+            monkeypatch.setattr(mlf, "_parabola", real)
+
+    def test_no_contour_is_an_accuracy_error(self):
+        # beta = 170 puts a singularity of strength 337 at the origin, which
+        # no parabola of at most 200 nodes resolves to 1e-2
+        with pytest.raises(MlfAccuracyError, match="no contour"):
+            mlf_neg(0.5, 170.0, np.geomspace(1e-2, 1e9, 200))
+
+    def test_alpha_near_one(self, monkeypatch):
+        # E_{alpha,1}(-y) = e^-y + O(|alpha - 1|) lies far below the generic
+        # scale 1/(1 + y) that the certificate is judged against; the snap to
+        # alpha = 1 does not reach these alphas, and y = 60 takes the expansion
+        ys = np.array([15.0, 35.0, 60.0])
+        for alpha in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 - 1e-9, 1.0 + 1e-9):
+            assert np.array_equal(_middle_zone(monkeypatch, alpha, 1.0, ys), ys[:2]), alpha
+            for y, g in zip(ys, mlf_neg(alpha, 1.0, ys)):
+                ref = mp_mlf(alpha, 1.0, y)
+                assert abs(g - ref) <= 1e-12 * max(abs(ref), 1.0 / (1.0 + y)), (alpha, y)
 
 
 class TestMidRecurrence:
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 2.0), (0.5, 3.2), (1.1, 4.0), (1.5, 2.7)])
-    def test_loop_matches_recursion(self, alpha, beta):
-        ys = np.array([1.3, 4.0, 9.0, 17.0])
-        val, err = mlf._mid(alpha, beta, ys)
-        ref_val, ref_err = _mid_recursive(alpha, beta, ys)
-        assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
-
     def test_small_alpha_large_beta(self):
-        # about 1,050 recurrence steps, more than the interpreter's stack allows
+        # beta lies about 1,000 alpha above alpha + 1, where a beta-lowering
+        # recurrence would take that many steps; the contour takes beta itself
         ys = np.array([1.02, 1.03])
         got = mlf_neg(0.005, 6.0, ys)
         for y, g in zip(ys, got):

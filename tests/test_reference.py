@@ -227,6 +227,18 @@ class TestDiscreteReference:
         got = ref.discrete_reference(sys8, c, t)
         assert np.max(np.abs(got - expect)) < 1e-12
 
+    def test_times_must_be_finite_and_nonnegative(self, sys8):
+        # a negative time's t^alpha is complex, and an infinite one gave case f
+        # NaN rows; the exact series shares the check
+        for c in (ref.get_case("a", 0.5), ref.get_case("f", 1.5)):
+            for t in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    ref.discrete_reference(sys8, c, t)
+                with pytest.raises(ValueError):
+                    ref.discrete_reference(sys8, c, [0.1, t])
+                with pytest.raises(ValueError):
+                    ref.exact_solution(c, ref.modal_coefficients(c, 7), t)
+
     def test_expansion_reconstructs_data(self, sys8):
         c = ref.get_case("b", 0.5)
         view = sys8.modal
